@@ -1,8 +1,7 @@
-"""Pure-numpy implementations of the hot kernels.
+"""Vectorized numpy implementations of the hot kernels.
 
-Same contracts as the compiled core in ``_core.pyx``; selected at import
-time by :mod:`quadricfit._kernels` when the extension is unavailable.
-All inputs are float64 arrays; duals are canonical (``q[3,3] = -1``).
+Batched box projection, tangency defects and voxel overlap counts. All
+inputs are float64 arrays; duals are canonical (``q[3,3] = -1``).
 """
 
 import numpy as np
@@ -10,6 +9,11 @@ import numpy as np
 BACKEND = "python"
 
 _CORNER_TOL = 1e-12
+
+
+def backend() -> str:
+    """Name of the kernel implementation, echoed in run records: 'python'."""
+    return BACKEND
 
 
 def boxes_from_duals(fx, fy, cx, cy, rt, duals):

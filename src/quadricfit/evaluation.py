@@ -33,10 +33,10 @@ def circumscribed_box(q: np.ndarray) -> OrientedBox:
     return OrientedBox(rts.translation, rts.rotation, rts.scale)
 
 
-def iou_boxes(a: OrientedBox, b: OrientedBox, grid: int = IOU_GRID) -> float:
+def iou_boxes(a: OrientedBox, b: OrientedBox) -> float:
     """Volume IoU of two oriented boxes by counting grid cells.
 
-    The grid spans the union's axis-aligned bounding region with grid^3
+    The grid spans the union's axis-aligned bounding region with IOU_GRID^3
     cells, which bounds the error at about +/-0.01 for comparable boxes;
     symmetric in (a, b) by construction.
     """
@@ -55,7 +55,7 @@ def iou_boxes(a: OrientedBox, b: OrientedBox, grid: int = IOU_GRID) -> float:
         np.asarray(b.half_extents, dtype=float),
         lo,
         hi,
-        int(grid),
+        IOU_GRID,
     )
     union = na + nb - inter
     if union == 0:
@@ -76,9 +76,9 @@ def iou_aabb_analytic(a: OrientedBox, b: OrientedBox) -> float:
     return inter / (vol_a + vol_b - inter)
 
 
-def iou_duals(qa: np.ndarray, qb: np.ndarray, grid: int = IOU_GRID) -> float:
+def iou_duals(qa: np.ndarray, qb: np.ndarray) -> float:
     """IoU of the circumscribed boxes of two dual quadrics."""
-    return iou_boxes(circumscribed_box(qa), circumscribed_box(qb), grid)
+    return iou_boxes(circumscribed_box(qa), circumscribed_box(qb))
 
 
 def orientation_error(est: np.ndarray, truth: np.ndarray) -> float:

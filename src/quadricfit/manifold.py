@@ -1,4 +1,4 @@
-"""Manifold primitives: SO(3), SE(3), SPD(3), Euclidean and products.
+"""Manifold primitives: SO(3), SE(3) and SPD(3).
 
 Conventions used throughout the package:
 
@@ -113,6 +113,19 @@ _SPD_EXP_CLAMP = 40.0
 _SPD_REL_FLOOR = 1e-15
 
 
+def _spd_exp_congruence(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``s Exp(x) s`` with the clamped exponent and the eigenvalue floor."""
+    expd = _eigh_apply(x, lambda w: np.exp(np.clip(w, -_SPD_EXP_CLAMP, _SPD_EXP_CLAMP)))
+    out = s @ expd @ s
+    out = 0.5 * (out + out.T)
+    w, u = np.linalg.eigh(out)
+    floor = max(w[-1], 1.0) * _SPD_REL_FLOOR
+    if w[0] < floor:
+        out = (u * np.maximum(w, floor)) @ u.T
+        out = 0.5 * (out + out.T)
+    return out
+
+
 def spd_retract(p: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Exponential retraction on SPD(3).
 
@@ -123,18 +136,8 @@ def spd_retract(p: np.ndarray, xi: np.ndarray) -> np.ndarray:
     xi = _require_finite("spd tangent", xi)
     if not np.any(xi):
         return p
-    s = spd_sqrt(p)
     s_inv = spd_inv_sqrt(p)
-    inner = s_inv @ xi @ s_inv
-    expd = _eigh_apply(inner, lambda w: np.exp(np.clip(w, -_SPD_EXP_CLAMP, _SPD_EXP_CLAMP)))
-    out = s @ expd @ s
-    out = 0.5 * (out + out.T)
-    w, u = np.linalg.eigh(out)
-    floor = max(w[-1], 1.0) * _SPD_REL_FLOOR
-    if w[0] < floor:
-        out = (u * np.maximum(w, floor)) @ u.T
-        out = 0.5 * (out + out.T)
-    return out
+    return _spd_exp_congruence(spd_sqrt(p), s_inv @ xi @ s_inv)
 
 
 def spd_retract_normalized(p: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -149,16 +152,7 @@ def spd_retract_normalized(p: np.ndarray, z: np.ndarray) -> np.ndarray:
     z = _require_finite("spd tangent", z)
     if not np.any(z):
         return p
-    s = spd_sqrt(p)
-    expd = _eigh_apply(z, lambda w: np.exp(np.clip(w, -_SPD_EXP_CLAMP, _SPD_EXP_CLAMP)))
-    out = s @ expd @ s
-    out = 0.5 * (out + out.T)
-    w, u = np.linalg.eigh(out)
-    floor = max(w[-1], 1.0) * _SPD_REL_FLOOR
-    if w[0] < floor:
-        out = (u * np.maximum(w, floor)) @ u.T
-        out = 0.5 * (out + out.T)
-    return out
+    return _spd_exp_congruence(spd_sqrt(p), z)
 
 
 def spd_log(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -256,18 +250,6 @@ def _so3_left_jacobian_inv(omega: np.ndarray) -> np.ndarray:
     return np.eye(3) - 0.5 * w + b * w2
 
 
-def rotation_check(r: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Validate an orthogonal matrix with det +1; returns it as float array."""
-    r = _require_finite("rotation", r)
-    if r.shape != (3, 3):
-        raise InvalidInputError(f"expected 3x3 rotation, got {r.shape}")
-    if np.max(np.abs(r @ r.T - np.eye(3))) > tol:
-        raise InvalidInputError("matrix is not orthogonal")
-    if abs(np.linalg.det(r) - 1.0) > tol:
-        raise InvalidInputError("matrix determinant is not +1")
-    return r
-
-
 def orthonormalize(r: np.ndarray) -> np.ndarray:
     """Project a near-rotation back onto SO(3) via SVD."""
     u, _, vt = np.linalg.svd(r)
@@ -360,69 +342,3 @@ def se3_log(t: Pose) -> np.ndarray:
 def pose_retract(t: Pose, xi: np.ndarray) -> Pose:
     """Left-multiplicative pose update ``Exp(xi) * t``."""
     return se3_exp(xi).compose(t)
-
-
-# ---------------------------------------------------------------------------
-# Product manifolds
-
-# A manifold point is any object with a ``tangent_dim`` attribute and a
-# ``retract(delta) -> point`` method.  Two generic leaves are provided here;
-# the landmark states in :mod:`quadricfit.quadric` implement the same
-# protocol, so heterogeneous products compose freely.
-
-
-@dataclass(frozen=True)
-class EuclideanPoint:
-    value: np.ndarray
-
-    @property
-    def tangent_dim(self) -> int:
-        return int(np.asarray(self.value).size)
-
-    def retract(self, delta: np.ndarray) -> "EuclideanPoint":
-        return EuclideanPoint(np.asarray(self.value, dtype=float) + delta)
-
-
-@dataclass(frozen=True)
-class SpdPoint:
-    """SPD(3) as a standalone product component; tangent in vec6 coordinates."""
-
-    value: np.ndarray
-
-    @property
-    def tangent_dim(self) -> int:
-        return 6
-
-    def retract(self, delta: np.ndarray) -> "SpdPoint":
-        return SpdPoint(spd_retract(self.value, vec6_to_sym(delta)))
-
-
-@dataclass(frozen=True)
-class PosePoint:
-    value: Pose
-
-    @property
-    def tangent_dim(self) -> int:
-        return 6
-
-    def retract(self, delta: np.ndarray) -> "PosePoint":
-        return PosePoint(pose_retract(self.value, delta))
-
-
-def product_retract(points, delta: np.ndarray):
-    """Apply each component's retraction to its slice of ``delta``.
-
-    Components are consumed in the order given; ``delta`` length must equal
-    the sum of the component tangent dimensions.
-    """
-    delta = np.asarray(delta, dtype=float)
-    total = sum(p.tangent_dim for p in points)
-    if delta.shape != (total,):
-        raise ValueError(f"delta has length {delta.size}, expected {total}")
-    out = []
-    offset = 0
-    for p in points:
-        d = p.tangent_dim
-        out.append(p.retract(delta[offset : offset + d]))
-        offset += d
-    return out

@@ -17,8 +17,9 @@ Parameterizations
 * ``FullState``  -- raw 10 coefficients of the dual matrix; its retraction
   re-projects onto valid ellipsoids after every step
 
-All states implement ``tangent_dim`` / ``retract`` / ``fd_scales`` / ``dual``
-and therefore compose with :func:`quadricfit.manifold.product_retract`.
+All states implement ``tangent_dim`` / ``retract`` / ``fd_scales`` / ``dual``,
+the protocol through which :mod:`quadricfit.solver` steps and
+differentiates every landmark.
 """
 
 from __future__ import annotations

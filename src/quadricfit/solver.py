@@ -426,7 +426,8 @@ def _factor_block(f: Factor, values: dict, variants: dict, columns: dict, n: int
 def linearize(problem: Problem, options: SolveOptions | None = None) -> Linearization:
     """Public linearization of a problem at its current variables."""
     options = options or SolveOptions()
-    free = [v for v in problem.free_ids() if v not in set(problem.unconstrained())]
+    unconstrained = set(problem.unconstrained())
+    free = [v for v in problem.free_ids() if v not in unconstrained]
     return _linearize(problem.variables, problem.factors, free, options)
 
 
@@ -484,7 +485,8 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
     unconstrained = problem.unconstrained()
     if unconstrained:
         warnings.warn(f"unconstrained variables held fixed: {unconstrained}")
-    free = [v for v in problem.free_ids() if v not in set(unconstrained)]
+    held = set(unconstrained)
+    free = [v for v in problem.free_ids() if v not in held]
     if not free:
         raise ProblemError("problem has no free variables")
 

@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 
 from quadricfit import _kernels
-from quadricfit._kernels import fallback
 from quadricfit.costs import (
     BehindCameraError,
     BoundingBox,
@@ -13,40 +11,38 @@ from quadricfit.costs import (
     conic_bbox,
     project_dual,
 )
-from quadricfit.manifold import Pose
+from quadricfit.manifold import Pose, so3_exp
 from conftest import random_rts
 
 INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
-
-compiled_only = pytest.mark.skipif(
-    _kernels.backend() != "compiled", reason="compiled kernel core not built"
-)
 
 
 def random_duals(rng, n):
     return np.stack([random_rts(rng).dual for _ in range(n)])
 
 
-def frame_and_rt(rng):
-    pose = Pose(np.eye(3), rng.normal(size=3) * 0.2)
+def frame_and_rt(rng, rotation=np.eye(3)):
+    pose = Pose(rotation, rng.normal(size=3) * 0.2)
     frame = CameraFrame(INTR, pose)
     return frame, frame.projection_rt()
 
 
 def test_boxes_kernel_matches_reference(rng):
-    frame, rt = frame_and_rt(rng)
     duals = random_duals(rng, 40)
     duals[:, 2, 3] -= 8.0  # push centers in front of the camera
     duals[:, 3, 2] -= 8.0
-    boxes, ok = _kernels.boxes_from_duals(INTR.fx, INTR.fy, INTR.cx, INTR.cy, rt, duals)
-    for i in range(duals.shape[0]):
-        try:
-            ref = conic_bbox(project_dual(duals[i], frame)).as_array()
-        except (BehindCameraError, DegenerateProjectionError):
-            assert not ok[i]
-            continue
-        assert ok[i]
-        np.testing.assert_allclose(boxes[i], ref, rtol=1e-9, atol=1e-9)
+    for rotation in (np.eye(3), so3_exp(np.array([0.2, -0.3, 0.15]))):
+        frame, rt = frame_and_rt(rng, rotation)
+        boxes, ok = _kernels.boxes_from_duals(INTR.fx, INTR.fy, INTR.cx, INTR.cy, rt, duals)
+        assert ok.any()
+        for i in range(duals.shape[0]):
+            try:
+                ref = conic_bbox(project_dual(duals[i], frame)).as_array()
+            except (BehindCameraError, DegenerateProjectionError):
+                assert not ok[i]
+                continue
+            assert ok[i]
+            np.testing.assert_allclose(boxes[i], ref, rtol=1e-9, atol=1e-9)
 
 
 def test_boxes_kernel_flags_behind_camera(rng):
@@ -82,8 +78,6 @@ def brute_voxel(rot_a, cen_a, half_a, rot_b, cen_b, half_b, lo, hi, n):
 
 
 def test_voxel_kernel_matches_bruteforce(rng):
-    from quadricfit.manifold import so3_exp
-
     for _ in range(5):
         rot_a, rot_b = so3_exp(rng.normal(size=3)), so3_exp(rng.normal(size=3))
         cen_a, cen_b = rng.normal(size=3), rng.normal(size=3)
@@ -93,42 +87,3 @@ def test_voxel_kernel_matches_bruteforce(rng):
         got = _kernels.voxel_box_overlap(rot_a, cen_a, half_a, rot_b, cen_b, half_b, lo, hi, 24)
         want = brute_voxel(rot_a, cen_a, half_a, rot_b, cen_b, half_b, lo, hi, 24)
         assert tuple(got) == want
-
-
-@compiled_only
-def test_compiled_matches_fallback(rng):
-    frame, rt = frame_and_rt(rng)
-    duals = random_duals(rng, 30)
-    duals[:, 2, 3] -= 8.0
-    duals[:, 3, 2] -= 8.0
-    from quadricfit._kernels import _core
-
-    b1, ok1 = _core.boxes_from_duals(INTR.fx, INTR.fy, INTR.cx, INTR.cy, rt, duals)
-    b2, ok2 = fallback.boxes_from_duals(INTR.fx, INTR.fy, INTR.cx, INTR.cy, rt, duals)
-    np.testing.assert_array_equal(ok1, ok2)
-    np.testing.assert_allclose(b1[ok1], b2[ok2], rtol=1e-12, atol=1e-10)
-
-    planes = box_edge_planes(frame, BoundingBox(100.0, 400.0, 120.0, 320.0))
-    v1, _ = _core.tangency_values(planes, duals)
-    v2, _ = fallback.tangency_values(planes, duals)
-    np.testing.assert_allclose(v1, v2, rtol=1e-12, atol=1e-12)
-
-    from quadricfit.manifold import so3_exp
-
-    rot = so3_exp(rng.normal(size=3))
-    args = (rot, np.zeros(3), np.array([1.0, 0.8, 0.5]),
-            np.eye(3), np.array([0.3, 0.1, 0.0]), np.array([0.9, 0.9, 0.9]),
-            np.full(3, -2.0), np.full(3, 2.0), 48)
-    assert tuple(_core.voxel_box_overlap(*args)) == tuple(fallback.voxel_box_overlap(*args))
-
-
-def test_force_python_env(monkeypatch):
-    # the env knob selects the fallback on a fresh import
-    import importlib
-    import quadricfit._kernels as pkg
-
-    monkeypatch.setenv("QUADRICFIT_FORCE_PYTHON_KERNELS", "1")
-    reloaded = importlib.reload(pkg)
-    assert reloaded.backend() == "python"
-    monkeypatch.delenv("QUADRICFIT_FORCE_PYTHON_KERNELS")
-    importlib.reload(pkg)

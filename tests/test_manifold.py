@@ -4,14 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadricfit.manifold import (
-    EuclideanPoint,
     InvalidInputError,
-    Pose,
-    PosePoint,
-    SpdPoint,
     as_spd,
     pose_retract,
-    product_retract,
     quat_to_rot,
     rot_to_quat,
     se3_exp,
@@ -220,56 +215,28 @@ def test_quat_rot_roundtrip(rng):
 
 
 # ---------------------------------------------------------------------------
-# Products
+# Retractions as charts
 
 
-def test_product_retract_zero_delta(rng):
-    points = [SpdPoint(random_spd(rng)), PosePoint(Pose.identity()), EuclideanPoint(np.arange(3.0))]
-    out = product_retract(points, np.zeros(15))
-    np.testing.assert_array_equal(out[0].value, points[0].value)
-    np.testing.assert_array_equal(out[1].value.matrix(), np.eye(4))
-    np.testing.assert_array_equal(out[2].value, np.arange(3.0))
+def _spd_chart(p):
+    return lambda delta: spd_retract(p, vec6_to_sym(delta)).ravel()
 
 
-def test_product_retract_single_spd_matches(rng):
-    p = random_spd(rng)
-    delta = rng.normal(size=6) * 0.3
-    (out,) = product_retract([SpdPoint(p)], delta)
-    np.testing.assert_allclose(out.value, spd_retract(p, vec6_to_sym(delta)), atol=1e-12)
+def _pose_chart(t):
+    return lambda delta: pose_retract(t, delta).matrix().ravel()
 
 
-def test_product_retract_blockwise(rng):
-    pose = se3_exp(rng.normal(size=6) * 0.2)
-    p = random_spd(rng)
-    v = rng.normal(size=3)
-    delta = rng.normal(size=15) * 0.4
-    out = product_retract([PosePoint(pose), SpdPoint(p), EuclideanPoint(v)], delta)
-    np.testing.assert_allclose(out[0].value.matrix(), pose_retract(pose, delta[:6]).matrix(), atol=1e-12)
-    np.testing.assert_allclose(out[1].value, spd_retract(p, vec6_to_sym(delta[6:12])), atol=1e-12)
-    np.testing.assert_allclose(out[2].value, v + delta[12:], atol=1e-15)
-
-
-def test_product_retract_dimension_error(rng):
-    with pytest.raises(ValueError):
-        product_retract([SpdPoint(random_spd(rng))], np.zeros(5))
-
-
-@pytest.mark.parametrize("make_point,dim", [
-    (lambda rng: SpdPoint(random_spd(rng)), 6),
-    (lambda rng: PosePoint(se3_exp(rng.normal(size=6) * 0.3)), 6),
+@pytest.mark.parametrize("make_chart,dim", [
+    (lambda rng: _spd_chart(random_spd(rng)), 6),
+    (lambda rng: _pose_chart(se3_exp(rng.normal(size=6) * 0.3)), 6),
 ])
-def test_retractions_are_local_diffeomorphisms(rng, make_point, dim):
+def test_retractions_are_local_diffeomorphisms(rng, make_chart, dim):
     # Finite differences of the retraction at zero span the full tangent space.
-    point = make_point(rng)
+    chart = make_chart(rng)
     h = 1e-6
     cols = []
     for j in range(dim):
         step = np.zeros(dim)
         step[j] = h
-        plus, minus = point.retract(step), point.retract(-step)
-        if isinstance(plus, SpdPoint):
-            diff = (plus.value - minus.value).ravel()
-        else:
-            diff = (plus.value.matrix() - minus.value.matrix()).ravel()
-        cols.append(diff / (2 * h))
+        cols.append((chart(step) - chart(-step)) / (2 * h))
     assert np.linalg.matrix_rank(np.column_stack(cols), tol=1e-8) == dim

@@ -118,6 +118,27 @@ def test_linearize_richardson_consistency():
     assert rel.max() < 1e-4
 
 
+@pytest.mark.parametrize("model", ["inverse", "semi"])
+def test_linearize_box_residual_matches_factor_residual(model):
+    # The batched kernel behind the Jacobian and project_dual/conic_bbox
+    # behind the accepted cost must give the same box residuals.
+    trial = seeded_trial("M", idx=9)
+    problem = trial_problem(trial, "spd", model)
+    poses = set(problem.fixed)
+    for fixed in (poses, {"obj"}, set()):  # free landmark, free poses, both
+        problem.fixed = set(fixed)
+        lin = linearize(problem)
+        assert not lin.skipped
+        assert set(lin.columns) == set(problem.variables) - fixed
+        offset = 0
+        for f in sorted(problem.factors, key=lambda f: f.fid):
+            rows = lin.residual[offset:offset + f.dim]
+            np.testing.assert_allclose(rows, factor_residual(f, problem.variables),
+                                       rtol=1e-9, atol=1e-9)
+            offset += f.dim
+        assert offset == lin.residual.size
+
+
 @pytest.mark.parametrize("param", ["full", "rts", "spd"])
 def test_solve_noiseless_recovers_truth(param):
     trial = seeded_trial("L", idx=3)
