@@ -1,7 +1,9 @@
 """Vectorized numpy implementations of the hot kernels.
 
-Batched box projection, tangency defects and voxel overlap counts. All
-inputs are float64 arrays; duals are canonical (``q[3,3] = -1``).
+Batched box projection and tangency defects, plus a voxel overlap count
+that serves only as a brute-force test oracle for the exact box IoU of
+:mod:`quadricfit.evaluation`. All inputs are float64 arrays; duals are
+canonical (``q[3,3] = -1``).
 """
 
 import numpy as np

@@ -22,7 +22,7 @@ from .costs import (
     DEFAULT_VARIANCES,
     Factor,
 )
-from .evaluation import IOU_GRID, summarize
+from .evaluation import summarize
 from .manifold import Pose, quat_to_rot, rot_to_quat
 from .quadric import (
     FullState,
@@ -36,7 +36,7 @@ from .sim import TrialResult
 from .solver import Problem
 
 GRAPH_VERSION = "1"
-RESULT_VERSION = "1"
+RESULT_VERSION = "2"
 
 
 class GraphError(ValueError):
@@ -296,8 +296,7 @@ def config_echo(campaign_spec, extra: dict | None = None) -> dict:
         "options": dataclasses.asdict(campaign_spec.options),
         "default_variances": dict(DEFAULT_VARIANCES),
         "success_factor": 1.5,
-        "iou_grid": IOU_GRID,
-        "iou_protocol": "circumscribed-box voxel IoU",
+        "iou_protocol": "circumscribed-box exact IoU",
         "kernel_backend": _kernels.backend(),
         "camera_placement": {
             "radius_m": list(campaign_spec.scene.distance),

@@ -18,10 +18,27 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .costs import BoundingBox, CameraFrame, CameraIntrinsics, Factor, conic_bbox, project_dual
+from .costs import (
+    BehindCameraError,
+    BoundingBox,
+    CameraFrame,
+    CameraIntrinsics,
+    DegenerateProjectionError,
+    Factor,
+    conic_bbox,
+    project_dual,
+)
 from .evaluation import iou_duals, orientation_error
 from .manifold import Pose, quat_to_rot, rot_to_quat
-from .quadric import RtsState, SpdState, dual_shape, full_from_dual, rts_from_dual, rts_perturb
+from .quadric import (
+    DegenerateLandmarkError,
+    RtsState,
+    SpdState,
+    dual_shape,
+    full_from_dual,
+    rts_from_dual,
+    rts_perturb,
+)
 from .solver import Problem, SolveOptions, declare_success, solve, total_cost
 
 DEFAULT_INTRINSICS = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -162,7 +179,7 @@ def generate_scene(spec: SceneSpec, rng) -> Scene:
             )
         try:
             boxes = [conic_bbox(project_dual(landmark.dual, f)) for f in frames]
-        except Exception:
+        except (BehindCameraError, DegenerateProjectionError):
             continue
         if all(_box_inside(b, spec.intrinsics) for b in boxes):
             return Scene(landmark, frames, boxes)
@@ -260,7 +277,7 @@ def run_trial(trial: Trial, parameterization: str, model: str,
         est_dual = est.dual
         iou = iou_duals(est_dual, trial.scene.landmark.dual)
         orient = orientation_error(rts_from_dual(est_dual).rotation, trial.scene.landmark.rotation)
-    except Exception:
+    except (DegenerateLandmarkError, np.linalg.LinAlgError):
         iou, orient = 0.0, 180.0
     success = declare_success(report, floor)
     to_success = None

@@ -301,7 +301,7 @@ def test_criterion_9_evaluation_oracles():
     axis /= np.linalg.norm(axis)
     ten_err = abs(orientation_error(r @ so3_exp(axis * np.radians(10.0)), r) - 10.0)
     ok = worst < 0.01 and perm_err < 1e-9 and ten_err < 1e-6
-    report("9", ok, f"voxel-vs-analytic IoU max err {worst:.4f} (< 0.01), "
+    report("9", ok, f"exact-vs-analytic IoU max err {worst:.4f} (< 0.01), "
                     f"permuted rotations -> {perm_err:.2e} deg, 10-degree offset err {ten_err:.2e}")
 
 

@@ -83,7 +83,7 @@ def test_result_file_roundtrip(tmp_path):
     path = tmp_path / "result.json"
     graphio.write_result(path, graphio.config_echo(spec), results, {"total_wall_s": 0.0}, "table")
     doc = graphio.load_result(path)
-    assert doc["version"] == "1"
+    assert doc["version"] == "2"
     back = graphio.records_to_results(doc["records"])
     assert len(back) == len(results)
     for a, b in zip(back, sorted(results, key=lambda r: r.key())):
@@ -104,7 +104,7 @@ def test_summaries_recompute_bit_identical(tmp_path):
 def test_config_echo_lists_defaults():
     spec, _ = _small_results()
     cfg = graphio.config_echo(spec)
-    for key in ("default_variances", "success_factor", "iou_grid", "kernel_backend",
+    for key in ("default_variances", "success_factor", "iou_protocol", "kernel_backend",
                 "camera_placement", "options", "scene"):
         assert key in cfg
     assert cfg["options"]["max_iterations"] == 100

@@ -11,7 +11,6 @@ from quadricfit.quadric import (
     SpdState,
     coeffs_to_sym4,
     dual_from_rts,
-    dual_from_spd,
     dual_shape,
     full_from_dual,
     normalize_dual,
