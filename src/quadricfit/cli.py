@@ -130,8 +130,7 @@ def cmd_solve(args) -> int:
     for vid in unconstrained:
         problem.fixed.add(vid)
         print(f"warning: variable {vid!r} is unconstrained; holding fixed", file=sys.stderr)
-    options = SolveOptions(size_form=size_form)
-    report = solve(problem, options)
+    report = solve(problem, SolveOptions())
 
     out = _out_dir(args.out)
     landmark_ids = [lm["landmark"] for lm in graph.get("initial", [])]

@@ -87,6 +87,63 @@ class BoundingBox:
         return BoundingBox(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
 
 
+# Why a row of a batched box evaluation is not evaluable (0: it is).
+BEHIND_CAMERA = 1
+UNNORMALIZABLE = 2
+NEGATIVE_DISCRIMINANT = 3
+
+
+def projection_error(status: int) -> Exception | None:
+    """The error a single evaluation raises for a batched row's status."""
+    if status == BEHIND_CAMERA:
+        return BehindCameraError("ellipsoid center behind camera")
+    if status == UNNORMALIZABLE:
+        return DegenerateProjectionError("projected conic cannot be normalized")
+    if status == NEGATIVE_DISCRIMINANT:
+        return DegenerateProjectionError("negative discriminant")
+    return None
+
+
+def project_duals(qs: np.ndarray, rt: np.ndarray, m: np.ndarray):
+    """Batched :func:`project_dual` of duals (n, 4, 4) into one camera.
+
+    ``rt`` is the camera-from-world [R|t] and ``m = K rt``. Returns
+    (conics (n, 3, 3), status (n,)), status 0 where the conic is
+    normalized and BEHIND_CAMERA or UNNORMALIZABLE where it is not.
+    """
+    z = np.vecdot(dual_center(qs), rt[2, :3]) + rt[2, 3]
+    g = m @ qs @ m.T
+    corner = g[:, 2, 2]
+    small = np.abs(corner) < 1e-12 * np.fmax(1.0, np.abs(g).max(axis=(1, 2)))
+    status = np.where(z <= 0.0, BEHIND_CAMERA, np.where(small, UNNORMALIZABLE, 0))
+    g = g / np.where(status == 0, corner, 1.0)[:, None, None]
+    return 0.5 * (g + np.swapaxes(g, 1, 2)), status
+
+
+def conic_boxes(conics: np.ndarray):
+    """Batched :func:`conic_bbox`: (boxes (n, 4) as [ul, ur, vu, vd], ok (n,))."""
+    g02, g12, g22 = conics[:, 0, 2], conics[:, 1, 2], conics[:, 2, 2]
+    # float_power squares with the libm pow that a scalar ``**`` uses, not
+    # the x * x of an array ``**``; the two differ in the last bit.
+    du = np.float_power(g02, 2.0) - conics[:, 0, 0] * g22
+    dv = np.float_power(g12, 2.0) - conics[:, 1, 1] * g22
+    ok = ~((du < 0.0) | (dv < 0.0))
+    ru = np.sqrt(np.where(ok, du, 0.0))
+    rv = np.sqrt(np.where(ok, dv, 0.0))
+    return np.stack([g02 - ru, g02 + ru, g12 - rv, g12 + rv], axis=1), ok
+
+
+def predicted_boxes(qs: np.ndarray, rt: np.ndarray, m: np.ndarray):
+    """Closed-form boxes of duals (n, 4, 4) seen by one camera.
+
+    Returns (boxes (n, 4), status (n,)); see :func:`project_duals`, plus
+    NEGATIVE_DISCRIMINANT where the conic has no real bounding box.
+    """
+    conics, status = project_duals(qs, rt, m)
+    boxes, ok = conic_boxes(conics)
+    return boxes, np.where((status == 0) & ~ok, NEGATIVE_DISCRIMINANT, status)
+
+
 def project_dual(q: np.ndarray, frame: CameraFrame) -> np.ndarray:
     """Dual conic of the projected ellipsoid, normalized so g[2, 2] = 1.
 
@@ -94,16 +151,10 @@ def project_dual(q: np.ndarray, frame: CameraFrame) -> np.ndarray:
     strictly in front of the camera.
     """
     rt = frame.projection_rt()
-    center = dual_center(q)
-    if rt[2, :3] @ center + rt[2, 3] <= 0.0:
-        raise BehindCameraError("ellipsoid center behind camera")
-    m = frame.intrinsics.k @ rt
-    g = m @ q @ m.T
-    corner = g[2, 2]
-    if abs(corner) < 1e-12 * max(1.0, float(np.max(np.abs(g)))):
-        raise DegenerateProjectionError("projected conic cannot be normalized")
-    g = g / corner
-    return 0.5 * (g + g.T)
+    g, status = project_duals(np.asarray(q, dtype=float)[None], rt, frame.intrinsics.k @ rt)
+    if status[0]:
+        raise projection_error(status[0])
+    return g[0]
 
 
 def conic_bbox(g: np.ndarray) -> BoundingBox:
@@ -112,12 +163,18 @@ def conic_bbox(g: np.ndarray) -> BoundingBox:
     u edges = g02 -/+ sqrt(g02^2 - g00), v edges analogously; requires the
     g[2, 2] = 1 normalization produced by :func:`project_dual`.
     """
-    du = g[0, 2] ** 2 - g[0, 0] * g[2, 2]
-    dv = g[1, 2] ** 2 - g[1, 1] * g[2, 2]
-    if du < 0.0 or dv < 0.0:
-        raise DegenerateProjectionError("negative discriminant")
-    ru, rv = np.sqrt(du), np.sqrt(dv)
-    return BoundingBox(g[0, 2] - ru, g[0, 2] + ru, g[1, 2] - rv, g[1, 2] + rv)
+    boxes, ok = conic_boxes(np.asarray(g, dtype=float)[None])
+    if not ok[0]:
+        raise projection_error(NEGATIVE_DISCRIMINANT)
+    return BoundingBox.from_array(boxes[0])
+
+
+def _backproject(m: np.ndarray, line) -> np.ndarray:
+    pi = m.T @ np.asarray(line, dtype=float)
+    norm = np.linalg.norm(pi[:3])
+    if norm < 1e-15:
+        raise InvalidInputError("line backprojects to a degenerate plane")
+    return pi / norm
 
 
 def backproject_edge(frame: CameraFrame, line: np.ndarray) -> np.ndarray:
@@ -126,28 +183,33 @@ def backproject_edge(frame: CameraFrame, line: np.ndarray) -> np.ndarray:
     ``pi = (K [R_c|t_c])^T l``, unit-normalized. Box edges use the lines
     ``[1, 0, -u]`` (vertical) and ``[0, 1, -v]`` (horizontal).
     """
-    pi = frame.projection_matrix().T @ np.asarray(line, dtype=float)
-    norm = np.linalg.norm(pi[:3])
-    if norm < 1e-15:
-        raise InvalidInputError("line backprojects to a degenerate plane")
-    return pi / norm
+    return _backproject(frame.projection_matrix(), line)
 
 
 def box_edge_planes(frame: CameraFrame, box: BoundingBox) -> np.ndarray:
     """The four back-projected edge planes of a box, one per row (ul, ur, vu, vd)."""
+    m = frame.projection_matrix()
     lines = [
         np.array([1.0, 0.0, -box.ul]),
         np.array([1.0, 0.0, -box.ur]),
         np.array([0.0, 1.0, -box.vu]),
         np.array([0.0, 1.0, -box.vd]),
     ]
-    return np.array([backproject_edge(frame, l) for l in lines])
+    return np.array([_backproject(m, l) for l in lines])
 
 
 def residual_box_inverse(frame: CameraFrame, q: np.ndarray, observed: BoundingBox) -> np.ndarray:
     """Predicted box minus observed box (4 components, px)."""
-    predicted = conic_bbox(project_dual(q, frame))
-    return predicted.as_array() - observed.as_array()
+    rt = frame.projection_rt()
+    boxes, status = predicted_boxes(np.asarray(q, dtype=float)[None], rt, frame.intrinsics.k @ rt)
+    if status[0]:
+        raise projection_error(status[0])
+    return boxes[0] - observed.as_array()
+
+
+def tangency_defects(planes: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``pi^T q pi`` for each row ``pi`` of ``planes``."""
+    return np.einsum("pi,ij,pj->p", planes, q, planes)
 
 
 def residual_box_semi(frame: CameraFrame, q: np.ndarray, observed: BoundingBox) -> np.ndarray:
@@ -161,8 +223,25 @@ def residual_box_semi(frame: CameraFrame, q: np.ndarray, observed: BoundingBox) 
     rather than summed so a per-edge covariance stays meaningful; the
     minimizer is the same under isotropic covariance.
     """
-    planes = box_edge_planes(frame, observed)
-    return np.einsum("pi,ij,pj->p", planes, q, planes)
+    return tangency_defects(box_edge_planes(frame, observed), q)
+
+
+def unit_direction(m) -> np.ndarray:
+    """Orientation-prior direction scaled to unit length; must be nonzero."""
+    m = np.asarray(m, dtype=float)
+    norm = np.linalg.norm(m)
+    if norm < 1e-12:
+        raise InvalidInputError("orientation direction must be nonzero")
+    return m / norm
+
+
+def orientation_residuals(rotations: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Batched :func:`residual_orientation`: rotations (n, 3, 3), unit ``m``; (n, 9)."""
+    out = np.empty((len(rotations), 9))
+    for i in range(3):
+        axis = rotations[:, :, i]
+        out[:, 3 * i : 3 * i + 3] = np.cross(axis, m) * np.vecdot(axis, m)[:, None]
+    return out
 
 
 def residual_orientation(q: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -174,26 +253,32 @@ def residual_orientation(q: np.ndarray, m: np.ndarray) -> np.ndarray:
     either direction). Independent of the axis labeling returned by the
     underlying decomposition.
     """
-    m = np.asarray(m, dtype=float)
-    norm = np.linalg.norm(m)
-    if norm < 1e-12:
-        raise InvalidInputError("orientation direction must be nonzero")
-    m = m / norm
-    r = rts_from_dual(q).rotation
-    out = np.empty(9)
-    for i in range(3):
-        axis = r[:, i]
-        out[3 * i : 3 * i + 3] = np.cross(axis, m) * float(axis @ m)
-    return out
+    m = unit_direction(m)
+    return orientation_residuals(rts_from_dual(q).rotation[None], m)[0]
+
+
+def shape_residuals(scales: np.ndarray, prior) -> np.ndarray:
+    """Batched :func:`residual_shape` on descending semi-axes (n, 3); (n, 2)."""
+    a, b, c = (float(x) for x in prior)
+    if not (a >= b >= c > 0.0):
+        raise InvalidInputError("shape prior must satisfy a >= b >= c > 0")
+    return np.stack([scales[:, 0] / scales[:, 2] - a / c,
+                     scales[:, 1] / scales[:, 2] - b / c], axis=1)
 
 
 def residual_shape(q: np.ndarray, prior: np.ndarray) -> np.ndarray:
     """Axis-ratio defect [s1/s3 - a/c, s2/s3 - b/c]; prior sorted a >= b >= c."""
+    return shape_residuals(rts_from_dual(q).scale[None], prior)[0]
+
+
+def size_residuals(qs: np.ndarray, scales: np.ndarray, prior, form: str = "sqrt") -> np.ndarray:
+    """Batched :func:`residual_size` on duals (n, 4, 4) and their semi-axes (n, 3)."""
     a, b, c = (float(x) for x in prior)
-    if not (a >= b >= c > 0.0):
-        raise InvalidInputError("shape prior must satisfy a >= b >= c > 0")
-    s = rts_from_dual(q).scale
-    return np.array([s[0] / s[2] - a / c, s[1] / s[2] - b / c])
+    if form == "sqrt":
+        return scales[:, 0] * scales[:, 1] * scales[:, 2] - a * b * c
+    if form == "det":
+        return np.linalg.det(dual_shape(qs)) - a * b * c
+    raise InvalidInputError(f"unknown size residual form: {form!r}")
 
 
 def residual_size(q: np.ndarray, prior: np.ndarray, form: str = "sqrt") -> float:
@@ -203,13 +288,17 @@ def residual_size(q: np.ndarray, prior: np.ndarray, form: str = "sqrt") -> float
     the same units as a*b*c. form='det' compares the raw shape-block
     determinant (s1*s2*s3)^2 instead, kept selectable for A/B comparison.
     """
-    a, b, c = (float(x) for x in prior)
     s = rts_from_dual(q).scale
-    if form == "sqrt":
-        return float(s[0] * s[1] * s[2] - a * b * c)
-    if form == "det":
-        return float(np.linalg.det(dual_shape(q)) - a * b * c)
-    raise InvalidInputError(f"unknown size residual form: {form!r}")
+    return float(size_residuals(np.asarray(q, dtype=float)[None], s[None], prior, form)[0])
+
+
+def support_residuals(qs: np.ndarray, plane) -> np.ndarray:
+    """Batched :func:`residual_support` on duals (n, 4, 4); (n,)."""
+    plane = np.asarray(plane, dtype=float)
+    n = np.linalg.norm(plane[:3])
+    if abs(n - 1.0) > 1e-9:
+        plane = plane / n
+    return np.vecdot(plane @ qs, plane)
 
 
 def residual_support(q: np.ndarray, plane: np.ndarray) -> float:
@@ -217,11 +306,7 @@ def residual_support(q: np.ndarray, plane: np.ndarray) -> float:
 
     Same ``reach^2 - dist^2`` form as the semi-inverse box residual.
     """
-    plane = np.asarray(plane, dtype=float)
-    n = np.linalg.norm(plane[:3])
-    if abs(n - 1.0) > 1e-9:
-        plane = plane / n
-    return float(plane @ q @ plane)
+    return float(support_residuals(np.asarray(q, dtype=float)[None], plane)[0])
 
 
 def residual_pose_prior(x: Pose, observed: Pose) -> np.ndarray:

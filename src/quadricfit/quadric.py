@@ -60,18 +60,19 @@ def normalize_dual(q: np.ndarray) -> np.ndarray:
 
 
 def dual_center(q: np.ndarray) -> np.ndarray:
-    """Ellipsoid center of a normalized dual quadric."""
-    return -q[:3, 3]
+    """Ellipsoid center of a normalized dual quadric, or of each in a stack."""
+    return -q[..., :3, 3]
 
 
 def dual_shape(q: np.ndarray) -> np.ndarray:
     """Shape block ``P = q[:3, :3] + c c^T`` of a normalized dual quadric.
 
-    Returns the symmetric matrix without checking positive-definiteness.
+    Also takes a stack (n, 4, 4) and returns (n, 3, 3). Returns the
+    symmetric matrix without checking positive-definiteness.
     """
     c = dual_center(q)
-    p = q[:3, :3] + np.outer(c, c)
-    return 0.5 * (p + p.T)
+    p = q[..., :3, :3] + c[..., :, None] * c[..., None, :]
+    return 0.5 * (p + np.swapaxes(p, -1, -2))
 
 
 def _pose_matrix(rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
@@ -112,23 +113,38 @@ def spd_from_dual(q: np.ndarray) -> "SpdState":
     return SpdState(p, dual_center(q))
 
 
+def rts_from_duals(qs: np.ndarray):
+    """Batched rotation/scale decomposition of a stack of duals (n, 4, 4).
+
+    Returns (rotations (n, 3, 3), scales (n, 3), ok (n,)): per row the
+    proper rotation and descending semi-axes of :func:`rts_from_dual`, one
+    eigendecomposition for the whole stack. A row is not ok when its shape
+    block is not positive definite; its rotation and scales are then
+    placeholders.
+    """
+    w, u = np.linalg.eigh(dual_shape(qs))
+    # NaN passes (not <=): a NaN landmark then gives NaN residuals, which the
+    # solver rejects loudly, not a silently skipped factor.
+    ok = ~(w[:, 0] <= 1e-12)
+    # eigh is ascending; semi-axes are reported descending
+    w = w[:, ::-1]
+    r = u[:, :, ::-1].copy()
+    left = np.linalg.det(r) < 0.0
+    r[left, :, 2] = -r[left, :, 2]
+    return r, np.sqrt(np.where(ok[:, None], w, 1.0)), ok
+
+
 def rts_from_dual(q: np.ndarray) -> "RtsState":
     """Decompose into rotation/translation/scale with ``s1 >= s2 >= s3``.
 
     The rotation is proper (``det = +1``); the third column is flipped when
     the eigenvector basis comes out left-handed.
     """
-    p = dual_shape(q)
-    w, u = np.linalg.eigh(p)
-    if w[0] <= 1e-12:
+    q = np.asarray(q, dtype=float)
+    r, s, ok = rts_from_duals(q[None])
+    if not ok[0]:
         raise DegenerateLandmarkError("shape block is not positive definite")
-    order = [2, 1, 0]  # eigh is ascending; semi-axes are reported descending
-    w = w[order]
-    r = u[:, order]
-    if np.linalg.det(r) < 0.0:
-        r = r.copy()
-        r[:, 2] = -r[:, 2]
-    return RtsState(r, dual_center(q), np.sqrt(w))
+    return RtsState(r[0], dual_center(q), s[0])
 
 
 def primal_from_rts(state: "RtsState") -> np.ndarray:

@@ -6,6 +6,18 @@ central finite differences through the retraction, and solves damped dense
 normal equations. Identical solver settings therefore compare
 parameterizations fairly; only the retraction differs.
 
+Finite differences are batched by camera. A per-solve plan sorts the
+factors once, groups box factors by camera and priors by landmark, and
+caches each camera's [R|t], K[R|t] and box-semi edge planes per pose value
+(once per solve for a fixed pose). Each camera value then makes one kernel
+call per box model: at the center pose it stacks every landmark variant the
+camera sees, at each pose variant the landmark centers. A landmark's
+orientation, shape, size and support priors are evaluated on its stacked
+variant duals with one batched eigendecomposition. The cost evaluates the
+box-inverse factors of a camera as one batch and the priors of a landmark
+as a batch of one. Every row is computed as the one-factor formula would
+compute it, so batching does not change a single bit of the results.
+
 Factors that cannot be evaluated at the current state (landmark behind the
 camera, degenerate projection) are dropped for that evaluation with a skip
 count; a candidate step is only accepted when it does not increase the
@@ -30,6 +42,8 @@ from .costs import (
     DegenerateProjectionError,
     Factor,
     box_edge_planes,
+    orientation_residuals,
+    predicted_boxes,
     residual_box_inverse,
     residual_box_semi,
     residual_orientation,
@@ -37,9 +51,21 @@ from .costs import (
     residual_shape,
     residual_size,
     residual_support,
+    shape_residuals,
+    size_residuals,
+    support_residuals,
+    tangency_defects,
+    unit_direction,
 )
 from .manifold import InvalidInputError, Pose, orthonormalize, pose_retract
-from .quadric import DegenerateLandmarkError, FullState, RtsState, SpdState, regularize_full
+from .quadric import (
+    DegenerateLandmarkError,
+    FullState,
+    RtsState,
+    SpdState,
+    regularize_full,
+    rts_from_duals,
+)
 
 _EVAL_ERRORS = (
     BehindCameraError,
@@ -133,13 +159,19 @@ class SolveOptions:
     # keeps the quadratic model honest far from the linearization point.
     max_step: float = 2.0
     gauss_newton: bool = False  # damping held at zero
-    size_form: str = "sqrt"
 
     def __post_init__(self):
+        # Negated comparisons, so NaN is rejected too.
         for name in ("max_iterations", "init_lambda", "lambda_up", "lambda_down",
-                     "rel_cost_tol", "grad_tol", "fd_step", "max_inner_retries"):
-            if getattr(self, name) <= 0:
+                     "rel_cost_tol", "grad_tol", "fd_step", "max_inner_retries", "max_step"):
+            if not getattr(self, name) > 0:
                 raise InvalidInputError(f"solve option {name} must be positive")
+        # The retries that raise the damping stop only once it reaches its
+        # cap, so it must grow on the way up and shrink on the way down.
+        if not self.lambda_up > 1.0:
+            raise InvalidInputError("solve option lambda_up must exceed 1")
+        if not self.lambda_down < 1.0:
+            raise InvalidInputError("solve option lambda_down must be below 1")
 
 
 @dataclass
@@ -172,6 +204,10 @@ class SolveReport:
 # Residual evaluation
 
 
+_BOX_KINDS = ("box-inverse", "box-semi")
+_LANDMARK_PRIORS = ("orientation", "shape", "size", "support")
+
+
 def _frame_for(factor: Factor, pose: Pose) -> CameraFrame:
     return CameraFrame(factor.payload["intrinsics"], pose)
 
@@ -183,7 +219,7 @@ def factor_residual(factor: Factor, values: dict) -> np.ndarray:
     landmark) that the solver treats as per-iteration skips.
     """
     kind = factor.kind
-    if kind in ("box-inverse", "box-semi"):
+    if kind in _BOX_KINDS:
         pose = values[factor.targets[0]]
         q = landmark_dual(values[factor.targets[1]])
         frame = _frame_for(factor, pose)
@@ -215,13 +251,141 @@ def _try_residual(factor: Factor, values: dict):
         return None
 
 
-def _cost_of(values: dict, factors: list):
-    """(total Mahalanobis cost, skipped-factor count, per-factor costs)."""
+def _safe_dual(value):
+    if value is None:
+        return None
+    try:
+        return landmark_dual(value)
+    except _EVAL_ERRORS:
+        return None
+
+
+class _Camera:
+    """One camera at one pose value: [R|t], K[R|t] and box-semi edge planes."""
+
+    def __init__(self, intrinsics, pose: Pose):
+        self.pose = pose
+        self.frame = CameraFrame(intrinsics, pose)
+        self.rt = self.frame.projection_rt()
+        self.m = intrinsics.k @ self.rt
+        self._planes = {}
+
+    def planes(self, factor: Factor) -> np.ndarray:
+        """The edge planes of a box-semi factor's box, computed once per pose value."""
+        planes = self._planes.get(factor.fid)
+        if planes is None:
+            planes = self._planes[factor.fid] = box_edge_planes(self.frame, factor.payload["box"])
+        return planes
+
+
+class _Plan:
+    """The factors of one solve, laid out once.
+
+    Factors are sorted by id; box factors are grouped by camera (pose id
+    and intrinsics), landmark priors by landmark, and pose priors kept
+    apart. Each camera's data is cached for the latest pose value it was
+    evaluated at, so a fixed pose computes it once per solve and a free
+    pose once per value it takes.
+    """
+
+    def __init__(self, factors: list):
+        self.factors = sorted(factors, key=lambda f: f.fid)
+        self.cameras = {}  # (pose id, intrinsics) -> box factors in fid order
+        self.priors = {}  # landmark id -> landmark prior factors in fid order
+        self.pose_priors = []
+        for f in self.factors:
+            if f.kind in _BOX_KINDS:
+                key = (f.targets[0], f.payload["intrinsics"])
+                self.cameras.setdefault(key, []).append(f)
+            elif f.kind in _LANDMARK_PRIORS:
+                self.priors.setdefault(f.targets[0], []).append(f)
+            else:
+                self.pose_priors.append(f)
+        self._latest = {}
+
+    def camera(self, key: tuple, pose: Pose) -> _Camera:
+        cam = self._latest.get(key)
+        if cam is None or cam.pose is not pose:
+            cam = self._latest[key] = _Camera(key[1], pose)
+        return cam
+
+
+def _box_values(cam: _Camera, kind: str, factors: list, duals: np.ndarray,
+               owner: np.ndarray, observed: np.ndarray):
+    """Residual rows (k, 4) and ok (k,) of box factors of one model, seen from
+    one camera value, for stacked duals (k, 4, 4) whose row i belongs to
+    ``factors[owner[i]]``; ``observed`` holds the factors' boxes (box-inverse).
+
+    One kernel call covers every row.
+    """
+    if kind == "box-inverse":
+        intr = cam.frame.intrinsics
+        boxes, ok = _kernels.boxes_from_duals(intr.fx, intr.fy, intr.cx, intr.cy, cam.rt, duals)
+        return boxes - observed[owner], ok
+    planes = np.concatenate([cam.planes(f) for f in factors])
+    vals, ok = _kernels.tangency_values(planes, duals)
+    return vals.reshape(len(duals), len(factors), 4)[np.arange(len(duals)), owner], ok
+
+
+def _prior_tables(factors: list, duals: np.ndarray) -> list:
+    """(residual table (k, dim), ok (k,)) of each prior factor of one landmark
+    over a stack of its duals (k, 4, 4), sharing one batched decomposition."""
+    if any(f.kind != "support" for f in factors):
+        rotations, scales, decomposed = rts_from_duals(duals)
+    out = []
+    for f in factors:
+        payload = f.payload
+        if f.kind == "orientation":
+            table = orientation_residuals(rotations, unit_direction(payload["direction"]))
+        elif f.kind == "shape":
+            table = shape_residuals(scales, payload["prior"])
+        elif f.kind == "size":
+            table = size_residuals(duals, scales, payload["prior"],
+                                   payload.get("form", "sqrt"))[:, None]
+        else:
+            table = support_residuals(duals, payload["plane"])[:, None]
+            out.append((table, np.ones(len(duals), dtype=bool)))
+            continue
+        out.append((table, decomposed))
+    return out
+
+
+def _cost_of(values: dict, factors: list, plan: _Plan | None = None):
+    """(total Mahalanobis cost, skipped-factor count, per-factor costs).
+
+    Box-inverse factors are evaluated one batch per camera, landmark priors
+    one batch per landmark; the sum runs in factor-id order.
+    """
+    plan = plan or _Plan(factors)
+    residuals = {}
+    for key, group in plan.cameras.items():
+        cam = plan.camera(key, values[key[0]])
+        duals = [_safe_dual(values[f.targets[1]]) for f in group]
+        inverse = [i for i, f in enumerate(group)
+                   if f.kind == "box-inverse" and duals[i] is not None]
+        if inverse:
+            boxes, status = predicted_boxes(np.stack([duals[i] for i in inverse]), cam.rt, cam.m)
+            for row, i in enumerate(inverse):
+                if status[row] == 0:
+                    residuals[group[i].fid] = boxes[row] - group[i].payload["box"].as_array()
+        for f, q in zip(group, duals):
+            if f.kind == "box-semi" and q is not None:
+                residuals[f.fid] = tangency_defects(cam.planes(f), q)
+    for lm_id, group in plan.priors.items():
+        q = _safe_dual(values[lm_id])
+        if q is None:
+            continue
+        for f, (table, ok) in zip(group, _prior_tables(group, q[None])):
+            if ok[0]:
+                residuals[f.fid] = table[0]
+    for f in plan.pose_priors:
+        residuals[f.fid] = _try_residual(f, values)
+
     total = 0.0
     skipped = 0
     per_factor = {}
-    for f in sorted(factors, key=lambda f: f.fid):
-        r = _try_residual(f, values)
+    for f in plan.factors:
+        r = residuals.get(f.fid)
         if r is None:
             skipped += 1
             continue
@@ -260,7 +424,12 @@ class Linearization:
 
 
 class _Variants:
-    """Center value plus per-coordinate +/- retracted values of one variable."""
+    """Center value plus per-coordinate +/- retracted values of one variable.
+
+    For a landmark, ``duals`` stacks the center dual, then the duals of
+    the plus and of the minus variants; ``valid`` marks the rows that
+    could be evaluated.
+    """
 
     def __init__(self, value, fd_step: float):
         self.value = value
@@ -274,16 +443,13 @@ class _Variants:
             self.plus.append(self._safe_retract(value, step))
             self.minus.append(self._safe_retract(value, -step))
         if is_landmark(value):
-            rows = [self._safe_dual(value)]
-            rows += [self._safe_dual(v) for v in self.plus]
-            rows += [self._safe_dual(v) for v in self.minus]
+            rows = [_safe_dual(value)]
+            rows += [_safe_dual(v) for v in self.plus]
+            rows += [_safe_dual(v) for v in self.minus]
             self.valid = np.array([r is not None for r in rows])
             self.duals = np.stack(
                 [r if r is not None else np.zeros((4, 4)) for r in rows]
             )
-        else:
-            self.valid = np.ones(1 + 2 * self.dim, dtype=bool)
-            self.duals = None
 
     @staticmethod
     def _safe_retract(value, step):
@@ -292,122 +458,108 @@ class _Variants:
         except _EVAL_ERRORS:
             return None
 
-    @staticmethod
-    def _safe_dual(value):
-        if value is None:
-            return None
-        try:
-            return landmark_dual(value)
-        except _EVAL_ERRORS:
-            return None
+    def central_difference(self, table: np.ndarray) -> np.ndarray:
+        """Jacobian block (dim_r, dim) from a residual table (1 + 2 dim,
+        dim_r) over the center, plus and minus rows; a table (1 + 2 dim,
+        ..., dim_r) gives (dim_r, ..., dim)."""
+        d = self.dim
+        return (table[1 : 1 + d] - table[1 + d :]).T / (2.0 * self.h)
 
 
-def _box_residual_table(factor: Factor, frame: CameraFrame, duals: np.ndarray):
-    """Residuals of a box factor for a stack of dual quadrics.
-
-    Returns (residuals (k, 4), ok (k,)); routed through the kernel backend.
-    """
-    intr = factor.payload["intrinsics"]
-    box = factor.payload["box"]
-    if factor.kind == "box-inverse":
-        boxes, ok = _kernels.boxes_from_duals(
-            intr.fx, intr.fy, intr.cx, intr.cy, frame.projection_rt(), duals
-        )
-        return boxes - box.as_array(), ok
-    planes = box_edge_planes(frame, box)
-    vals, ok = _kernels.tangency_values(planes, duals)
-    return vals, ok
+def _landmark_stack(lm_id, values: dict, variants: dict):
+    """The duals a landmark's factors are evaluated on, or None to skip them:
+    center plus FD variants when the landmark is free, else its center."""
+    var = variants.get(lm_id)
+    if var is not None:
+        return var.duals if var.valid.all() else None
+    q = _safe_dual(values[lm_id])
+    return None if q is None else q[None]
 
 
-def _linearize(values: dict, factors: list, free: list, options: SolveOptions) -> Linearization:
-    variants = {vid: _Variants(values[vid], options.fd_step) for vid in free}
-    columns = {}
-    offset = 0
-    for vid in free:
-        d = variants[vid].dim
-        columns[vid] = slice(offset, offset + d)
-        offset += d
-    n = offset
-
-    rows_j, rows_r, rows_w, skipped = [], [], [], []
-    for f in sorted(factors, key=lambda f: f.fid):
-        block = _factor_block(f, values, variants, columns, n)
-        if block is None:
-            logger.debug("factor %s (%s) unevaluable at current state; dropped", f.fid, f.kind)
-            skipped.append(f.fid)
+def _box_blocks(plan: _Plan, key: tuple, group: list, values: dict, variants: dict,
+                columns: dict, blocks: dict) -> None:
+    """Blocks of the box factors of one camera. Per box model, one kernel call
+    at the center pose covers every landmark variant, and one call per pose
+    variant covers the landmark centers."""
+    pose_id, intrinsics = key
+    pose_var = variants.get(pose_id)
+    for kind in _BOX_KINDS:
+        live, stacks = [], []
+        for f in group:
+            if f.kind != kind:
+                continue
+            stack = _landmark_stack(f.targets[1], values, variants)
+            if stack is None:
+                blocks[f.fid] = None
+            else:
+                live.append(f)
+                stacks.append(stack)
+        if not live:
             continue
-        jac, res = block
-        if not (np.all(np.isfinite(jac)) and np.all(np.isfinite(res))):
-            raise LinearizeError(f"non-finite residual or Jacobian in factor {f.fid}")
-        rows_j.append(jac)
-        rows_r.append(res)
-        rows_w.append(1.0 / f.variance)
-    if rows_j:
-        jacobian = np.vstack(rows_j)
-        residual = np.concatenate(rows_r)
-        weights = np.concatenate(rows_w)
-    else:
-        jacobian = np.zeros((0, n))
-        residual = np.zeros(0)
-        weights = np.zeros(0)
-    return Linearization(jacobian, residual, weights, columns, skipped)
+        sizes = [len(st) for st in stacks]
+        starts = np.cumsum([0] + sizes[:-1])
+        observed = np.array([f.payload["box"].as_array() for f in live])
+        center, center_ok = _box_values(
+            plan.camera(key, values[pose_id]), kind, live, np.concatenate(stacks),
+            np.repeat(np.arange(len(live)), sizes), observed)
+        ok = np.logical_and.reduceat(center_ok, starts)
+        if pose_var is not None:
+            poses = pose_var.plus + pose_var.minus
+            if any(v is None for v in poses):
+                ok[:] = False
+            else:
+                duals = np.stack([st[0] for st in stacks])
+                # rows: center, plus variants, minus variants, as in _Variants.duals
+                table = [center[starts]]
+                for v in poses:
+                    rows, rows_ok = _box_values(_Camera(intrinsics, v), kind, live, duals,
+                                                np.arange(len(live)), observed)
+                    table.append(rows)
+                    ok &= rows_ok
+                pose_jac = pose_var.central_difference(np.stack(table))  # (4, factors, 6)
+        for i, f in enumerate(live):
+            if not ok[i]:
+                blocks[f.fid] = None
+                continue
+            table = center[starts[i] : starts[i] + sizes[i]]
+            pieces = []
+            lm_id = f.targets[1]
+            if lm_id in variants:
+                pieces.append((columns[lm_id], variants[lm_id].central_difference(table)))
+            if pose_var is not None:
+                pieces.append((columns[pose_id], pose_jac[:, i]))
+            blocks[f.fid] = (table[0], pieces)
 
 
-def _factor_block(f: Factor, values: dict, variants: dict, columns: dict, n: int):
-    """(jacobian rows, residual) of one factor, or None when skipped."""
-    free_targets = [t for t in f.targets if t in variants]
-
-    # Fast path: box factor whose landmark is free -> batched kernel call.
-    if f.kind in ("box-inverse", "box-semi"):
-        pose_id, lm_id = f.targets
-        pose_free = pose_id in variants
-        lm_free = lm_id in variants
-        frame = _frame_for(f, values[pose_id])
-        jac = np.zeros((f.dim, n))
-        if lm_free:
-            var = variants[lm_id]
-            if not var.valid.all():
-                return None
-            table, ok = _box_residual_table(f, frame, var.duals)
-            if not ok.all():
-                return None
-            res = table[0]
-            d = var.dim
-            cols = columns[lm_id]
-            jac[:, cols] = (table[1 : 1 + d] - table[1 + d :]).T / (2.0 * var.h)
+def _prior_blocks(lm_id, group: list, values: dict, variants: dict, columns: dict,
+                  blocks: dict) -> None:
+    """Blocks of one landmark's priors, all evaluated on its stacked duals."""
+    stack = _landmark_stack(lm_id, values, variants)
+    if stack is None:
+        blocks.update((f.fid, None) for f in group)
+        return
+    for f, (table, ok) in zip(group, _prior_tables(group, stack)):
+        if not ok.all():
+            blocks[f.fid] = None
+        elif lm_id in variants:
+            jac = variants[lm_id].central_difference(table)
+            blocks[f.fid] = (table[0], [(columns[lm_id], jac)])
         else:
-            q = _Variants._safe_dual(values[lm_id])
-            if q is None:
-                return None
-            table, ok = _box_residual_table(f, frame, q[None])
-            if not ok[0]:
-                return None
-            res = table[0]
-        if pose_free:
-            var = variants[pose_id]
-            cols = columns[pose_id]
-            qc = variants[lm_id].duals[0] if lm_free else _Variants._safe_dual(values[lm_id])
-            for j in range(var.dim):
-                pair = []
-                for v in (var.plus[j], var.minus[j]):
-                    if v is None:
-                        return None
-                    t, ok = _box_residual_table(f, _frame_for(f, v), qc[None])
-                    if not ok[0]:
-                        return None
-                    pair.append(t[0])
-                jac[:, cols][:, j] = (pair[0] - pair[1]) / (2.0 * var.h[j])
-        return jac, res
+            blocks[f.fid] = (table[0], [])
 
-    # Generic path: plain central differences through the retraction.
+
+def _generic_block(f: Factor, values: dict, variants: dict, columns: dict):
+    """Plain central differences through the retraction, one factor at a time."""
     res = _try_residual(f, values)
     if res is None:
         return None
-    jac = np.zeros((f.dim, n))
-    scratch = dict(values)
-    for t in free_targets:
-        var = variants[t]
-        cols = columns[t]
+    pieces = []
+    scratch = {t: values[t] for t in f.targets}
+    for t in f.targets:
+        var = variants.get(t)
+        if var is None:
+            continue
+        jac = np.empty((f.dim, var.dim))
         for j in range(var.dim):
             pair = []
             for v in (var.plus[j], var.minus[j]):
@@ -418,9 +570,59 @@ def _factor_block(f: Factor, values: dict, variants: dict, columns: dict, n: int
                 if r is None:
                     return None
                 pair.append(r)
-            jac[:, cols.start + j] = (pair[0] - pair[1]) / (2.0 * var.h[j])
+            jac[:, j] = (pair[0] - pair[1]) / (2.0 * var.h[j])
         scratch[t] = values[t]
-    return jac, res
+        pieces.append((columns[t], jac))
+    return res, pieces
+
+
+def _linearize(values: dict, factors: list, free: list, options: SolveOptions,
+               plan: _Plan | None = None) -> Linearization:
+    plan = plan or _Plan(factors)
+    variants = {vid: _Variants(values[vid], options.fd_step) for vid in free}
+    columns = {}
+    offset = 0
+    for vid in free:
+        d = variants[vid].dim
+        columns[vid] = slice(offset, offset + d)
+        offset += d
+    n = offset
+
+    blocks = {}  # fid -> (residual, [(columns, jacobian block)]) or None when skipped
+    for key, group in plan.cameras.items():
+        _box_blocks(plan, key, group, values, variants, columns, blocks)
+    for lm_id, group in plan.priors.items():
+        _prior_blocks(lm_id, group, values, variants, columns, blocks)
+    for f in plan.pose_priors:
+        blocks[f.fid] = _generic_block(f, values, variants, columns)
+
+    kept, skipped = [], []
+    for f in plan.factors:
+        if blocks[f.fid] is None:
+            logger.debug("factor %s (%s) unevaluable at current state; dropped", f.fid, f.kind)
+            skipped.append(f.fid)
+        else:
+            kept.append(f)
+    m = sum(f.dim for f in kept)
+    jacobian = np.zeros((m, n))
+    residual = np.empty(m)
+    weights = np.empty(m)
+    owner = np.empty(m, dtype=int)
+    row = 0
+    for k, f in enumerate(kept):
+        rows = slice(row, row + f.dim)
+        res, pieces = blocks[f.fid]
+        for cols, p in pieces:
+            jacobian[rows, cols] = p
+        residual[rows] = res
+        weights[rows] = 1.0 / f.variance
+        owner[rows] = k
+        row = rows.stop
+    finite = np.isfinite(jacobian).all(axis=1) & np.isfinite(residual)
+    if not finite.all():
+        bad = kept[owner[np.argmin(finite)]]
+        raise LinearizeError(f"non-finite residual or Jacobian in factor {bad.fid}")
+    return Linearization(jacobian, residual, weights, columns, skipped)
 
 
 def linearize(problem: Problem, options: SolveOptions | None = None) -> Linearization:
@@ -492,7 +694,8 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
 
     values = dict(problem.variables)
     factors = list(problem.factors)
-    cost, nskip, _ = _cost_of(values, factors)
+    plan = _Plan(factors)
+    cost, nskip, _ = _cost_of(values, factors, plan)
     trace = [cost]
     iter_times: list = []
     attempts = 0
@@ -503,7 +706,7 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
     for _ in range(options.max_iterations):
         t0 = time.perf_counter()
         try:
-            lin = _linearize(values, factors, free, options)
+            lin = _linearize(values, factors, free, options, plan)
         except LinearizeError:
             termination = "diverged"
             break
@@ -547,7 +750,7 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
             try:
                 for vid in free:
                     candidate[vid] = retract_value(values[vid], delta[lin.columns[vid]])
-                ccost, cnskip, _ = _cost_of(candidate, factors)
+                ccost, cnskip, _ = _cost_of(candidate, factors, plan)
             except _EVAL_ERRORS:
                 ccost, cnskip = np.inf, nskip + 1
             if np.isfinite(ccost) and cnskip <= nskip and ccost < cost:
@@ -570,14 +773,14 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
             # The regularized state is the next linearization point, but the
             # acceptance bar stays at the accepted cost so the recorded
             # trace is monotone even when the projection undoes progress.
-            _, nskip, _ = _cost_of(values, factors)
+            _, nskip, _ = _cost_of(values, factors, plan)
         if not options.gauss_newton:
             lam = max(lam * options.lambda_down, 1e-15)
         if prev - cost <= options.rel_cost_tol * max(prev, 1e-300):
             termination = "cost_converged"
             break
 
-    _, skipped_final, _ = _cost_of(values, factors)
+    _, skipped_final, _ = _cost_of(values, factors, plan)
     return SolveReport(
         cost_trace=trace,
         variables=values,

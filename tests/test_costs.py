@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadricfit.costs import (
+    BEHIND_CAMERA,
     BehindCameraError,
     BoundingBox,
     CameraFrame,
@@ -10,7 +13,10 @@ from quadricfit.costs import (
     Factor,
     backproject_edge,
     conic_bbox,
+    orientation_residuals,
+    predicted_boxes,
     project_dual,
+    unit_direction,
     residual_box_inverse,
     residual_box_semi,
     residual_orientation,
@@ -20,7 +26,16 @@ from quadricfit.costs import (
     residual_support,
 )
 from quadricfit.manifold import InvalidInputError, Pose, se3_exp, so3_exp
-from quadricfit.quadric import RtsState, permuted_rts, proper_axis_permutations, rts_from_dual
+from quadricfit.quadric import (
+    DegenerateLandmarkError,
+    RtsState,
+    dual_center,
+    dual_shape,
+    permuted_rts,
+    proper_axis_permutations,
+    rts_from_dual,
+    rts_from_duals,
+)
 from conftest import random_rts
 
 INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
@@ -333,3 +348,116 @@ def test_factor_validation():
     f = Factor(0, "orientation", ("a",), {"direction": np.array([0, 0, 1.0])})
     assert f.variance.shape == (9,)
     assert f.dim == 9
+
+
+# ---------------------------------------------------------------------------
+# Batched forms against the one-quadric formulas they replaced
+
+
+def _scalar_box(q, frame):
+    """One-quadric box: center test, projection, normalization, discriminants."""
+    rt = frame.projection_rt()
+    if rt[2, :3] @ dual_center(q) + rt[2, 3] <= 0.0:
+        raise BehindCameraError("behind")
+    m = frame.intrinsics.k @ rt
+    g = m @ q @ m.T
+    corner = g[2, 2]
+    if abs(corner) < 1e-12 * max(1.0, float(np.max(np.abs(g)))):
+        raise DegenerateProjectionError("corner")
+    g = g / corner
+    g = 0.5 * (g + g.T)
+    du = g[0, 2] ** 2 - g[0, 0] * g[2, 2]
+    dv = g[1, 2] ** 2 - g[1, 1] * g[2, 2]
+    if du < 0.0 or dv < 0.0:
+        raise DegenerateProjectionError("discriminant")
+    ru, rv = np.sqrt(du), np.sqrt(dv)
+    return np.array([g[0, 2] - ru, g[0, 2] + ru, g[1, 2] - rv, g[1, 2] + rv])
+
+
+def _scalar_rts(q):
+    p = dual_shape(q)
+    w, u = np.linalg.eigh(p)
+    if w[0] <= 1e-12:
+        raise DegenerateLandmarkError("not positive definite")
+    w, r = w[[2, 1, 0]], u[:, [2, 1, 0]]
+    if np.linalg.det(r) < 0.0:
+        r = r.copy()
+        r[:, 2] = -r[:, 2]
+    return r, np.sqrt(w)
+
+
+def _scalar_priors(q, m, prior, plane):
+    r, s = _scalar_rts(q)
+    m = m / np.linalg.norm(m)
+    a, b, c = prior
+    orient = np.concatenate([np.cross(r[:, i], m) * float(r[:, i] @ m) for i in range(3)])
+    shape = np.array([s[0] / s[2] - a / c, s[1] / s[2] - b / c])
+    size = float(s[0] * s[1] * s[2] - a * b * c)
+    size_det = float(np.linalg.det(dual_shape(q)) - a * b * c)
+    return orient, shape, size, size_det, float(plane @ q @ plane)
+
+
+def _random_scene(seed, n):
+    rng = np.random.default_rng(seed)
+    frame = CameraFrame(INTR, Pose(so3_exp(rng.normal(scale=0.2, size=3)), rng.normal(size=3)))
+    duals = []
+    for _ in range(n):
+        state = RtsState(so3_exp(rng.normal(size=3)), rng.normal(scale=2.0, size=3) + [0, 0, 4],
+                         rng.uniform(0.05, 3.0, size=3))
+        duals.append(state.dual)
+    plane = np.append(rng.normal(size=3), rng.normal())
+    return frame, np.stack(duals), rng.normal(size=3), plane / np.linalg.norm(plane[:3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=1, max_value=12))
+def test_batched_box_rows_equal_scalar_formula(seed, n):
+    # Rows of one batch, and the batch-of-one wrappers, give the bits of
+    # the one-quadric formula; the scene mixes centers behind the camera,
+    # cameras inside ellipsoids and ordinary views.
+    frame, duals, _, _ = _random_scene(seed, n)
+    rt = frame.projection_rt()
+    boxes, status = predicted_boxes(duals, rt, INTR.k @ rt)
+    for q, box, code in zip(duals, boxes, status):
+        try:
+            expected = _scalar_box(q, frame)
+        except (BehindCameraError, DegenerateProjectionError) as exc:
+            assert code != 0
+            assert isinstance(exc, BehindCameraError) == (code == BEHIND_CAMERA)
+            with pytest.raises(type(exc)):
+                residual_box_inverse(frame, q, BoundingBox(0.0, 1.0, 0.0, 1.0))
+            continue
+        assert code == 0
+        assert np.array_equal(box, expected)
+        assert np.array_equal(conic_bbox(project_dual(q, frame)).as_array(), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=1, max_value=12))
+def test_batched_prior_rows_equal_scalar_formula(seed, n):
+    frame, duals, m, plane = _random_scene(seed, n)
+    prior = (0.9, 0.5, 0.3)
+    rotations, scales, ok = rts_from_duals(duals)
+    orient = orientation_residuals(rotations, unit_direction(m))
+    for i, q in enumerate(duals):
+        expected = _scalar_priors(q, m, prior, plane)
+        assert ok[i]
+        assert np.array_equal(orient[i], expected[0])
+        got = (residual_orientation(q, m), residual_shape(q, prior), residual_size(q, prior),
+               residual_size(q, prior, "det"), residual_support(q, plane))
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+        r, s = _scalar_rts(q)
+        assert np.array_equal(rotations[i], r) and np.array_equal(scales[i], s)
+
+
+def test_rts_from_duals_flags_degenerate_rows():
+    good = sphere_at(5.0)
+    flat = good.copy()
+    flat[2, 2] = -flat[2, 3] ** 2  # zero third semi-axis
+    thin = [RtsState(np.eye(3), np.array([0.0, 0.0, 5.0]), np.array([1.0, 0.8, s])).dual
+            for s in (2e-6, 7e-7)]  # squared semi-axis 4e-12 and 4.9e-13
+    _, _, ok = rts_from_duals(np.stack([good, flat, np.zeros((4, 4))] + thin))
+    assert ok.tolist() == [True, False, False, True, False]
+    with pytest.raises(DegenerateLandmarkError):
+        rts_from_dual(flat)

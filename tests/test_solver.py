@@ -1,16 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quadricfit import _kernels, solver
 from quadricfit.costs import (
+    BehindCameraError,
     BoundingBox,
     CameraFrame,
     CameraIntrinsics,
+    DegenerateProjectionError,
     Factor,
+    box_edge_planes,
     conic_bbox,
     project_dual,
 )
-from quadricfit.manifold import Pose, se3_exp
-from quadricfit.quadric import RtsState
+from quadricfit.manifold import InvalidInputError, Pose, se3_exp, so3_exp
+from quadricfit.quadric import (
+    DegenerateLandmarkError,
+    RtsState,
+    full_from_dual,
+    spd_from_dual,
+)
 from quadricfit.sim import (
     NOISE_LEVELS,
     NoiseSpec,
@@ -267,3 +278,338 @@ def test_cost_breakdown_contains_kinds():
     breakdown = cost_breakdown(problem)
     assert set(breakdown) == {"box-semi", "orientation"}
     np.testing.assert_allclose(sum(breakdown.values()), total_cost(problem), rtol=1e-12)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("lambda_up", 1.0), ("lambda_up", 0.5), ("lambda_up", np.nan),
+    ("lambda_down", 1.0), ("lambda_down", 2.0), ("lambda_down", np.nan),
+    ("max_step", 0.0), ("max_step", -1.0), ("max_step", np.nan),
+])
+def test_solve_options_reject_values_that_never_end_a_retry(name, value):
+    # With these the damping retries of solve() never reach their cap.
+    with pytest.raises(InvalidInputError, match=name):
+        SolveOptions(**{name: value})
+
+
+def test_solve_ends_when_trust_bound_rejects_every_step():
+    trial = seeded_trial("M", idx=2)
+    report = solve(trial_problem(trial, "rts", "inverse"), SolveOptions(max_step=1e-9))
+    assert report.termination == "stalled"
+    assert report.iterations == 0 and report.attempts == 0
+
+
+# ---------------------------------------------------------------------------
+# Camera-grouped linearization and cost against one factor at a time
+
+_EVAL_ERRORS = (BehindCameraError, DegenerateProjectionError, DegenerateLandmarkError,
+                np.linalg.LinAlgError)
+
+
+def _oracle_box_table(factor, frame, duals):
+    intr = factor.payload["intrinsics"]
+    box = factor.payload["box"]
+    if factor.kind == "box-inverse":
+        boxes, ok = _kernels.boxes_from_duals(
+            intr.fx, intr.fy, intr.cx, intr.cy, frame.projection_rt(), duals
+        )
+        return boxes - box.as_array(), ok
+    planes = box_edge_planes(frame, box)
+    vals, ok = _kernels.tangency_values(planes, duals)
+    return vals, ok
+
+
+def _oracle_try(f, values):
+    try:
+        return factor_residual(f, values)
+    except _EVAL_ERRORS:
+        return None
+
+
+def _oracle_block(f, values, variants, columns, n):
+    """One factor's (jacobian rows, residual), or None when skipped: one
+    kernel call per landmark stack and per pose variant, as before the
+    solver grouped factors by camera."""
+    free_targets = [t for t in f.targets if t in variants]
+    if f.kind in ("box-inverse", "box-semi"):
+        pose_id, lm_id = f.targets
+        pose_free = pose_id in variants
+        lm_free = lm_id in variants
+        frame = CameraFrame(f.payload["intrinsics"], values[pose_id])
+        jac = np.zeros((f.dim, n))
+        if lm_free:
+            var = variants[lm_id]
+            if not var.valid.all():
+                return None
+            table, ok = _oracle_box_table(f, frame, var.duals)
+            if not ok.all():
+                return None
+            res = table[0]
+            d = var.dim
+            jac[:, columns[lm_id]] = (table[1 : 1 + d] - table[1 + d :]).T / (2.0 * var.h)
+        else:
+            q = solver._safe_dual(values[lm_id])
+            if q is None:
+                return None
+            table, ok = _oracle_box_table(f, frame, q[None])
+            if not ok[0]:
+                return None
+            res = table[0]
+        if pose_free:
+            var = variants[pose_id]
+            cols = columns[pose_id]
+            qc = variants[lm_id].duals[0] if lm_free else solver._safe_dual(values[lm_id])
+            for j in range(var.dim):
+                pair = []
+                for v in (var.plus[j], var.minus[j]):
+                    if v is None:
+                        return None
+                    t, ok = _oracle_box_table(f, CameraFrame(f.payload["intrinsics"], v), qc[None])
+                    if not ok[0]:
+                        return None
+                    pair.append(t[0])
+                jac[:, cols][:, j] = (pair[0] - pair[1]) / (2.0 * var.h[j])
+        return jac, res
+    res = _oracle_try(f, values)
+    if res is None:
+        return None
+    jac = np.zeros((f.dim, n))
+    scratch = dict(values)
+    for t in free_targets:
+        var = variants[t]
+        cols = columns[t]
+        for j in range(var.dim):
+            pair = []
+            for v in (var.plus[j], var.minus[j]):
+                if v is None:
+                    return None
+                scratch[t] = v
+                r = _oracle_try(f, scratch)
+                if r is None:
+                    return None
+                pair.append(r)
+            jac[:, cols.start + j] = (pair[0] - pair[1]) / (2.0 * var.h[j])
+        scratch[t] = values[t]
+    return jac, res
+
+
+def _oracle_linearize(problem, options):
+    unconstrained = set(problem.unconstrained())
+    free = [v for v in problem.free_ids() if v not in unconstrained]
+    variants = {vid: solver._Variants(problem.variables[vid], options.fd_step) for vid in free}
+    columns, offset = {}, 0
+    for vid in free:
+        columns[vid] = slice(offset, offset + variants[vid].dim)
+        offset += variants[vid].dim
+    rows_j, rows_r, rows_w, skipped = [], [], [], []
+    for f in sorted(problem.factors, key=lambda f: f.fid):
+        block = _oracle_block(f, problem.variables, variants, columns, offset)
+        if block is None:
+            skipped.append(f.fid)
+            continue
+        rows_j.append(block[0])
+        rows_r.append(block[1])
+        rows_w.append(1.0 / f.variance)
+    if not rows_j:
+        return np.zeros((0, offset)), np.zeros(0), np.zeros(0), columns, skipped
+    return (np.vstack(rows_j), np.concatenate(rows_r), np.concatenate(rows_w), columns, skipped)
+
+
+def _oracle_cost(values, factors):
+    total, skipped, per_factor = 0.0, 0, {}
+    for f in sorted(factors, key=lambda f: f.fid):
+        r = _oracle_try(f, values)
+        if r is None:
+            skipped += 1
+            continue
+        c = float(np.dot(r, r / f.variance))
+        per_factor[f.fid] = c
+        total += c
+    return total, skipped, per_factor
+
+
+def _look_at(position, target):
+    z = target - position
+    z = z / np.linalg.norm(z)
+    x = np.cross([0.0, 0.0, 1.0], z)
+    x = x / np.linalg.norm(x)
+    return Pose(np.column_stack([x, np.cross(z, x), z]), position)
+
+
+def _as_param(state, param):
+    if param == "rts":
+        return state
+    return spd_from_dual(state.dual) if param == "spd" else full_from_dual(state.dual)
+
+
+def random_graph_problem(seed, param, landmarks, poses, near_plane=False):
+    """Random small graph: every box model and prior kind, free and fixed
+    variables, shuffled factor ids. With ``near_plane`` the first camera
+    moves along its axis until the first landmark's center is 5e-7 m in
+    front of it, so FD steps can put the center behind the camera."""
+    rng = np.random.default_rng(seed)
+    variables, fixed, factors = {}, set(), []
+    intrinsics = [INTR, CameraIntrinsics(fx=420.0, fy=430.0, cx=300.0, cy=250.0)]
+    for i in range(landmarks):
+        state = RtsState(so3_exp(rng.normal(size=3)), rng.normal(scale=0.5, size=3),
+                         rng.uniform(0.2, 0.6, size=3))
+        variables[f"lm{i}"] = _as_param(state, param)
+    for j in range(poses):
+        azimuth = rng.uniform(0.0, 2.0 * np.pi)
+        position = rng.uniform(4.0, 6.0) * np.array([np.cos(azimuth), np.sin(azimuth), 0.5])
+        variables[f"cam{j}"] = _look_at(position, rng.normal(scale=0.3, size=3))
+    if near_plane:
+        pose, center = variables["cam0"], -variables["lm0"].dual[:3, 3]
+        axis = pose.rotation[:, 2]
+        depth = axis @ (center - pose.translation)
+        variables["cam0"] = Pose(pose.rotation, pose.translation + (depth - 5e-7) * axis)
+
+    def add(kind, targets, payload):
+        factors.append(Factor(0, kind, targets, payload, variance=rng.uniform(0.5, 4.0)))
+
+    for j in range(poses):
+        pose_id = f"cam{j}"
+        intr = intrinsics[j % 2]
+        for i in range(landmarks):
+            frame = CameraFrame(intr, variables[pose_id])
+            try:
+                box = conic_bbox(project_dual(variables[f"lm{i}"].dual, frame)).as_array()
+            except _EVAL_ERRORS:
+                box = np.array([300.0, 340.0, 220.0, 260.0])
+            box = np.sort(box.reshape(2, 2) + rng.normal(scale=3.0, size=(2, 2)), axis=1).ravel()
+            kind = ("box-inverse", "box-semi")[rng.integers(2)]
+            add(kind, (pose_id, f"lm{i}"), {"intrinsics": intr, "box": BoundingBox.from_array(box)})
+        if rng.random() < 0.7:
+            observed = se3_exp(rng.normal(scale=0.02, size=6)).compose(variables[pose_id])
+            add("pose-prior", (pose_id,), {"observed": observed})
+    for i in range(landmarks):
+        lm = f"lm{i}"
+        abc = tuple(np.sort(rng.uniform(0.2, 0.6, size=3))[::-1])
+        add("orientation", (lm,), {"direction": rng.normal(size=3)})
+        add("shape", (lm,), {"prior": abc})
+        add("size", (lm,), {"prior": abc, "form": ("sqrt", "det")[rng.integers(2)]})
+        plane = np.append(rng.normal(scale=0.1, size=2), 1.0)
+        add("support", (lm,), {"plane": np.append(plane, rng.uniform(-1.0, 1.0))})
+    order = rng.permutation(len(factors))
+    factors = [Factor(int(k), f.kind, f.targets, f.payload, f.variance)
+               for k, f in zip(order, factors)]
+    for vid in variables:
+        if rng.random() < 0.35:
+            fixed.add(vid)
+    if not set(variables) - fixed:
+        fixed.discard("lm0")
+    return Problem(variables, factors, fixed)
+
+
+def _assert_linearize_matches_oracle(problem, options=SolveOptions()):
+    lin = linearize(problem, options)
+    jac, res, weights, columns, skipped = _oracle_linearize(problem, options)
+    assert lin.columns == columns
+    assert lin.skipped == skipped
+    assert np.array_equal(lin.jacobian, jac)
+    assert np.array_equal(lin.residual, res)
+    assert np.array_equal(lin.weights, weights)
+    return lin
+
+
+def _assert_cost_matches_oracle(problem):
+    got = solver._cost_of(problem.variables, problem.factors)
+    assert got == _oracle_cost(problem.variables, problem.factors)
+    return got
+
+
+graph_cases = st.tuples(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from(["rts", "spd", "full"]),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=2, max_value=4),
+    st.booleans(),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_cases, st.sampled_from([1e-6, 1e-3]))
+def test_linearize_equals_per_factor_oracle(case, fd_step):
+    seed, param, landmarks, poses, near_plane = case
+    _assert_linearize_matches_oracle(random_graph_problem(seed, param, landmarks, poses, near_plane),
+                                     SolveOptions(fd_step=fd_step))
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_cases)
+def test_cost_equals_per_factor_sum(case):
+    seed, param, landmarks, poses, near_plane = case
+    _assert_cost_matches_oracle(random_graph_problem(seed, param, landmarks, poses, near_plane))
+
+
+@pytest.mark.parametrize("param", ["rts", "spd", "full"])
+@pytest.mark.parametrize("fixed", [{"side", "obj"}, {"cam", "side"}, {"side"}],
+                         ids=["pose-variant", "landmark-variant", "both"])
+def test_linearize_skips_factor_whose_variant_falls_behind_camera(param, fixed):
+    # The landmark's center is 5e-7 m in front of "cam": evaluable there,
+    # but the FD steps of the camera's and the landmark's translation
+    # (about 1e-6 m) each put it behind.
+    state = RtsState(so3_exp([0.3, 0.2, 0.1]), np.array([1.0, 0.3, 5e-7]), np.array([0.3, 0.25, 0.2]))
+    side = _look_at(np.array([1.0, -4.0, 0.5]), state.translation)
+    variables = {"cam": Pose.identity(), "side": side, "obj": _as_param(state, param)}
+    box = BoundingBox(280.0, 360.0, 200.0, 280.0)
+    factors = [
+        Factor(0, "box-inverse", ("cam", "obj"), {"intrinsics": INTR, "box": box}),
+        Factor(1, "box-inverse", ("side", "obj"), {"intrinsics": INTR, "box": box}),
+        Factor(2, "box-semi", ("side", "obj"), {"intrinsics": INTR, "box": box}),
+        Factor(3, "pose-prior", ("cam",), {"observed": Pose.identity()}),
+        Factor(4, "size", ("obj",), {"prior": (0.3, 0.25, 0.2)}),
+    ]
+    problem = Problem(variables, factors, fixed)
+    factor_residual(factors[0], variables)  # the center itself is evaluable
+    lin = _assert_linearize_matches_oracle(problem)
+    assert lin.skipped == [0]
+
+
+def test_cost_counts_behind_camera_and_degenerate_projection_skips():
+    problem = random_graph_problem(5, "full", 3, 2)
+    cam = problem.variables["cam0"]
+    ahead = lambda d: cam.translation + d * cam.rotation[:, 2]
+    # lm0 behind cam0; cam0 inside lm1, whose center is in front of it;
+    # lm2 a hyperboloid, which no prior can decompose
+    problem.variables["lm0"] = full_from_dual(RtsState(np.eye(3), ahead(-2.0), np.full(3, 0.3)).dual)
+    problem.variables["lm1"] = full_from_dual(RtsState(np.eye(3), ahead(0.5), np.full(3, 2.0)).dual)
+    hyperboloid = np.diag([0.2, 0.3, -0.1, -1.0])
+    hyperboloid[:3, 3] = hyperboloid[3, :3] = -ahead(3.0)
+    hyperboloid[:3, :3] += np.outer(ahead(3.0), ahead(3.0))
+    problem.variables["lm2"] = full_from_dual(hyperboloid)
+    factors = []
+    for f in problem.factors:
+        if f.targets[0] == "cam0" and f.kind.startswith("box"):
+            f = Factor(f.fid, "box-inverse", f.targets, f.payload, f.variance)
+        factors.append(f)
+    problem.factors = factors
+    by_target = {f.targets: f for f in factors if f.kind == "box-inverse"}
+    with pytest.raises(BehindCameraError):
+        factor_residual(by_target[("cam0", "lm0")], problem.variables)
+    with pytest.raises(DegenerateProjectionError):
+        factor_residual(by_target[("cam0", "lm1")], problem.variables)
+    priors = [f for f in factors if f.targets == ("lm2",) and f.kind != "support"]
+    with pytest.raises(DegenerateLandmarkError):
+        factor_residual(priors[0], problem.variables)
+    total, skipped, per_factor = _assert_cost_matches_oracle(problem)
+    for f in [by_target[("cam0", "lm0")], by_target[("cam0", "lm1")]] + priors:
+        assert f.fid not in per_factor
+    lin = _assert_linearize_matches_oracle(problem)
+    assert {f.fid for f in priors} <= set(lin.skipped)
+
+
+def test_linearize_skips_prior_whose_variant_is_degenerate():
+    # A raw-coefficient landmark 2e-6 m thin: its shape block is positive
+    # definite, but FD steps of its coefficients make some variants' not.
+    state = RtsState(so3_exp([0.3, 0.2, 0.1]), np.array([0.0, 0.0, 4.0]), np.array([0.4, 0.3, 2e-6]))
+    factors = [
+        Factor(0, "orientation", ("obj",), {"direction": np.array([0.0, 0.0, 1.0])}),
+        Factor(1, "shape", ("obj",), {"prior": (0.4, 0.3, 0.1)}),
+        Factor(2, "size", ("obj",), {"prior": (0.4, 0.3, 0.1), "form": "det"}),
+        Factor(3, "support", ("obj",), {"plane": np.array([0.0, 0.0, 1.0, -3.0])}),
+    ]
+    problem = Problem({"obj": full_from_dual(state.dual)}, factors, set())
+    for f in factors:
+        factor_residual(f, problem.variables)  # the center itself is evaluable
+    lin = _assert_linearize_matches_oracle(problem)
+    assert lin.skipped == [0, 1, 2]
