@@ -1,7 +1,12 @@
 """Vectorized numpy implementations of the hot kernels.
 
-Batched box projection and tangency defects, plus a voxel overlap count
-that serves only as a brute-force test oracle for the exact box IoU of
+The one conic-box formula (:func:`boxes_from_duals`, built from
+:func:`project_duals` and :func:`conic_boxes`) and the one box-semi
+tangency formula (:func:`tangency_values`). The solver's cost and its
+Jacobian, and the one-factor residuals of :mod:`quadricfit.costs`, all
+evaluate boxes and tangency defects through these functions, so each
+residual has a single implementation. A voxel overlap count serves only as
+a brute-force test oracle for the exact box IoU of
 :mod:`quadricfit.evaluation`. All inputs are float64 arrays; duals are
 canonical (``q[3,3] = -1``).
 """
@@ -12,43 +17,76 @@ BACKEND = "python"
 
 _CORNER_TOL = 1e-12
 
+# Why a row of a batched box evaluation is not evaluable (0: it is).
+BEHIND_CAMERA = 1
+UNNORMALIZABLE = 2
+NEGATIVE_DISCRIMINANT = 3
+CUTS_PRINCIPAL_PLANE = 4
+
+# The status of a row whose conic has no real box, by its projection status:
+# a camera inside the ellipsoid also cuts its principal plane, and the
+# imaginary conic is the reason given.
+_NO_REAL_BOX = np.array([NEGATIVE_DISCRIMINANT, BEHIND_CAMERA, UNNORMALIZABLE,
+                         NEGATIVE_DISCRIMINANT, NEGATIVE_DISCRIMINANT])
+
 
 def backend() -> str:
     """Name of the kernel implementation, echoed in run records: 'python'."""
     return BACKEND
 
 
+def project_duals(qs: np.ndarray, rt: np.ndarray, m: np.ndarray):
+    """Dual conics of duals (n, 4, 4) projected into one camera.
+
+    ``rt`` is the camera-from-world [R|t] and ``m = K rt``. Returns
+    (conics (n, 3, 3), status (n,)). Where status is 0 the conic is
+    normalized so g[2, 2] = 1 and symmetrised. Otherwise it is
+    BEHIND_CAMERA (the ellipsoid center is not in front of the camera),
+    UNNORMALIZABLE (g[2, 2] is too small to divide by) or
+    CUTS_PRINCIPAL_PLANE. The unnormalized g[2, 2] is ``pi^T q pi`` with
+    ``pi`` the camera's z row; an ellipsoid wholly in front of the camera
+    makes it negative, and when it is not below ``-tol * scale`` the
+    ellipsoid crosses the camera's plane z = 0 and its conic is no ellipse.
+    """
+    z = np.vecdot(-qs[:, :3, 3], rt[2, :3]) + rt[2, 3]
+    g = m @ qs @ m.T
+    corner = g[:, 2, 2]
+    tol = _CORNER_TOL * np.fmax(1.0, np.abs(g).max(axis=(1, 2)))
+    # Past the UNNORMALIZABLE test |g[2, 2]| >= tol, so "not below -tol" is "positive".
+    status = np.where(z <= 0.0, BEHIND_CAMERA,
+                      np.where(np.abs(corner) < tol, UNNORMALIZABLE,
+                               np.where(corner > 0.0, CUTS_PRINCIPAL_PLANE, 0)))
+    g = g / np.where(status == 0, corner, 1.0)[:, None, None]
+    return 0.5 * (g + np.swapaxes(g, 1, 2)), status
+
+
+def conic_boxes(conics: np.ndarray):
+    """Boxes of normalized dual conics (n, 3, 3): (boxes (n, 4) as
+    [ul, ur, vu, vd], ok (n,)); not ok where a discriminant is negative."""
+    g02, g12, g22 = conics[:, 0, 2], conics[:, 1, 2], conics[:, 2, 2]
+    # float_power squares with the libm pow that a scalar ``**`` uses, not
+    # the x * x of an array ``**``; the two differ in the last bit.
+    du = np.float_power(g02, 2.0) - conics[:, 0, 0] * g22
+    dv = np.float_power(g12, 2.0) - conics[:, 1, 1] * g22
+    ok = ~((du < 0.0) | (dv < 0.0))
+    ru = np.sqrt(np.where(ok, du, 0.0))
+    rv = np.sqrt(np.where(ok, dv, 0.0))
+    return np.stack([g02 - ru, g02 + ru, g12 - rv, g12 + rv], axis=1), ok
+
+
 def boxes_from_duals(fx, fy, cx, cy, rt, duals):
     """Closed-form bounding boxes of projected dual quadrics.
 
     rt: (3, 4) camera-from-world. duals: (n, 4, 4). Returns
-    (boxes (n, 4) as [ul, ur, vu, vd], ok (n,) bool). A row is not ok when
-    the ellipsoid center is behind the camera, the projected conic cannot
-    be normalized, or a discriminant is negative.
+    (boxes (n, 4) as [ul, ur, vu, vd], status (n,)), status 0 where the
+    row is evaluable; see :func:`project_duals`, plus NEGATIVE_DISCRIMINANT
+    where the conic has no real bounding box.
     """
     duals = np.asarray(duals, dtype=float)
-    n = duals.shape[0]
     k = np.array([[fx, 0.0, cx], [0.0, fy, cy], [0.0, 0.0, 1.0]])
-    m = k @ rt
-    centers = -duals[:, :3, 3]
-    z = centers @ rt[2, :3] + rt[2, 3]
-    g = np.einsum("ij,njk,lk->nil", m, duals, m)
-    corner = g[:, 2, 2]
-    scale = np.maximum(np.abs(g).max(axis=(1, 2)), 1.0)
-    ok = (z > 0.0) & (np.abs(corner) > _CORNER_TOL * scale)
-    safe = np.where(ok, corner, 1.0)
-    g = g / safe[:, None, None]
-    du = g[:, 0, 2] ** 2 - g[:, 0, 0]
-    dv = g[:, 1, 2] ** 2 - g[:, 1, 1]
-    ok &= (du >= 0.0) & (dv >= 0.0)
-    ru = np.sqrt(np.where(du >= 0.0, du, 0.0))
-    rv = np.sqrt(np.where(dv >= 0.0, dv, 0.0))
-    boxes = np.empty((n, 4))
-    boxes[:, 0] = g[:, 0, 2] - ru
-    boxes[:, 1] = g[:, 0, 2] + ru
-    boxes[:, 2] = g[:, 1, 2] - rv
-    boxes[:, 3] = g[:, 1, 2] + rv
-    return boxes, ok
+    conics, status = project_duals(duals, rt, k @ rt)
+    boxes, ok = conic_boxes(conics)
+    return boxes, np.where(ok, status, _NO_REAL_BOX[status])
 
 
 def tangency_values(planes, duals):

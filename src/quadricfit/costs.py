@@ -14,12 +14,23 @@ from typing import Any
 
 import numpy as np
 
+from ._kernels import (
+    BEHIND_CAMERA,
+    CUTS_PRINCIPAL_PLANE,
+    NEGATIVE_DISCRIMINANT,
+    UNNORMALIZABLE,
+    boxes_from_duals,
+    conic_boxes,
+    project_duals,
+    tangency_values,
+)
 from .manifold import InvalidInputError, Pose, se3_log
-from .quadric import dual_center, dual_shape, rts_from_dual
+from .quadric import dual_shape, rts_from_dual
 
 
 class BehindCameraError(ValueError):
-    """Ellipsoid center is not strictly in front of the camera."""
+    """The ellipsoid is not wholly in front of the camera: its center is not
+    strictly in front, or it cuts the camera's principal plane."""
 
 
 class DegenerateProjectionError(ValueError):
@@ -87,16 +98,12 @@ class BoundingBox:
         return BoundingBox(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
 
 
-# Why a row of a batched box evaluation is not evaluable (0: it is).
-BEHIND_CAMERA = 1
-UNNORMALIZABLE = 2
-NEGATIVE_DISCRIMINANT = 3
-
-
 def projection_error(status: int) -> Exception | None:
     """The error a single evaluation raises for a batched row's status."""
     if status == BEHIND_CAMERA:
         return BehindCameraError("ellipsoid center behind camera")
+    if status == CUTS_PRINCIPAL_PLANE:
+        return BehindCameraError("ellipsoid cuts the camera's principal plane")
     if status == UNNORMALIZABLE:
         return DegenerateProjectionError("projected conic cannot be normalized")
     if status == NEGATIVE_DISCRIMINANT:
@@ -104,51 +111,11 @@ def projection_error(status: int) -> Exception | None:
     return None
 
 
-def project_duals(qs: np.ndarray, rt: np.ndarray, m: np.ndarray):
-    """Batched :func:`project_dual` of duals (n, 4, 4) into one camera.
-
-    ``rt`` is the camera-from-world [R|t] and ``m = K rt``. Returns
-    (conics (n, 3, 3), status (n,)), status 0 where the conic is
-    normalized and BEHIND_CAMERA or UNNORMALIZABLE where it is not.
-    """
-    z = np.vecdot(dual_center(qs), rt[2, :3]) + rt[2, 3]
-    g = m @ qs @ m.T
-    corner = g[:, 2, 2]
-    small = np.abs(corner) < 1e-12 * np.fmax(1.0, np.abs(g).max(axis=(1, 2)))
-    status = np.where(z <= 0.0, BEHIND_CAMERA, np.where(small, UNNORMALIZABLE, 0))
-    g = g / np.where(status == 0, corner, 1.0)[:, None, None]
-    return 0.5 * (g + np.swapaxes(g, 1, 2)), status
-
-
-def conic_boxes(conics: np.ndarray):
-    """Batched :func:`conic_bbox`: (boxes (n, 4) as [ul, ur, vu, vd], ok (n,))."""
-    g02, g12, g22 = conics[:, 0, 2], conics[:, 1, 2], conics[:, 2, 2]
-    # float_power squares with the libm pow that a scalar ``**`` uses, not
-    # the x * x of an array ``**``; the two differ in the last bit.
-    du = np.float_power(g02, 2.0) - conics[:, 0, 0] * g22
-    dv = np.float_power(g12, 2.0) - conics[:, 1, 1] * g22
-    ok = ~((du < 0.0) | (dv < 0.0))
-    ru = np.sqrt(np.where(ok, du, 0.0))
-    rv = np.sqrt(np.where(ok, dv, 0.0))
-    return np.stack([g02 - ru, g02 + ru, g12 - rv, g12 + rv], axis=1), ok
-
-
-def predicted_boxes(qs: np.ndarray, rt: np.ndarray, m: np.ndarray):
-    """Closed-form boxes of duals (n, 4, 4) seen by one camera.
-
-    Returns (boxes (n, 4), status (n,)); see :func:`project_duals`, plus
-    NEGATIVE_DISCRIMINANT where the conic has no real bounding box.
-    """
-    conics, status = project_duals(qs, rt, m)
-    boxes, ok = conic_boxes(conics)
-    return boxes, np.where((status == 0) & ~ok, NEGATIVE_DISCRIMINANT, status)
-
-
 def project_dual(q: np.ndarray, frame: CameraFrame) -> np.ndarray:
     """Dual conic of the projected ellipsoid, normalized so g[2, 2] = 1.
 
-    Raises :class:`BehindCameraError` unless the ellipsoid center is
-    strictly in front of the camera.
+    Raises :class:`BehindCameraError` unless the ellipsoid lies wholly in
+    front of the camera.
     """
     rt = frame.projection_rt()
     g, status = project_duals(np.asarray(q, dtype=float)[None], rt, frame.intrinsics.k @ rt)
@@ -177,17 +144,10 @@ def _backproject(m: np.ndarray, line) -> np.ndarray:
     return pi / norm
 
 
-def backproject_edge(frame: CameraFrame, line: np.ndarray) -> np.ndarray:
-    """World plane through the camera center containing image line ``line``.
-
-    ``pi = (K [R_c|t_c])^T l``, unit-normalized. Box edges use the lines
-    ``[1, 0, -u]`` (vertical) and ``[0, 1, -v]`` (horizontal).
-    """
-    return _backproject(frame.projection_matrix(), line)
-
-
 def box_edge_planes(frame: CameraFrame, box: BoundingBox) -> np.ndarray:
-    """The four back-projected edge planes of a box, one per row (ul, ur, vu, vd)."""
+    """World planes through the camera center and each box edge, one per row
+    (ul, ur, vu, vd): ``pi = (K [R_c|t_c])^T l``, unit-normalized, for the
+    lines ``[1, 0, -u]`` (vertical) and ``[0, 1, -v]`` (horizontal)."""
     m = frame.projection_matrix()
     lines = [
         np.array([1.0, 0.0, -box.ul]),
@@ -200,16 +160,12 @@ def box_edge_planes(frame: CameraFrame, box: BoundingBox) -> np.ndarray:
 
 def residual_box_inverse(frame: CameraFrame, q: np.ndarray, observed: BoundingBox) -> np.ndarray:
     """Predicted box minus observed box (4 components, px)."""
-    rt = frame.projection_rt()
-    boxes, status = predicted_boxes(np.asarray(q, dtype=float)[None], rt, frame.intrinsics.k @ rt)
+    intr = frame.intrinsics
+    boxes, status = boxes_from_duals(intr.fx, intr.fy, intr.cx, intr.cy, frame.projection_rt(),
+                                     np.asarray(q, dtype=float)[None])
     if status[0]:
         raise projection_error(status[0])
     return boxes[0] - observed.as_array()
-
-
-def tangency_defects(planes: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``pi^T q pi`` for each row ``pi`` of ``planes``."""
-    return np.einsum("pi,ij,pj->p", planes, q, planes)
 
 
 def residual_box_semi(frame: CameraFrame, q: np.ndarray, observed: BoundingBox) -> np.ndarray:
@@ -223,7 +179,7 @@ def residual_box_semi(frame: CameraFrame, q: np.ndarray, observed: BoundingBox) 
     rather than summed so a per-edge covariance stays meaningful; the
     minimizer is the same under isotropic covariance.
     """
-    return tangency_defects(box_edge_planes(frame, observed), q)
+    return tangency_values(box_edge_planes(frame, observed), np.asarray(q, dtype=float)[None])[0][0]
 
 
 def unit_direction(m) -> np.ndarray:

@@ -80,11 +80,6 @@ def _eigh_apply(p: np.ndarray, fn) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def sym_expm(x: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a symmetric matrix (eigendecomposition route)."""
-    return _eigh_apply(x, np.exp)
-
-
 def sym_logm(p: np.ndarray) -> np.ndarray:
     """Principal matrix logarithm of an SPD matrix."""
     return _eigh_apply(p, np.log)
@@ -314,9 +309,6 @@ class Pose:
     def inverse(self) -> "Pose":
         rt = self.rotation.T
         return Pose(rt, -rt @ self.translation)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.rotation.T + self.translation
 
     def matrix(self) -> np.ndarray:
         m = np.eye(4)

@@ -147,19 +147,6 @@ def rts_from_dual(q: np.ndarray) -> "RtsState":
     return RtsState(r[0], dual_center(q), s[0])
 
 
-def primal_from_rts(state: "RtsState") -> np.ndarray:
-    """Primal quadric matrix: surface points satisfy ``[x;1]^T Q [x;1] = 0``.
-
-    Built with inverse-squared semi-axes so the unit sphere maps to
-    ``diag(1, 1, 1, -1)``.  Used by the tangent-plane and point-membership
-    oracles only.
-    """
-    s = np.asarray(state.scale, dtype=float)
-    t_inv = np.linalg.inv(_pose_matrix(state.rotation, state.translation))
-    core = np.diag(np.concatenate([1.0 / (s * s), [-1.0]]))
-    return t_inv.T @ core @ t_inv
-
-
 # ---------------------------------------------------------------------------
 # Landmark states
 

@@ -8,14 +8,15 @@ parameterizations fairly; only the retraction differs.
 
 Finite differences are batched by camera. A per-solve plan sorts the
 factors once, groups box factors by camera and priors by landmark, and
-caches each camera's [R|t], K[R|t] and box-semi edge planes per pose value
+caches each camera's [R|t] and box-semi edge planes per pose value
 (once per solve for a fixed pose). Each camera value then makes one kernel
 call per box model: at the center pose it stacks every landmark variant the
 camera sees, at each pose variant the landmark centers. A landmark's
 orientation, shape, size and support priors are evaluated on its stacked
-variant duals with one batched eigendecomposition. The cost evaluates the
-box-inverse factors of a camera as one batch and the priors of a landmark
-as a batch of one. Every row is computed as the one-factor formula would
+variant duals with one batched eigendecomposition. One block builder,
+:func:`_blocks`, does all of this; the cost calls it without variants and
+sums the residual rows it returns, so the cost is exactly the residual the
+Jacobian linearizes. Every row is computed as the one-factor formula would
 compute it, so batching does not change a single bit of the results.
 
 Factors that cannot be evaluated at the current state (landmark behind the
@@ -32,6 +33,7 @@ import logging
 import time
 import warnings
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -43,7 +45,6 @@ from .costs import (
     Factor,
     box_edge_planes,
     orientation_residuals,
-    predicted_boxes,
     residual_box_inverse,
     residual_box_semi,
     residual_orientation,
@@ -54,7 +55,6 @@ from .costs import (
     shape_residuals,
     size_residuals,
     support_residuals,
-    tangency_defects,
     unit_direction,
 )
 from .manifold import InvalidInputError, Pose, orthonormalize, pose_retract
@@ -158,7 +158,6 @@ class SolveOptions:
     # log-scale units). Steps beyond it are retried at higher damping;
     # keeps the quadratic model honest far from the linearization point.
     max_step: float = 2.0
-    gauss_newton: bool = False  # damping held at zero
 
     def __post_init__(self):
         # Negated comparisons, so NaN is rejected too.
@@ -261,13 +260,12 @@ def _safe_dual(value):
 
 
 class _Camera:
-    """One camera at one pose value: [R|t], K[R|t] and box-semi edge planes."""
+    """One camera at one pose value: its [R|t] and box-semi edge planes."""
 
     def __init__(self, intrinsics, pose: Pose):
         self.pose = pose
         self.frame = CameraFrame(intrinsics, pose)
         self.rt = self.frame.projection_rt()
-        self.m = intrinsics.k @ self.rt
         self._planes = {}
 
     def planes(self, factor: Factor) -> np.ndarray:
@@ -290,17 +288,21 @@ class _Plan:
 
     def __init__(self, factors: list):
         self.factors = sorted(factors, key=lambda f: f.fid)
-        self.cameras = {}  # (pose id, intrinsics) -> box factors in fid order
+        # (pose id, intrinsics) -> {box model: (factors in fid order, their boxes (k, 4))}
+        self.cameras = {}
         self.priors = {}  # landmark id -> landmark prior factors in fid order
         self.pose_priors = []
         for f in self.factors:
             if f.kind in _BOX_KINDS:
                 key = (f.targets[0], f.payload["intrinsics"])
-                self.cameras.setdefault(key, []).append(f)
+                self.cameras.setdefault(key, {}).setdefault(f.kind, []).append(f)
             elif f.kind in _LANDMARK_PRIORS:
                 self.priors.setdefault(f.targets[0], []).append(f)
             else:
                 self.pose_priors.append(f)
+        for models in self.cameras.values():
+            for kind, group in models.items():
+                models[kind] = (group, np.array([f.payload["box"].as_array() for f in group]))
         self._latest = {}
 
     def camera(self, key: tuple, pose: Pose) -> _Camera:
@@ -311,19 +313,26 @@ class _Plan:
 
 
 def _box_values(cam: _Camera, kind: str, factors: list, duals: np.ndarray,
-               owner: np.ndarray, observed: np.ndarray):
+               sizes: list, observed: np.ndarray):
     """Residual rows (k, 4) and ok (k,) of box factors of one model, seen from
-    one camera value, for stacked duals (k, 4, 4) whose row i belongs to
-    ``factors[owner[i]]``; ``observed`` holds the factors' boxes (box-inverse).
+    one camera value, for stacked duals (k, 4, 4) of which ``sizes[i]``
+    consecutive rows belong to ``factors[i]``; ``observed`` holds the
+    factors' boxes (box-inverse).
 
     One kernel call covers every row.
     """
+    one_row_each = len(duals) == len(factors)
     if kind == "box-inverse":
         intr = cam.frame.intrinsics
-        boxes, ok = _kernels.boxes_from_duals(intr.fx, intr.fy, intr.cx, intr.cy, cam.rt, duals)
-        return boxes - observed[owner], ok
+        boxes, status = _kernels.boxes_from_duals(intr.fx, intr.fy, intr.cx, intr.cy, cam.rt, duals)
+        if not one_row_each:
+            observed = np.repeat(observed, sizes, axis=0)
+        return boxes - observed, status == 0
+    if len(factors) == 1:
+        return _kernels.tangency_values(cam.planes(factors[0]), duals)
     planes = np.concatenate([cam.planes(f) for f in factors])
     vals, ok = _kernels.tangency_values(planes, duals)
+    owner = np.arange(len(factors)) if one_row_each else np.repeat(np.arange(len(factors)), sizes)
     return vals.reshape(len(duals), len(factors), 4)[np.arange(len(duals)), owner], ok
 
 
@@ -353,42 +362,20 @@ def _prior_tables(factors: list, duals: np.ndarray) -> list:
 def _cost_of(values: dict, factors: list, plan: _Plan | None = None):
     """(total Mahalanobis cost, skipped-factor count, per-factor costs).
 
-    Box-inverse factors are evaluated one batch per camera, landmark priors
-    one batch per landmark; the sum runs in factor-id order.
+    The residuals are the center rows of :func:`_blocks`, the builder the
+    Jacobian uses; the sum runs in factor-id order.
     """
     plan = plan or _Plan(factors)
-    residuals = {}
-    for key, group in plan.cameras.items():
-        cam = plan.camera(key, values[key[0]])
-        duals = [_safe_dual(values[f.targets[1]]) for f in group]
-        inverse = [i for i, f in enumerate(group)
-                   if f.kind == "box-inverse" and duals[i] is not None]
-        if inverse:
-            boxes, status = predicted_boxes(np.stack([duals[i] for i in inverse]), cam.rt, cam.m)
-            for row, i in enumerate(inverse):
-                if status[row] == 0:
-                    residuals[group[i].fid] = boxes[row] - group[i].payload["box"].as_array()
-        for f, q in zip(group, duals):
-            if f.kind == "box-semi" and q is not None:
-                residuals[f.fid] = tangency_defects(cam.planes(f), q)
-    for lm_id, group in plan.priors.items():
-        q = _safe_dual(values[lm_id])
-        if q is None:
-            continue
-        for f, (table, ok) in zip(group, _prior_tables(group, q[None])):
-            if ok[0]:
-                residuals[f.fid] = table[0]
-    for f in plan.pose_priors:
-        residuals[f.fid] = _try_residual(f, values)
-
+    blocks = _blocks(values, plan, {}, {})
     total = 0.0
     skipped = 0
     per_factor = {}
     for f in plan.factors:
-        r = residuals.get(f.fid)
-        if r is None:
+        block = blocks[f.fid]
+        if block is None:
             skipped += 1
             continue
+        r = block[0]
         c = float(np.dot(r, r / f.variance))
         per_factor[f.fid] = c
         total += c
@@ -476,33 +463,34 @@ def _landmark_stack(lm_id, values: dict, variants: dict):
     return None if q is None else q[None]
 
 
-def _box_blocks(plan: _Plan, key: tuple, group: list, values: dict, variants: dict,
-                columns: dict, blocks: dict) -> None:
+def _box_blocks(plan: _Plan, key: tuple, values: dict, variants: dict, columns: dict,
+                blocks: dict) -> None:
     """Blocks of the box factors of one camera. Per box model, one kernel call
     at the center pose covers every landmark variant, and one call per pose
     variant covers the landmark centers."""
     pose_id, intrinsics = key
     pose_var = variants.get(pose_id)
-    for kind in _BOX_KINDS:
-        live, stacks = [], []
-        for f in group:
-            if f.kind != kind:
-                continue
+    for kind, (group, observed) in plan.cameras[key].items():
+        live, kept, stacks = [], [], []
+        for i, f in enumerate(group):
             stack = _landmark_stack(f.targets[1], values, variants)
             if stack is None:
                 blocks[f.fid] = None
             else:
                 live.append(f)
+                kept.append(i)
                 stacks.append(stack)
         if not live:
             continue
+        if len(live) < len(group):
+            observed = observed[kept]
         sizes = [len(st) for st in stacks]
-        starts = np.cumsum([0] + sizes[:-1])
-        observed = np.array([f.payload["box"].as_array() for f in live])
-        center, center_ok = _box_values(
-            plan.camera(key, values[pose_id]), kind, live, np.concatenate(stacks),
-            np.repeat(np.arange(len(live)), sizes), observed)
-        ok = np.logical_and.reduceat(center_ok, starts)
+        starts = list(accumulate(sizes[:-1], initial=0))
+        duals = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+        center, ok = _box_values(plan.camera(key, values[pose_id]), kind, live, duals, sizes,
+                                 observed)
+        if len(ok) > len(live):
+            ok = np.logical_and.reduceat(ok, starts)
         if pose_var is not None:
             poses = pose_var.plus + pose_var.minus
             if any(v is None for v in poses):
@@ -513,7 +501,7 @@ def _box_blocks(plan: _Plan, key: tuple, group: list, values: dict, variants: di
                 table = [center[starts]]
                 for v in poses:
                     rows, rows_ok = _box_values(_Camera(intrinsics, v), kind, live, duals,
-                                                np.arange(len(live)), observed)
+                                                [1] * len(live), observed)
                     table.append(rows)
                     ok &= rows_ok
                 pose_jac = pose_var.central_difference(np.stack(table))  # (4, factors, 6)
@@ -576,6 +564,24 @@ def _generic_block(f: Factor, values: dict, variants: dict, columns: dict):
     return res, pieces
 
 
+def _blocks(values: dict, plan: _Plan, variants: dict, columns: dict) -> dict:
+    """Residual and Jacobian blocks of every factor of ``plan``.
+
+    Maps each fid to (residual at ``values``, [(columns, jacobian block)])
+    or to None when the factor is skipped. ``variants`` holds the FD
+    variants of the free variables, ``columns`` their tangent columns; with
+    none, the blocks carry residuals only, which is what the cost uses.
+    """
+    blocks = {}
+    for key in plan.cameras:
+        _box_blocks(plan, key, values, variants, columns, blocks)
+    for lm_id, group in plan.priors.items():
+        _prior_blocks(lm_id, group, values, variants, columns, blocks)
+    for f in plan.pose_priors:
+        blocks[f.fid] = _generic_block(f, values, variants, columns)
+    return blocks
+
+
 def _linearize(values: dict, factors: list, free: list, options: SolveOptions,
                plan: _Plan | None = None) -> Linearization:
     plan = plan or _Plan(factors)
@@ -588,14 +594,7 @@ def _linearize(values: dict, factors: list, free: list, options: SolveOptions,
         offset += d
     n = offset
 
-    blocks = {}  # fid -> (residual, [(columns, jacobian block)]) or None when skipped
-    for key, group in plan.cameras.items():
-        _box_blocks(plan, key, group, values, variants, columns, blocks)
-    for lm_id, group in plan.priors.items():
-        _prior_blocks(lm_id, group, values, variants, columns, blocks)
-    for f in plan.pose_priors:
-        blocks[f.fid] = _generic_block(f, values, variants, columns)
-
+    blocks = _blocks(values, plan, variants, columns)
     kept, skipped = [], []
     for f in plan.factors:
         if blocks[f.fid] is None:
@@ -700,7 +699,7 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
     iter_times: list = []
     attempts = 0
     skip_events = 0
-    lam = 0.0 if options.gauss_newton else options.init_lambda
+    lam = options.init_lambda
     termination = "max_iterations"
 
     for _ in range(options.max_iterations):
@@ -733,13 +732,13 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
                 solve_failed = False
             except np.linalg.LinAlgError:
                 solve_failed = True
-                if options.gauss_newton or lam >= _LAMBDA_MAX:
+                if lam >= _LAMBDA_MAX:
                     break
                 lam = min(lam * options.lambda_up, _LAMBDA_MAX)
                 continue
             # Over-long steps are outside the model's trust region: raise the
             # damping without spending a cost evaluation on them.
-            if np.max(np.abs(delta)) > options.max_step and not options.gauss_newton:
+            if np.max(np.abs(delta)) > options.max_step:
                 if lam >= _LAMBDA_MAX:
                     break
                 lam = min(lam * options.lambda_up, _LAMBDA_MAX)
@@ -756,7 +755,7 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
             if np.isfinite(ccost) and cnskip <= nskip and ccost < cost:
                 accepted = True
                 break
-            if options.gauss_newton or evals > options.max_inner_retries or lam >= _LAMBDA_MAX:
+            if evals > options.max_inner_retries or lam >= _LAMBDA_MAX:
                 break
             lam = min(lam * options.lambda_up, _LAMBDA_MAX)
 
@@ -774,8 +773,7 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
             # acceptance bar stays at the accepted cost so the recorded
             # trace is monotone even when the projection undoes progress.
             _, nskip, _ = _cost_of(values, factors, plan)
-        if not options.gauss_newton:
-            lam = max(lam * options.lambda_down, 1e-15)
+        lam = max(lam * options.lambda_down, 1e-15)
         if prev - cost <= options.rel_cost_tol * max(prev, 1e-300):
             termination = "cost_converged"
             break

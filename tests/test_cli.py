@@ -118,6 +118,9 @@ def test_usage_errors_exit_1(tmp_path):
     assert main(["simulate", "--cells", "bogus=1"]) == 1
     assert main(["nope"]) == 1
     assert main(["solve", "--graph", "/does/not/exist.json", "--param", "rts"]) == 1
+    cfg = tmp_path / "gauss_newton.json"
+    cfg.write_text(json.dumps({**SMALL_CONFIG, "options": {"gauss_newton": True}}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "gn")]) == 1
 
 
 def test_eval_detects_tampered_summaries(tmp_path, capsys):

@@ -3,18 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadricfit import _kernels
+from quadricfit._kernels import BEHIND_CAMERA, CUTS_PRINCIPAL_PLANE
 from quadricfit.costs import (
-    BEHIND_CAMERA,
     BehindCameraError,
     BoundingBox,
     CameraFrame,
     CameraIntrinsics,
     DegenerateProjectionError,
     Factor,
-    backproject_edge,
     conic_bbox,
     orientation_residuals,
-    predicted_boxes,
     project_dual,
     unit_direction,
     residual_box_inverse,
@@ -118,6 +117,13 @@ def test_conic_bbox_matches_sampling_oracle(rng):
         assert np.max(np.abs(box - oracle)) < 0.5
 
 
+def backproject_edge(frame, line):
+    """World plane through the camera center containing image line ``line``:
+    ``(K [R_c|t_c])^T line``, unit-normalized."""
+    pi = frame.projection_matrix().T @ line
+    return pi / np.linalg.norm(pi[:3])
+
+
 def test_backproject_edge_contains_ray(rng):
     state, frame = random_visible_pair(rng)
     for line in (np.array([1.0, 0.0, -300.0]), np.array([0.0, 1.0, -200.0])):
@@ -133,7 +139,7 @@ def test_backproject_edge_contains_ray(rng):
                 px = np.array([rng.uniform(0, 640), -line[2]])
             depth = rng.uniform(0.5, 20.0)
             cam_pt = depth * np.linalg.solve(INTR.k, np.append(px, 1.0))
-            world = frame.pose.apply(cam_pt)
+            world = frame.pose.rotation @ cam_pt + frame.pose.translation
             assert abs(plane @ np.append(world, 1.0)) < 1e-9 * max(1.0, depth)
 
 
@@ -169,6 +175,26 @@ def test_residual_box_semi_zero_at_truth(rng):
     state, frame = random_visible_pair(rng)
     observed = conic_bbox(project_dual(state.dual, frame))
     np.testing.assert_allclose(residual_box_semi(frame, state.dual, observed), np.zeros(4), atol=1e-9)
+
+
+def test_ellipsoid_cutting_principal_plane_raises():
+    # Center 1 cm in front of the camera, semi-axes up to 30 cm: part of the
+    # ellipsoid is behind the camera, and its "box" would be meaningless.
+    frame = frame_at_origin()
+    rt = frame.projection_rt()
+    observed = BoundingBox(0.0, 1.0, 0.0, 1.0)
+    near = RtsState(np.eye(3), np.array([1.0, 0.3, 0.01]), np.array([0.3, 0.25, 0.2])).dual
+    _, status = _kernels.boxes_from_duals(INTR.fx, INTR.fy, INTR.cx, INTR.cy, rt, near[None])
+    assert status[0] == CUTS_PRINCIPAL_PLANE
+    with pytest.raises(BehindCameraError, match="principal plane"):
+        residual_box_inverse(frame, near, observed)
+    with pytest.raises(BehindCameraError, match="principal plane"):
+        project_dual(near, frame)
+    far = RtsState(np.eye(3), np.array([1.0, 0.3, 5.0]), np.array([0.3, 0.25, 0.2])).dual
+    box = conic_bbox(project_dual(far, frame)).as_array()
+    assert np.all(np.isfinite(box)) and box[0] < box[1] and box[2] < box[3]
+    np.testing.assert_array_equal(residual_box_inverse(frame, far, observed),
+                                  box - observed.as_array())
 
 
 def test_tangency_values_unit_sphere():
@@ -362,7 +388,8 @@ def _scalar_box(q, frame):
     m = frame.intrinsics.k @ rt
     g = m @ q @ m.T
     corner = g[2, 2]
-    if abs(corner) < 1e-12 * max(1.0, float(np.max(np.abs(g)))):
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(g))))
+    if abs(corner) < tol:
         raise DegenerateProjectionError("corner")
     g = g / corner
     g = 0.5 * (g + g.T)
@@ -370,6 +397,8 @@ def _scalar_box(q, frame):
     dv = g[1, 2] ** 2 - g[1, 1] * g[2, 2]
     if du < 0.0 or dv < 0.0:
         raise DegenerateProjectionError("discriminant")
+    if corner >= -tol:  # pi^T q pi, pi the camera's z row: the ellipsoid cuts that plane
+        raise BehindCameraError("principal plane")
     ru, rv = np.sqrt(du), np.sqrt(dv)
     return np.array([g[0, 2] - ru, g[0, 2] + ru, g[1, 2] - rv, g[1, 2] + rv])
 
@@ -417,13 +446,14 @@ def test_batched_box_rows_equal_scalar_formula(seed, n):
     # cameras inside ellipsoids and ordinary views.
     frame, duals, _, _ = _random_scene(seed, n)
     rt = frame.projection_rt()
-    boxes, status = predicted_boxes(duals, rt, INTR.k @ rt)
+    boxes, status = _kernels.boxes_from_duals(INTR.fx, INTR.fy, INTR.cx, INTR.cy, rt, duals)
     for q, box, code in zip(duals, boxes, status):
         try:
             expected = _scalar_box(q, frame)
         except (BehindCameraError, DegenerateProjectionError) as exc:
             assert code != 0
-            assert isinstance(exc, BehindCameraError) == (code == BEHIND_CAMERA)
+            assert isinstance(exc, BehindCameraError) == (code in (BEHIND_CAMERA,
+                                                                   CUTS_PRINCIPAL_PLANE))
             with pytest.raises(type(exc)):
                 residual_box_inverse(frame, q, BoundingBox(0.0, 1.0, 0.0, 1.0))
             continue

@@ -18,7 +18,6 @@ from quadricfit.manifold import (
     spd_retract,
     spd_retract_normalized,
     spd_sqrt,
-    sym_expm,
     sym_to_vec6,
     vec6_to_sym,
 )
@@ -70,6 +69,12 @@ def test_as_spd_rejects_indefinite():
 def test_spd_retract_zero_step_is_exact(rng):
     p = random_spd(rng)
     assert spd_retract(p, np.zeros((3, 3))) is p
+
+
+def sym_expm(x):
+    """Matrix exponential of a symmetric matrix (eigendecomposition route)."""
+    w, u = np.linalg.eigh(x)
+    return (u * np.exp(w)) @ u.T
 
 
 def test_spd_retract_at_identity_is_expm(rng):

@@ -15,7 +15,6 @@ from quadricfit.quadric import (
     full_from_dual,
     normalize_dual,
     permuted_rts,
-    primal_from_rts,
     proper_axis_permutations,
     regularize_full,
     rts_from_dual,
@@ -47,6 +46,17 @@ def test_dual_permutation_invariance(rng):
         q = state.dual
         for perm in proper_axis_permutations():
             np.testing.assert_allclose(permuted_rts(state, perm).dual, q, atol=1e-12)
+
+
+def primal_from_rts(state):
+    """Primal quadric matrix: surface points satisfy ``[x;1]^T Q [x;1] = 0``,
+    with inverse-squared semi-axes so the unit sphere maps to diag(1, 1, 1, -1)."""
+    s = np.asarray(state.scale, dtype=float)
+    t = np.eye(4)
+    t[:3, :3] = state.rotation
+    t[:3, 3] = state.translation
+    t_inv = np.linalg.inv(t)
+    return t_inv.T @ np.diag(np.concatenate([1.0 / (s * s), [-1.0]])) @ t_inv
 
 
 def test_tangent_plane_oracle(rng):

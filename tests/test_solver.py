@@ -19,6 +19,8 @@ from quadricfit.manifold import InvalidInputError, Pose, se3_exp, so3_exp
 from quadricfit.quadric import (
     DegenerateLandmarkError,
     RtsState,
+    dual_center,
+    dual_shape,
     full_from_dual,
     spd_from_dual,
 )
@@ -216,13 +218,6 @@ def test_solve_gauge_invariance():
     np.testing.assert_allclose(shifted.cost_trace, base.cost_trace, rtol=0, atol=1e-12)
 
 
-def test_solve_gauss_newton_mode():
-    trial = seeded_trial("L", idx=5)
-    problem = trial_problem(trial, "rts", "inverse")
-    report = solve(problem, SolveOptions(gauss_newton=True))
-    assert report.cost_trace[-1] < report.cost_trace[0]
-
-
 def test_solve_unconstrained_variable_warns():
     trial = seeded_trial()
     problem = trial_problem(trial, "rts", "inverse")
@@ -251,7 +246,7 @@ def test_behind_camera_factors_skipped_not_fatal():
     problem = trial_problem(trial, "rts", "inverse")
     # push the initial landmark behind the first camera
     frame = trial.scene.frames[0]
-    behind = frame.pose.apply(np.array([0.0, 0.0, -3.0]))
+    behind = frame.pose.rotation @ np.array([0.0, 0.0, -3.0]) + frame.pose.translation
     problem.variables["obj"] = RtsState(np.eye(3), behind, np.array([0.5, 0.4, 0.3]))
     report = solve(problem)  # must not raise
     assert report.skip_events >= 1 or report.skipped_final >= 0
@@ -309,10 +304,10 @@ def _oracle_box_table(factor, frame, duals):
     intr = factor.payload["intrinsics"]
     box = factor.payload["box"]
     if factor.kind == "box-inverse":
-        boxes, ok = _kernels.boxes_from_duals(
+        boxes, status = _kernels.boxes_from_duals(
             intr.fx, intr.fy, intr.cx, intr.cy, frame.projection_rt(), duals
         )
-        return boxes - box.as_array(), ok
+        return boxes - box.as_array(), status == 0
     planes = box_edge_planes(frame, box)
     vals, ok = _kernels.tangency_values(planes, duals)
     return vals, ok
@@ -444,8 +439,9 @@ def _as_param(state, param):
 def random_graph_problem(seed, param, landmarks, poses, near_plane=False):
     """Random small graph: every box model and prior kind, free and fixed
     variables, shuffled factor ids. With ``near_plane`` the first camera
-    moves along its axis until the first landmark's center is 5e-7 m in
-    front of it, so FD steps can put the center behind the camera."""
+    moves along its axis until the first landmark's nearest surface point
+    is 5e-7 m in front of it, so FD steps can put the landmark across the
+    camera's principal plane."""
     rng = np.random.default_rng(seed)
     variables, fixed, factors = {}, set(), []
     intrinsics = [INTR, CameraIntrinsics(fx=420.0, fy=430.0, cx=300.0, cy=250.0)]
@@ -458,10 +454,11 @@ def random_graph_problem(seed, param, landmarks, poses, near_plane=False):
         position = rng.uniform(4.0, 6.0) * np.array([np.cos(azimuth), np.sin(azimuth), 0.5])
         variables[f"cam{j}"] = _look_at(position, rng.normal(scale=0.3, size=3))
     if near_plane:
-        pose, center = variables["cam0"], -variables["lm0"].dual[:3, 3]
+        pose, q = variables["cam0"], variables["lm0"].dual
         axis = pose.rotation[:, 2]
-        depth = axis @ (center - pose.translation)
-        variables["cam0"] = Pose(pose.rotation, pose.translation + (depth - 5e-7) * axis)
+        depth = axis @ (dual_center(q) - pose.translation)
+        reach = np.sqrt(axis @ dual_shape(q) @ axis)
+        variables["cam0"] = Pose(pose.rotation, pose.translation + (depth - reach - 5e-7) * axis)
 
     def add(kind, targets, payload):
         factors.append(Factor(0, kind, targets, payload, variance=rng.uniform(0.5, 4.0)))
@@ -541,14 +538,38 @@ def test_cost_equals_per_factor_sum(case):
     _assert_cost_matches_oracle(random_graph_problem(seed, param, landmarks, poses, near_plane))
 
 
+@settings(max_examples=40, deadline=None)
+@given(graph_cases)
+def test_linearization_residual_is_the_costed_residual(case):
+    # The cost minimizes exactly the residual the Jacobian linearizes: each
+    # kept factor's rows of the linearization give its cost bitwise.
+    seed, param, landmarks, poses, near_plane = case
+    problem = random_graph_problem(seed, param, landmarks, poses, near_plane)
+    lin = linearize(problem)
+    _, _, per_factor = solver._cost_of(problem.variables, problem.factors)
+    offset = 0
+    for f in sorted(problem.factors, key=lambda f: f.fid):
+        if f.fid in lin.skipped:
+            continue
+        r = lin.residual[offset:offset + f.dim]
+        assert float(np.dot(r, r / f.variance)) == per_factor[f.fid]
+        offset += f.dim
+    assert offset == lin.residual.size
+
+
 @pytest.mark.parametrize("param", ["rts", "spd", "full"])
 @pytest.mark.parametrize("fixed", [{"side", "obj"}, {"cam", "side"}, {"side"}],
                          ids=["pose-variant", "landmark-variant", "both"])
 def test_linearize_skips_factor_whose_variant_falls_behind_camera(param, fixed):
-    # The landmark's center is 5e-7 m in front of "cam": evaluable there,
-    # but the FD steps of the camera's and the landmark's translation
-    # (about 1e-6 m) each put it behind.
-    state = RtsState(so3_exp([0.3, 0.2, 0.1]), np.array([1.0, 0.3, 5e-7]), np.array([0.3, 0.25, 0.2]))
+    # The landmark's nearest surface point is 5e-7 m in front of "cam":
+    # evaluable there, but the FD steps of the camera's and the landmark's
+    # translation (about 1e-6 m) each put it across the camera's principal
+    # plane. The landmark sits near the camera's axis: farther out, the
+    # projected conic's entries grow and g[2, 2] = -2e-7 m^2 would be too
+    # small to normalize by.
+    rotation, axes = so3_exp([0.3, 0.2, 0.1]), np.array([0.3, 0.25, 0.2])
+    reach = np.sqrt(rotation[2] ** 2 @ axes ** 2)  # support reach along the camera's axis
+    state = RtsState(rotation, np.array([0.1, 0.05, reach + 5e-7]), axes)
     side = _look_at(np.array([1.0, -4.0, 0.5]), state.translation)
     variables = {"cam": Pose.identity(), "side": side, "obj": _as_param(state, param)}
     box = BoundingBox(280.0, 360.0, 200.0, 280.0)
