@@ -2,13 +2,15 @@
 
 The one conic-box formula (:func:`boxes_from_duals`, built from
 :func:`project_duals` and :func:`conic_boxes`) and the one box-semi
-tangency formula (:func:`tangency_values`). The solver's cost and its
-Jacobian, and the one-factor residuals of :mod:`quadricfit.costs`, all
-evaluate boxes and tangency defects through these functions, so each
-residual has a single implementation. A voxel overlap count serves only as
-a brute-force test oracle for the exact box IoU of
-:mod:`quadricfit.evaluation`. All inputs are float64 arrays; duals are
-canonical (``q[3,3] = -1``).
+tangency formula (:func:`tangency_values`). Each row carries its own
+camera ([R|t] and intrinsics, or edge planes), so one call can cover
+every camera of a problem; rows never mix, and a row's result has the
+same bits in any stack. The solver's cost and its Jacobian, and the
+one-factor residuals of :mod:`quadricfit.costs`, all evaluate boxes and
+tangency defects through these functions, so each residual has a single
+implementation. A voxel overlap count serves only as a brute-force test
+oracle for the exact box IoU of :mod:`quadricfit.evaluation`. All inputs
+are float64 arrays; duals are canonical (``q[3,3] = -1``).
 """
 
 import numpy as np
@@ -36,28 +38,32 @@ def backend() -> str:
 
 
 def project_duals(qs: np.ndarray, rt: np.ndarray, m: np.ndarray):
-    """Dual conics of duals (n, 4, 4) projected into one camera.
+    """Dual conics of duals (n, 4, 4) projected into one camera per row.
 
-    ``rt`` is the camera-from-world [R|t] and ``m = K rt``. Returns
-    (conics (n, 3, 3), status (n,)). Where status is 0 the conic is
-    normalized so g[2, 2] = 1 and symmetrised. Otherwise it is
-    BEHIND_CAMERA (the ellipsoid center is not in front of the camera),
-    UNNORMALIZABLE (g[2, 2] is too small to divide by) or
+    ``rt`` (n, 3, 4) holds each row's camera-from-world [R|t] and
+    ``m = K rt`` (n, 3, 4). Returns (conics (n, 3, 3), status (n,)). Where
+    status is 0 the conic is normalized so g[2, 2] = 1 and symmetrised.
+    Otherwise it is BEHIND_CAMERA (the ellipsoid center is not in front of
+    the camera), UNNORMALIZABLE (g[2, 2] is too small to divide by) or
     CUTS_PRINCIPAL_PLANE. The unnormalized g[2, 2] is ``pi^T q pi`` with
     ``pi`` the camera's z row; an ellipsoid wholly in front of the camera
     makes it negative, and when it is not below ``-tol * scale`` the
     ellipsoid crosses the camera's plane z = 0 and its conic is no ellipse.
     """
-    z = np.vecdot(-qs[:, :3, 3], rt[2, :3]) + rt[2, 3]
-    g = m @ qs @ m.T
+    z = np.vecdot(-qs[:, :3, 3], rt[:, 2, :3]) + rt[:, 2, 3]
+    g = m @ qs @ np.swapaxes(m, 1, 2)
     corner = g[:, 2, 2]
-    tol = _CORNER_TOL * np.fmax(1.0, np.abs(g).max(axis=(1, 2)))
+    # One call covers every row of a problem, so g is large: max |g| and the
+    # in-place normalization below make no (n, 3, 3) temporaries.
+    tol = _CORNER_TOL * np.fmax(1.0, np.fmax(g.max(axis=(1, 2)), -g.min(axis=(1, 2))))
     # Past the UNNORMALIZABLE test |g[2, 2]| >= tol, so "not below -tol" is "positive".
     status = np.where(z <= 0.0, BEHIND_CAMERA,
                       np.where(np.abs(corner) < tol, UNNORMALIZABLE,
                                np.where(corner > 0.0, CUTS_PRINCIPAL_PLANE, 0)))
-    g = g / np.where(status == 0, corner, 1.0)[:, None, None]
-    return 0.5 * (g + np.swapaxes(g, 1, 2)), status
+    g /= np.where(status == 0, corner, 1.0)[:, None, None]
+    g += np.swapaxes(g, 1, 2)
+    g *= 0.5
+    return g, status
 
 
 def conic_boxes(conics: np.ndarray):
@@ -74,30 +80,41 @@ def conic_boxes(conics: np.ndarray):
     return np.stack([g02 - ru, g02 + ru, g12 - rv, g12 + rv], axis=1), ok
 
 
+def _intrinsic_matrices(fx, fy, cx, cy, n: int) -> np.ndarray:
+    """K (n, 3, 3) of intrinsics that are scalars or (n,) arrays."""
+    k = np.zeros((n, 3, 3))
+    k[:, 0, 0], k[:, 1, 1], k[:, 0, 2], k[:, 1, 2], k[:, 2, 2] = fx, fy, cx, cy, 1.0
+    return k
+
+
 def boxes_from_duals(fx, fy, cx, cy, rt, duals):
     """Closed-form bounding boxes of projected dual quadrics.
 
-    rt: (3, 4) camera-from-world. duals: (n, 4, 4). Returns
-    (boxes (n, 4) as [ul, ur, vu, vd], status (n,)), status 0 where the
-    row is evaluable; see :func:`project_duals`, plus NEGATIVE_DISCRIMINANT
-    where the conic has no real bounding box.
+    duals: (n, 4, 4). Each row has its own camera: rt (n, 3, 4)
+    camera-from-world, and intrinsics that are scalars or (n,) arrays; an
+    rt of (3, 4) is one camera for every row. Returns (boxes (n, 4) as
+    [ul, ur, vu, vd], status (n,)), status 0 where the row is evaluable;
+    see :func:`project_duals`, plus NEGATIVE_DISCRIMINANT where the conic
+    has no real bounding box.
     """
     duals = np.asarray(duals, dtype=float)
-    k = np.array([[fx, 0.0, cx], [0.0, fy, cy], [0.0, 0.0, 1.0]])
-    conics, status = project_duals(duals, rt, k @ rt)
+    rt = np.broadcast_to(rt, (len(duals), 3, 4))
+    conics, status = project_duals(duals, rt, _intrinsic_matrices(fx, fy, cx, cy, len(duals)) @ rt)
     boxes, ok = conic_boxes(conics)
     return boxes, np.where(ok, status, _NO_REAL_BOX[status])
 
 
 def tangency_values(planes, duals):
-    """Tangency defects ``pi^T q pi`` for each plane and dual quadric.
+    """Tangency defects ``pi^T q pi`` of each row's planes and dual quadric.
 
-    planes: (p, 4) rows, unit-normalized. duals: (n, 4, 4), canonical
-    scale. Always evaluable: returns (vals (n, p), ok (n,) all-True).
+    planes: (n, p, 4) rows, unit-normalized; (p, 4) planes serve every
+    row. duals: (n, 4, 4), canonical scale. Always evaluable: returns
+    (vals (n, p), ok (n,) all-True).
     """
     duals = np.asarray(duals, dtype=float)
     planes = np.asarray(planes, dtype=float)
-    vals = np.einsum("pi,nij,pj->np", planes, duals, planes)
+    planes = np.broadcast_to(planes, (len(duals),) + planes.shape[-2:])
+    vals = np.einsum("npi,nij,npj->np", planes, duals, planes)
     return vals, np.ones(duals.shape[0], dtype=bool)
 
 

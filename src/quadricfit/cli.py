@@ -210,7 +210,8 @@ def make_parser() -> _Parser:
     p = sub.add_parser("simulate", help="run the Monte-Carlo campaign grid")
     p.add_argument("--config", help="JSON config mirroring the campaign/scene/solver options")
     p.add_argument("--seed", type=int, default=None, help="master seed override")
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (default: all cores)")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="worker processes (default: the CPUs this process may use)")
     p.add_argument("--cells", help="grid filter, e.g. noise=H,arc=60")
     p.add_argument("--out", help=f"output directory (default ${OUT_ENV} or .)")
     p.set_defaults(func=cmd_simulate)

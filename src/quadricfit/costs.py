@@ -118,7 +118,8 @@ def project_dual(q: np.ndarray, frame: CameraFrame) -> np.ndarray:
     front of the camera.
     """
     rt = frame.projection_rt()
-    g, status = project_duals(np.asarray(q, dtype=float)[None], rt, frame.intrinsics.k @ rt)
+    g, status = project_duals(np.asarray(q, dtype=float)[None], rt[None],
+                              (frame.intrinsics.k @ rt)[None])
     if status[0]:
         raise projection_error(status[0])
     return g[0]

@@ -52,12 +52,44 @@ def _check(cond: bool, message: str):
         raise GraphError(message)
 
 
+def _field(d: dict, key: str, what: str):
+    _check(isinstance(d, dict), f"{what}: expected an object")
+    _check(key in d, f"{what}: missing {key}")
+    return d[key]
+
+
+def _entries(d: dict, key: str) -> list:
+    """The optional list ``key`` of ``d``."""
+    entries = d.get(key, [])
+    _check(isinstance(entries, list), f"{key}: expected a list")
+    return entries
+
+
+def _numbers(d: dict, key: str, what: str, shape: tuple, name: str | None = None) -> np.ndarray:
+    """Field ``key`` of ``d`` as a finite float array of ``shape``."""
+    name = name or key
+    value = _field(d, key, what)
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise GraphError(f"{what}: {name} must be numeric") from None
+    size = " x ".join(map(str, shape))
+    _check(a.shape == shape, f"{what}: {name} must be " + (f"{size} numbers" if shape else "a number"))
+    _check(bool(np.all(np.isfinite(a))), f"{what}: {name} must be finite")
+    return a
+
+
+def _check_sigma(d: dict, key: str, what: str) -> None:
+    """An optional standard deviation must be a finite positive number."""
+    if key in d:
+        sigma = _numbers(d, key, what, ())
+        _check(sigma > 0.0, f"{what}: {key} must be positive")
+
+
 def _pose_from(d: dict, what: str) -> Pose:
-    q = np.asarray(d["q_wxyz"], dtype=float)
-    _check(q.shape == (4,), f"{what}: quaternion must have 4 entries")
+    q = _numbers(d, "q_wxyz", what, (4,), "quaternion")
     _check(abs(np.linalg.norm(q) - 1.0) <= 1e-6, f"{what}: quaternion not normalized")
-    t = np.asarray(d["t_xyz"], dtype=float)
-    _check(t.shape == (3,), f"{what}: translation must have 3 entries")
+    t = _numbers(d, "t_xyz", what, (3,), "translation")
     return Pose(quat_to_rot(q), t)
 
 
@@ -65,73 +97,97 @@ def _landmark_from(d: dict, what: str):
     param = d.get("param")
     if param == "rts":
         pose = _pose_from(d, what)
-        s = np.asarray(d["scale"], dtype=float)
-        _check(s.shape == (3,) and np.all(s > 0), f"{what}: scale must be 3 positive entries")
+        s = _numbers(d, "scale", what, (3,))
+        _check(bool(np.all(s > 0)), f"{what}: scale must be 3 positive entries")
         return RtsState(pose.rotation, pose.translation, s)
     if param == "spd":
-        shape = np.asarray(d["shape"], dtype=float)
-        _check(shape.shape == (3, 3), f"{what}: shape must be a 3x3 matrix")
-        t = np.asarray(d["t_xyz"], dtype=float)
+        shape = _numbers(d, "shape", what, (3, 3))
+        t = _numbers(d, "t_xyz", what, (3,), "translation")
         return SpdState(0.5 * (shape + shape.T), t)
     if param == "full":
-        v = np.asarray(d["coefficients"], dtype=float)
-        _check(v.shape == (10,), f"{what}: full parameterization needs 10 coefficients")
-        return FullState(v)
+        return FullState(_numbers(d, "coefficients", what, (10,)))
     raise GraphError(f"{what}: unknown parameterization tag {param!r}")
 
 
 def validate_graph(graph: dict) -> None:
-    """Raise :class:`GraphError` naming the offending entity, else return."""
+    """Raise :class:`GraphError` naming the offending entity, else return.
+
+    Every numeric field must be finite, every standard deviation positive,
+    and every required key present.
+    """
+    _check(isinstance(graph, dict), "graph must be an object")
     _check(graph.get("version") == GRAPH_VERSION, f"unsupported graph version {graph.get('version')!r}")
-    _check("intrinsics" in graph, "missing intrinsics")
-    intr = graph["intrinsics"]
+    intr = _field(graph, "intrinsics", "graph")
     for key in ("fx", "fy", "cx", "cy", "width", "height"):
-        _check(key in intr, f"intrinsics: missing {key}")
-    CameraIntrinsics(**intr)
+        _numbers(intr, key, "intrinsics", ())
+    try:
+        CameraIntrinsics(**intr)
+    except (TypeError, ValueError) as exc:
+        raise GraphError(f"intrinsics: {exc}") from None
 
     frame_ids = []
-    for f in graph.get("frames", []):
-        _check("id" in f, "frame without id")
-        _check(f["id"] not in frame_ids, f"duplicate frame id {f['id']!r}")
-        frame_ids.append(f["id"])
-        _pose_from(f, f"frame {f['id']!r}")
+    for f in _entries(graph, "frames"):
+        fid = _field(f, "id", "frame")
+        _check(fid not in frame_ids, f"duplicate frame id {fid!r}")
+        frame_ids.append(fid)
+        _pose_from(f, f"frame {fid!r}")
     landmark_ids = []
-    for lm in graph.get("initial", []):
-        _check("landmark" in lm, "initial estimate without landmark id")
-        _check(lm["landmark"] not in landmark_ids, f"duplicate landmark id {lm['landmark']!r}")
-        landmark_ids.append(lm["landmark"])
-        _landmark_from(lm, f"initial estimate for {lm['landmark']!r}")
+    for lm in _entries(graph, "initial"):
+        lid = _field(lm, "landmark", "initial estimate")
+        _check(lid not in landmark_ids, f"duplicate landmark id {lid!r}")
+        landmark_ids.append(lid)
+        _landmark_from(lm, f"initial estimate for {lid!r}")
 
-    for i, det in enumerate(graph.get("detections", [])):
+    for i, det in enumerate(_entries(graph, "detections")):
         what = f"detection {i}"
-        _check(det.get("frame") in frame_ids, f"{what}: unknown frame id {det.get('frame')!r}")
-        _check(det.get("landmark") in landmark_ids, f"{what}: unknown landmark id {det.get('landmark')!r}")
-        box = np.asarray(det["box"], dtype=float)
-        _check(box.shape == (4,), f"{what}: box must have 4 entries")
+        _check(_field(det, "frame", what) in frame_ids, f"{what}: unknown frame id {det['frame']!r}")
+        _check(_field(det, "landmark", what) in landmark_ids,
+               f"{what}: unknown landmark id {det['landmark']!r}")
+        box = _numbers(det, "box", what, (4,))
         _check(box[0] <= box[1] and box[2] <= box[3], f"{what}: box edges out of order")
+        _check_sigma(det, "sigma_px", what)
 
     priors = graph.get("priors", {})
-    for p in priors.get("orientation", []):
-        _check(p.get("landmark") in landmark_ids, f"orientation prior: unknown landmark {p.get('landmark')!r}")
-        m = np.asarray(p["direction"], dtype=float)
-        _check(m.shape == (3,) and np.linalg.norm(m) > 1e-9, "orientation prior: bad direction")
-    for p in priors.get("scale", []):
-        _check(p.get("landmark") in landmark_ids, f"scale prior: unknown landmark {p.get('landmark')!r}")
-        abc = np.asarray(p["abc"], dtype=float)
-        _check(abc.shape == (3,) and abc[0] >= abc[1] >= abc[2] > 0, "scale prior: abc must be sorted descending, positive")
-    for p in priors.get("support", []):
-        _check(p.get("landmark") in landmark_ids, f"support prior: unknown landmark {p.get('landmark')!r}")
-        pl = np.asarray(p["plane"], dtype=float)
-        _check(pl.shape == (4,) and np.linalg.norm(pl[:3]) > 1e-9, "support prior: bad plane")
-    for p in priors.get("pose", []):
-        _check(p.get("frame") in frame_ids, f"pose prior: unknown frame {p.get('frame')!r}")
-        _pose_from(p, f"pose prior for {p.get('frame')!r}")
+    _check(isinstance(priors, dict), "priors: expected an object")
+    for p in _entries(priors, "orientation"):
+        ref = _field(p, "landmark", "orientation prior")
+        _check(ref in landmark_ids, f"orientation prior: unknown landmark {ref!r}")
+        what = f"orientation prior for {ref!r}"
+        m = _numbers(p, "direction", what, (3,))
+        _check(np.linalg.norm(m) > 1e-9, f"{what}: bad direction")
+        _check_sigma(p, "sigma", what)
+    for p in _entries(priors, "scale"):
+        ref = _field(p, "landmark", "scale prior")
+        _check(ref in landmark_ids, f"scale prior: unknown landmark {ref!r}")
+        what = f"scale prior for {ref!r}"
+        abc = _numbers(p, "abc", what, (3,))
+        _check(abc[0] >= abc[1] >= abc[2] > 0, f"{what}: abc must be sorted descending, positive")
+        _check_sigma(p, "sigma_shape", what)
+        _check_sigma(p, "sigma_size", what)
+    for p in _entries(priors, "support"):
+        ref = _field(p, "landmark", "support prior")
+        _check(ref in landmark_ids, f"support prior: unknown landmark {ref!r}")
+        what = f"support prior for {ref!r}"
+        pl = _numbers(p, "plane", what, (4,))
+        _check(np.linalg.norm(pl[:3]) > 1e-9, f"{what}: bad plane")
+        _check_sigma(p, "sigma", what)
+    for p in _entries(priors, "pose"):
+        ref = _field(p, "frame", "pose prior")
+        _check(ref in frame_ids, f"pose prior: unknown frame {ref!r}")
+        what = f"pose prior for {ref!r}"
+        _pose_from(p, what)
+        _check_sigma(p, "sigma_rot_deg", what)
+        _check_sigma(p, "sigma_trans_m", what)
 
-    for vid in graph.get("fixed", []):
+    for vid in _entries(graph, "fixed"):
         _check(vid in frame_ids or vid in landmark_ids, f"fixed list: unknown id {vid!r}")
-    for t in graph.get("truth", []):
-        _check(t.get("landmark") in landmark_ids, f"truth block: unknown landmark {t.get('landmark')!r}")
-        _pose_from(t, f"truth for {t.get('landmark')!r}")
+    for t in _entries(graph, "truth"):
+        ref = _field(t, "landmark", "truth block")
+        _check(ref in landmark_ids, f"truth block: unknown landmark {ref!r}")
+        what = f"truth for {ref!r}"
+        _pose_from(t, what)
+        s = _numbers(t, "scale", what, (3,))
+        _check(bool(np.all(s > 0)), f"{what}: scale must be 3 positive entries")
 
 
 def load_graph(path) -> dict:

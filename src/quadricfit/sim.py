@@ -347,15 +347,24 @@ def campaign_tasks(spec: CampaignSpec) -> list:
     ]
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
+
+
 def run_campaign(spec: CampaignSpec, jobs: int | None = None) -> list:
     """Run every trial in the grid; deterministic for any jobs count.
 
     Returns the flat list of TrialResult records sorted by trial key.
     Individual trial failures are recorded in the results, never raised.
+    ``jobs`` defaults to :func:`usable_cpus`.
     """
     tasks = campaign_tasks(spec)
     if jobs is None:
-        jobs = os.cpu_count() or 1
+        jobs = usable_cpus()
     results: list = []
     if jobs <= 1:
         for t in tasks:

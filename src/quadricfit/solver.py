@@ -6,18 +6,20 @@ central finite differences through the retraction, and solves damped dense
 normal equations. Identical solver settings therefore compare
 parameterizations fairly; only the retraction differs.
 
-Finite differences are batched by camera. A per-solve plan sorts the
-factors once, groups box factors by camera and priors by landmark, and
-caches each camera's [R|t] and box-semi edge planes per pose value
-(once per solve for a fixed pose). Each camera value then makes one kernel
-call per box model: at the center pose it stacks every landmark variant the
-camera sees, at each pose variant the landmark centers. A landmark's
-orientation, shape, size and support priors are evaluated on its stacked
-variant duals with one batched eigendecomposition. One block builder,
-:func:`_blocks`, does all of this; the cost calls it without variants and
-sums the residual rows it returns, so the cost is exactly the residual the
-Jacobian linearizes. Every row is computed as the one-factor formula would
-compute it, so batching does not change a single bit of the results.
+Finite differences are batched over the whole problem. A per-solve plan
+sorts the factors once, groups box factors by box model and priors by
+landmark, and caches each pose's [R|t] and each box-semi factor's edge
+planes per pose value (once per solve for a fixed pose). Each evaluation
+then makes one kernel call per box model, with a camera per row: every
+factor's landmark stack (the center, or the center and its FD variants)
+seen from its camera, and, for a free pose, the landmark center seen from
+each of the pose's 12 variants. A landmark's orientation, shape, size and
+support priors are evaluated on its stacked variant duals with one batched
+eigendecomposition. One block builder, :func:`_blocks`, does all of this;
+the cost calls it without variants and sums the residual rows it returns,
+so the cost is exactly the residual the Jacobian linearizes. Every row is
+computed as the one-factor formula would compute it, so batching does not
+change a single bit of the results.
 
 Factors that cannot be evaluated at the current state (landmark behind the
 camera, degenerate projection) are dropped for that evaluation with a skip
@@ -259,81 +261,51 @@ def _safe_dual(value):
         return None
 
 
-class _Camera:
-    """One camera at one pose value: its [R|t] and box-semi edge planes."""
-
-    def __init__(self, intrinsics, pose: Pose):
-        self.pose = pose
-        self.frame = CameraFrame(intrinsics, pose)
-        self.rt = self.frame.projection_rt()
-        self._planes = {}
-
-    def planes(self, factor: Factor) -> np.ndarray:
-        """The edge planes of a box-semi factor's box, computed once per pose value."""
-        planes = self._planes.get(factor.fid)
-        if planes is None:
-            planes = self._planes[factor.fid] = box_edge_planes(self.frame, factor.payload["box"])
-        return planes
-
-
 class _Plan:
     """The factors of one solve, laid out once.
 
-    Factors are sorted by id; box factors are grouped by camera (pose id
-    and intrinsics), landmark priors by landmark, and pose priors kept
-    apart. Each camera's data is cached for the latest pose value it was
-    evaluated at, so a fixed pose computes it once per solve and a free
-    pose once per value it takes.
+    Factors are sorted by id; box factors are grouped by box model, with
+    their intrinsics and observed boxes stacked, landmark priors by
+    landmark, and pose priors kept apart. Each pose's [R|t] and each
+    box-semi factor's edge planes are cached for the latest pose value
+    they were computed at, so a fixed pose computes them once per solve
+    and a free pose once per value it takes.
     """
 
     def __init__(self, factors: list):
         self.factors = sorted(factors, key=lambda f: f.fid)
-        # (pose id, intrinsics) -> {box model: (factors in fid order, their boxes (k, 4))}
-        self.cameras = {}
+        # box model -> (factors in fid order, intrinsics (k, 4) as fx, fy, cx, cy, boxes (k, 4))
+        self.boxes = {}
         self.priors = {}  # landmark id -> landmark prior factors in fid order
         self.pose_priors = []
         for f in self.factors:
             if f.kind in _BOX_KINDS:
-                key = (f.targets[0], f.payload["intrinsics"])
-                self.cameras.setdefault(key, {}).setdefault(f.kind, []).append(f)
+                self.boxes.setdefault(f.kind, []).append(f)
             elif f.kind in _LANDMARK_PRIORS:
                 self.priors.setdefault(f.targets[0], []).append(f)
             else:
                 self.pose_priors.append(f)
-        for models in self.cameras.values():
-            for kind, group in models.items():
-                models[kind] = (group, np.array([f.payload["box"].as_array() for f in group]))
-        self._latest = {}
+        for kind, group in self.boxes.items():
+            intrinsics = [f.payload["intrinsics"] for f in group]
+            self.boxes[kind] = (group, np.array([[i.fx, i.fy, i.cx, i.cy] for i in intrinsics]),
+                                np.array([f.payload["box"].as_array() for f in group]))
+        self._rts = {}  # pose id -> (pose value, [R|t])
+        self._planes = {}  # box-semi fid -> (pose value, edge planes)
 
-    def camera(self, key: tuple, pose: Pose) -> _Camera:
-        cam = self._latest.get(key)
-        if cam is None or cam.pose is not pose:
-            cam = self._latest[key] = _Camera(key[1], pose)
-        return cam
+    def rt(self, factor: Factor, pose: Pose) -> np.ndarray:
+        """The [R|t] of a box factor's camera at ``pose``, its current value."""
+        cached = self._rts.get(factor.targets[0])
+        if cached is None or cached[0] is not pose:
+            cached = self._rts[factor.targets[0]] = (pose, _frame_for(factor, pose).projection_rt())
+        return cached[1]
 
-
-def _box_values(cam: _Camera, kind: str, factors: list, duals: np.ndarray,
-               sizes: list, observed: np.ndarray):
-    """Residual rows (k, 4) and ok (k,) of box factors of one model, seen from
-    one camera value, for stacked duals (k, 4, 4) of which ``sizes[i]``
-    consecutive rows belong to ``factors[i]``; ``observed`` holds the
-    factors' boxes (box-inverse).
-
-    One kernel call covers every row.
-    """
-    one_row_each = len(duals) == len(factors)
-    if kind == "box-inverse":
-        intr = cam.frame.intrinsics
-        boxes, status = _kernels.boxes_from_duals(intr.fx, intr.fy, intr.cx, intr.cy, cam.rt, duals)
-        if not one_row_each:
-            observed = np.repeat(observed, sizes, axis=0)
-        return boxes - observed, status == 0
-    if len(factors) == 1:
-        return _kernels.tangency_values(cam.planes(factors[0]), duals)
-    planes = np.concatenate([cam.planes(f) for f in factors])
-    vals, ok = _kernels.tangency_values(planes, duals)
-    owner = np.arange(len(factors)) if one_row_each else np.repeat(np.arange(len(factors)), sizes)
-    return vals.reshape(len(duals), len(factors), 4)[np.arange(len(duals)), owner], ok
+    def planes(self, factor: Factor, pose: Pose) -> np.ndarray:
+        """The edge planes of a box-semi factor's box at ``pose``, its current value."""
+        cached = self._planes.get(factor.fid)
+        if cached is None or cached[0] is not pose:
+            planes = box_edge_planes(_frame_for(factor, pose), factor.payload["box"])
+            cached = self._planes[factor.fid] = (pose, planes)
+        return cached[1]
 
 
 def _prior_tables(factors: list, duals: np.ndarray) -> list:
@@ -446,11 +418,10 @@ class _Variants:
             return None
 
     def central_difference(self, table: np.ndarray) -> np.ndarray:
-        """Jacobian block (dim_r, dim) from a residual table (1 + 2 dim,
-        dim_r) over the center, plus and minus rows; a table (1 + 2 dim,
-        ..., dim_r) gives (dim_r, ..., dim)."""
+        """Jacobian block (dim_r, dim) from a residual table (2 dim, dim_r)
+        over the plus, then the minus variants."""
         d = self.dim
-        return (table[1 : 1 + d] - table[1 + d :]).T / (2.0 * self.h)
+        return (table[:d] - table[d:]).T / (2.0 * self.h)
 
 
 def _landmark_stack(lm_id, values: dict, variants: dict):
@@ -463,59 +434,73 @@ def _landmark_stack(lm_id, values: dict, variants: dict):
     return None if q is None else q[None]
 
 
-def _box_blocks(plan: _Plan, key: tuple, values: dict, variants: dict, columns: dict,
-                blocks: dict) -> None:
-    """Blocks of the box factors of one camera. Per box model, one kernel call
-    at the center pose covers every landmark variant, and one call per pose
-    variant covers the landmark centers."""
-    pose_id, intrinsics = key
-    pose_var = variants.get(pose_id)
-    for kind, (group, observed) in plan.cameras[key].items():
-        live, kept, stacks = [], [], []
+def _box_blocks(plan: _Plan, values: dict, variants: dict, columns: dict, blocks: dict) -> None:
+    """Blocks of every box factor, one kernel call per box model.
+
+    The call stacks, factor by factor, the factor's landmark stack seen
+    from its camera and, when the camera's pose is free, the landmark
+    center seen from each of the pose's 12 variants (plus, then minus).
+    Each row carries its own camera: an [R|t] (box-inverse) or the
+    factor's edge planes at that pose value (box-semi).
+    """
+    stacks = {}  # landmark id -> _landmark_stack
+    for kind, (group, intrinsics, observed) in plan.boxes.items():
+        live, sizes, duals = [], [], []
+        views, view_of_row = [], []  # each row's camera, as an index into views
+        center = {}  # box-inverse: pose id -> index of its [R|t], shared by its factors
         for i, f in enumerate(group):
-            stack = _landmark_stack(f.targets[1], values, variants)
-            if stack is None:
-                blocks[f.fid] = None
-            else:
-                live.append(f)
-                kept.append(i)
-                stacks.append(stack)
-        if not live:
-            continue
-        if len(live) < len(group):
-            observed = observed[kept]
-        sizes = [len(st) for st in stacks]
-        starts = list(accumulate(sizes[:-1], initial=0))
-        duals = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
-        center, ok = _box_values(plan.camera(key, values[pose_id]), kind, live, duals, sizes,
-                                 observed)
-        if len(ok) > len(live):
-            ok = np.logical_and.reduceat(ok, starts)
-        if pose_var is not None:
-            poses = pose_var.plus + pose_var.minus
-            if any(v is None for v in poses):
-                ok[:] = False
-            else:
-                duals = np.stack([st[0] for st in stacks])
-                # rows: center, plus variants, minus variants, as in _Variants.duals
-                table = [center[starts]]
-                for v in poses:
-                    rows, rows_ok = _box_values(_Camera(intrinsics, v), kind, live, duals,
-                                                [1] * len(live), observed)
-                    table.append(rows)
-                    ok &= rows_ok
-                pose_jac = pose_var.central_difference(np.stack(table))  # (4, factors, 6)
-        for i, f in enumerate(live):
-            if not ok[i]:
+            pose_id, lm_id = f.targets
+            if lm_id not in stacks:
+                stacks[lm_id] = _landmark_stack(lm_id, values, variants)
+            stack = stacks[lm_id]
+            pose_var = variants.get(pose_id)
+            poses = [] if pose_var is None else pose_var.plus + pose_var.minus
+            if stack is None or any(v is None for v in poses):
                 blocks[f.fid] = None
                 continue
-            table = center[starts[i] : starts[i] + sizes[i]]
+            if kind == "box-inverse":
+                c = center.get(pose_id)
+                if c is None:
+                    c = center[pose_id] = len(views)
+                    views.append(plan.rt(f, values[pose_id]))
+                    views.extend(_frame_for(f, v).projection_rt() for v in poses)
+            else:
+                c = len(views)
+                views.append(plan.planes(f, values[pose_id]))
+                views.extend(box_edge_planes(_frame_for(f, v), f.payload["box"]) for v in poses)
+            live.append(i)
+            sizes.append(len(stack) + len(poses))
+            duals.append(stack)
+            view_of_row += [c] * len(stack)
+            if poses:
+                duals.append(np.broadcast_to(stack[0], (len(poses), 4, 4)))
+                view_of_row += range(c + 1, c + 1 + len(poses))
+        if not live:
+            continue
+        duals = np.concatenate(duals)
+        views = np.stack(views)[view_of_row]
+        if kind == "box-inverse":
+            owner = np.repeat(live, sizes)
+            fx, fy, cx, cy = intrinsics[owner].T
+            boxes, status = _kernels.boxes_from_duals(fx, fy, cx, cy, views, duals)
+            rows, ok = boxes - observed[owner], status == 0
+        else:
+            rows, ok = _kernels.tangency_values(views, duals)
+        starts = list(accumulate(sizes[:-1], initial=0))
+        ok = np.logical_and.reduceat(ok, starts)
+        for k, i in enumerate(live):
+            f = group[i]
+            if not ok[k]:
+                blocks[f.fid] = None
+                continue
+            pose_id, lm_id = f.targets
+            table = rows[starts[k] : starts[k] + sizes[k]]
+            n = len(stacks[lm_id])
             pieces = []
-            lm_id = f.targets[1]
             if lm_id in variants:
-                pieces.append((columns[lm_id], variants[lm_id].central_difference(table)))
-            if pose_var is not None:
-                pieces.append((columns[pose_id], pose_jac[:, i]))
+                pieces.append((columns[lm_id], variants[lm_id].central_difference(table[1:n])))
+            if pose_id in variants:
+                pieces.append((columns[pose_id], variants[pose_id].central_difference(table[n:])))
             blocks[f.fid] = (table[0], pieces)
 
 
@@ -530,7 +515,7 @@ def _prior_blocks(lm_id, group: list, values: dict, variants: dict, columns: dic
         if not ok.all():
             blocks[f.fid] = None
         elif lm_id in variants:
-            jac = variants[lm_id].central_difference(table)
+            jac = variants[lm_id].central_difference(table[1:])
             blocks[f.fid] = (table[0], [(columns[lm_id], jac)])
         else:
             blocks[f.fid] = (table[0], [])
@@ -573,8 +558,7 @@ def _blocks(values: dict, plan: _Plan, variants: dict, columns: dict) -> dict:
     none, the blocks carry residuals only, which is what the cost uses.
     """
     blocks = {}
-    for key in plan.cameras:
-        _box_blocks(plan, key, values, variants, columns, blocks)
+    _box_blocks(plan, values, variants, columns, blocks)
     for lm_id, group in plan.priors.items():
         _prior_blocks(lm_id, group, values, variants, columns, blocks)
     for f in plan.pose_priors:

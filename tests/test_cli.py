@@ -44,6 +44,20 @@ def test_validate_dangling_id(tmp_path, graph_path, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["box", "sigma_px"])
+def test_validate_malformed_detection_exits_1(tmp_path, graph_path, capsys, field):
+    # A missing key and a non-finite number are schema errors, not runtime errors.
+    graph = json.loads(graph_path.read_text())
+    if field == "box":
+        del graph["detections"][0]["box"]
+    else:
+        graph["detections"][0]["sigma_px"] = float("nan")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(graph))
+    assert main(["validate", "--graph", str(bad)]) == 1
+    assert "invalid graph: detection 0: " in capsys.readouterr().err
+
+
 def test_solve_writes_outputs(tmp_path, graph_path, capsys):
     out = tmp_path / "out"
     code = main(["solve", "--graph", str(graph_path), "--param", "spd",

@@ -44,6 +44,44 @@ def test_validate_unsorted_scale_prior(graph):
         graphio.validate_graph(bad)
 
 
+def _edit(path, value=None):
+    """Set the field at ``path`` to ``value``, or delete it when no value is given."""
+    def edit(graph):
+        *keys, last = path
+        for k in keys:
+            graph = graph[k]
+        if value is None:
+            del graph[last]
+        else:
+            graph[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, entity", [
+    (_edit(("detections", 0, "box", 0), -np.inf), "detection 0: box must be finite"),
+    (_edit(("frames", 0, "t_xyz", 1), np.nan), "frame 'cam00': translation must be finite"),
+    (_edit(("initial", 0, "t_xyz", 0), np.inf), "initial estimate for 'obj': translation must be finite"),
+    (_edit(("priors", "support", 0, "plane", 3), np.nan), "support prior for 'obj': plane must be finite"),
+    (_edit(("detections", 0, "sigma_px"), -2.0), "detection 0: sigma_px must be positive"),
+    (_edit(("detections", 0, "sigma_px"), np.inf), "detection 0: sigma_px must be finite"),
+    (_edit(("priors", "scale", 0, "sigma_size"), 0.0), "scale prior for 'obj': sigma_size must be positive"),
+    (_edit(("intrinsics", "fx"), np.nan), "intrinsics: fx must be finite"),
+    (_edit(("truth", 0, "scale", 2), np.nan), "truth for 'obj': scale must be finite"),
+    (_edit(("detections", 0, "box", 1), "wide"), "detection 0: box must be numeric"),
+    (_edit(("detections", 0, "box")), "detection 0: missing box"),
+    (_edit(("frames", 0, "q_wxyz")), "frame 'cam00': missing q_wxyz"),
+    (_edit(("detections",), {"0": {}}), "detections: expected a list"),
+], ids=["box-inf", "frame-t-nan", "initial-t-inf", "support-nan", "sigma-negative",
+        "sigma-inf", "sigma-zero", "intrinsics-nan", "truth-scale-nan", "box-string",
+        "box-missing", "quaternion-missing", "detections-not-a-list"])
+def test_validate_rejects_malformed_fields(graph, edit, entity):
+    bad = json.loads(json.dumps(graph))
+    edit(bad)
+    with pytest.raises(graphio.GraphError) as info:
+        graphio.validate_graph(bad)
+    assert str(info.value) == entity
+
+
 def test_problem_from_graph_inventory(graph):
     problem = graphio.problem_from_graph(graph, "spd", model="semi")
     kinds = sorted({f.kind for f in problem.factors})

@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadricfit import _kernels
 from quadricfit.costs import (
@@ -12,9 +14,13 @@ from quadricfit.costs import (
     project_dual,
 )
 from quadricfit.manifold import Pose, so3_exp
+from quadricfit.quadric import RtsState
 from conftest import random_rts
 
 INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
+INTR2 = CameraIntrinsics(fx=420.0, fy=430.0, cx=300.0, cy=250.0)
+STATUSES = (0, _kernels.BEHIND_CAMERA, _kernels.UNNORMALIZABLE, _kernels.NEGATIVE_DISCRIMINANT,
+            _kernels.CUTS_PRINCIPAL_PLANE)
 
 
 def random_duals(rng, n):
@@ -67,6 +73,61 @@ def test_tangency_kernel_matches_reference(rng):
     for i in range(duals.shape[0]):
         ref = np.einsum("pi,ij,pj->p", planes, duals[i], planes)
         np.testing.assert_allclose(vals[i], ref, rtol=1e-10, atol=1e-12)
+
+
+def landmark_for_status(rng, frame, status):
+    """A landmark placed in ``frame``'s camera coordinates so that its row
+    gets ``status``."""
+    rotation = so3_exp(rng.normal(size=3))
+    if status == 0:
+        center, axes = np.array([*rng.uniform(-1.0, 1.0, 2), rng.uniform(4.0, 8.0)]), rng.uniform(0.2, 0.6, 3)
+    elif status == _kernels.BEHIND_CAMERA:
+        center, axes = np.array([*rng.uniform(-1.0, 1.0, 2), -rng.uniform(2.0, 5.0)]), rng.uniform(0.2, 0.6, 3)
+    elif status == _kernels.UNNORMALIZABLE:  # tangent to the principal plane
+        rotation, axes = np.eye(3), rng.uniform(0.2, 0.6, 3)
+        center = np.array([*rng.uniform(-0.2, 0.2, 2), axes[2]])
+    elif status == _kernels.NEGATIVE_DISCRIMINANT:  # the camera is inside
+        center, axes = np.array([*rng.uniform(-0.2, 0.2, 2), 0.5]), rng.uniform(1.5, 2.5, 3)
+    else:  # across the principal plane, with a real box
+        rotation, center, axes = np.eye(3), np.array([1.0, 0.3, 0.01]), np.array([0.3, 0.25, 0.2])
+    pose = frame.pose
+    return RtsState(pose.rotation @ rotation, pose.rotation @ center + pose.translation, axes).dual
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=2, max_value=4))
+def test_stacked_cameras_equal_per_camera_calls(seed, cameras):
+    # One call with a camera per row gives every row the bits of a call per
+    # camera, in any row order and for every status.
+    rng = np.random.default_rng(seed)
+    frames, duals, planes = [], [], []
+    for c in range(cameras):
+        frame = CameraFrame((INTR, INTR2)[c % 2], Pose(so3_exp(rng.normal(size=3)), rng.normal(size=3)))
+        kinds = list(STATUSES) + list(rng.choice(STATUSES, size=rng.integers(0, 6)))
+        frames.append(frame)
+        duals.append(np.stack([landmark_for_status(rng, frame, k) for k in rng.permutation(kinds)]))
+        box = np.sort(rng.uniform(0.0, 640.0, size=(2, 2)), axis=1).ravel()
+        planes.append(box_edge_planes(frame, BoundingBox.from_array(box)))
+    boxes, status, vals = [], [], []
+    for frame, d, p in zip(frames, duals, planes):
+        i = frame.intrinsics
+        b, s = _kernels.boxes_from_duals(i.fx, i.fy, i.cx, i.cy, frame.projection_rt(), d)
+        boxes.append(b)
+        status.append(s)
+        vals.append(_kernels.tangency_values(p, d)[0])
+    counts = [len(d) for d in duals]
+    order = rng.permutation(sum(counts))
+    intr = np.repeat([[f.intrinsics.fx, f.intrinsics.fy, f.intrinsics.cx, f.intrinsics.cy]
+                      for f in frames], counts, axis=0)[order]
+    rts = np.repeat([f.projection_rt() for f in frames], counts, axis=0)[order]
+    stacked = np.concatenate(duals)[order]
+    got_boxes, got_status = _kernels.boxes_from_duals(*intr.T, rts, stacked)
+    assert set(got_status) == set(STATUSES)
+    assert np.array_equal(got_boxes, np.concatenate(boxes)[order])
+    assert np.array_equal(got_status, np.concatenate(status)[order])
+    got_vals, ok = _kernels.tangency_values(np.repeat(planes, counts, axis=0)[order], stacked)
+    assert ok.all()
+    assert np.array_equal(got_vals, np.concatenate(vals)[order])
 
 
 def brute_voxel(rot_a, cen_a, half_a, rot_b, cen_b, half_b, lo, hi, n):

@@ -1,5 +1,8 @@
+import os
+
 import numpy as np
 
+from quadricfit import sim
 from quadricfit.costs import residual_box_inverse
 from quadricfit.manifold import se3_log, Pose
 from quadricfit.sim import (
@@ -210,3 +213,22 @@ def test_synthetic_graph_valid_and_priors_hold_at_truth():
     np.testing.assert_allclose(residual_shape(q, pri["scale"][0]["abc"]), np.zeros(2), atol=1e-8)
     assert abs(residual_size(q, pri["scale"][0]["abc"])) < 1e-8
     assert abs(residual_support(q, np.asarray(pri["support"][0]["plane"]))) < 1e-8
+
+
+def test_default_jobs_follow_the_affinity_set(monkeypatch):
+    # On an affinity-limited host the CPU count overstates the usable CPUs.
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert sim.usable_cpus() == 1
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single usable CPU must not start a worker pool")
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", no_pool)
+    spec = CampaignSpec(master_seed=3, noise_levels=("L",), arcs=(60.0,), trials_per_cell=1,
+                        parameterizations=("rts",), models=("semi",))
+    assert len(run_campaign(spec)) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3}, raising=False)
+    assert sim.usable_cpus() == 2
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert sim.usable_cpus() == 64

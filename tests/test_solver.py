@@ -634,3 +634,33 @@ def test_linearize_skips_prior_whose_variant_is_degenerate():
         factor_residual(f, problem.variables)  # the center itself is evaluable
     lin = _assert_linearize_matches_oracle(problem)
     assert lin.skipped == [0, 1, 2]
+
+
+def test_one_kernel_call_per_box_model_and_evaluation(monkeypatch):
+    # Every camera's rows, landmark variants and pose variants share one
+    # call per box model, in the cost and in the linearization alike.
+    problem = random_graph_problem(11, "spd", 3, 4)
+    boxes = [f for f in problem.factors if f.kind in ("box-inverse", "box-semi")]
+    kinds = {f.fid: ("box-inverse", "box-semi")[k % 2] for k, f in enumerate(boxes)}
+    problem.factors = [Factor(f.fid, kinds.get(f.fid, f.kind), f.targets, f.payload, f.variance)
+                       for f in problem.factors]
+    problem.fixed = {"cam0"}
+    calls = {"boxes_from_duals": [], "tangency_values": []}
+    for name, rows in calls.items():
+        kernel = getattr(_kernels, name)
+
+        def counted(*args, kernel=kernel, rows=rows):
+            rows.append(len(args[-1]))
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, name, counted)
+    groups = {name: [f for f in boxes if kinds[f.fid] == kind]
+              for kind, name in (("box-inverse", "boxes_from_duals"), ("box-semi", "tangency_values"))}
+    assert solver._cost_of(problem.variables, problem.factors)[1] == 0
+    assert calls == {name: [len(group)] for name, group in groups.items()}
+    for rows in calls.values():
+        rows.clear()
+    assert not linearize(problem).skipped
+    # each factor: its landmark's 19 variant rows, and 12 pose-variant rows unless on cam0
+    assert calls == {name: [sum(19 + 12 * (f.targets[0] != "cam0") for f in group)]
+                     for name, group in groups.items()}
