@@ -90,14 +90,20 @@ def _apply_cells_filter(spec: CampaignSpec, filt: str) -> CampaignSpec:
         if key == "noise":
             updates["noise_levels"] = tuple(values)
         elif key == "arc":
-            updates["arcs"] = tuple(float(v) for v in values)
+            try:
+                updates["arcs"] = tuple(float(v) for v in values)
+            except ValueError as exc:
+                raise UsageError(f"bad --cells arc {value!r}: {exc}") from exc
         elif key == "param":
             updates["parameterizations"] = tuple(values)
         elif key == "model":
             updates["models"] = tuple(values)
         else:
             raise UsageError(f"unknown --cells key {key!r}")
-    return dataclasses.replace(spec, **updates)
+    try:
+        return dataclasses.replace(spec, **updates)
+    except ValueError as exc:
+        raise UsageError(f"invalid --cells {filt!r}: {exc}") from exc
 
 
 def cmd_simulate(args) -> int:

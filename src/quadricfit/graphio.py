@@ -32,8 +32,8 @@ from .quadric import (
     rts_from_dual,
     spd_from_dual,
 )
-from .sim import TrialResult
-from .solver import Problem
+from .sim import TrialResult, box_factor_kind
+from .solver import SUCCESS_FACTOR, Problem
 
 GRAPH_VERSION = "1"
 RESULT_VERSION = "2"
@@ -216,6 +216,7 @@ def _convert_landmark(state, parameterization: str):
 def problem_from_graph(graph: dict, parameterization: str, model: str = "inverse",
                        size_form: str = "sqrt") -> Problem:
     """Build the full multi-constraint problem from a validated graph."""
+    kind = box_factor_kind(model)
     intr = CameraIntrinsics(**graph["intrinsics"])
     variables: dict = {}
     for f in graph.get("frames", []):
@@ -225,7 +226,6 @@ def problem_from_graph(graph: dict, parameterization: str, model: str = "inverse
             _landmark_from(lm, lm["landmark"]), parameterization
         )
 
-    kind = "box-inverse" if model == "inverse" else "box-semi"
     factors = []
     fid = 0
     for det in graph.get("detections", []):
@@ -351,7 +351,7 @@ def config_echo(campaign_spec, extra: dict | None = None) -> dict:
         "scene": dataclasses.asdict(campaign_spec.scene),
         "options": dataclasses.asdict(campaign_spec.options),
         "default_variances": dict(DEFAULT_VARIANCES),
-        "success_factor": 1.5,
+        "success_factor": SUCCESS_FACTOR,
         "iou_protocol": "circumscribed-box exact IoU",
         "kernel_backend": _kernels.backend(),
         "camera_placement": {

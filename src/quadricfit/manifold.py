@@ -291,10 +291,23 @@ def rot_to_quat(r: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Pose:
-    """Rigid transform: ``x_out = rotation @ x_in + translation``."""
+    """Rigid transform: ``x_out = rotation @ x_in + translation``.
+
+    Implements the variable protocol of the landmark states
+    (``tangent_dim`` / ``retract`` / ``fd_scales``), so the solver steps
+    and differentiates poses and landmarks alike.
+    """
 
     rotation: np.ndarray
     translation: np.ndarray
+
+    tangent_dim = 6  # 3 rotation + 3 translation, se(3) order (omega, rho)
+
+    def retract(self, xi: np.ndarray) -> "Pose":
+        return pose_retract(self, xi)
+
+    def fd_scales(self) -> np.ndarray:
+        return np.concatenate([np.ones(3), 1.0 + np.abs(self.translation)])
 
     @staticmethod
     def identity() -> "Pose":

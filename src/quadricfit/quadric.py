@@ -17,9 +17,11 @@ Parameterizations
 * ``FullState``  -- raw 10 coefficients of the dual matrix; its retraction
   re-projects onto valid ellipsoids after every step
 
-All states implement ``tangent_dim`` / ``retract`` / ``fd_scales`` / ``dual``,
-the protocol through which :mod:`quadricfit.solver` steps and
-differentiates every landmark.
+All states implement ``tangent_dim`` / ``retract`` / ``fd_scales``, the
+protocol through which :mod:`quadricfit.solver` steps and differentiates
+every variable; camera poses (:class:`quadricfit.manifold.Pose`) implement
+it too. Landmark states add ``dual``, the quadric every landmark factor is
+evaluated on.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .costs import (
+    DEFAULT_VARIANCES,
     BehindCameraError,
     BoundingBox,
     CameraFrame,
@@ -39,12 +40,22 @@ from .quadric import (
     rts_from_dual,
     rts_perturb,
 )
-from .solver import Problem, SolveOptions, declare_success, solve, total_cost
+from .solver import SUCCESS_FACTOR, Problem, SolveOptions, declare_success, solve, total_cost
 
 DEFAULT_INTRINSICS = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 
 PARAMETERIZATIONS = ("full", "rts", "spd")
-MODELS = ("inverse", "semi")
+# Measurement model -> the box factor kind that implements it.
+_BOX_FACTOR_KINDS = {"inverse": "box-inverse", "semi": "box-semi"}
+MODELS = tuple(_BOX_FACTOR_KINDS)
+
+
+def box_factor_kind(model: str) -> str:
+    """The box factor kind of a measurement model; ValueError if unknown."""
+    try:
+        return _BOX_FACTOR_KINDS[model]
+    except KeyError:
+        raise ValueError(f"unknown model {model!r}, expected one of {list(MODELS)}") from None
 
 
 @dataclass(frozen=True)
@@ -238,10 +249,9 @@ def initial_state(init_rts: RtsState, parameterization: str):
 LANDMARK_ID = "obj"
 
 
-def trial_problem(trial: Trial, parameterization: str, model: str,
-                  box_variance: float = 25.0) -> Problem:
+def trial_problem(trial: Trial, parameterization: str, model: str) -> Problem:
     """Problem with camera poses fixed at truth and the landmark free."""
-    kind = "box-inverse" if model == "inverse" else "box-semi"
+    kind = box_factor_kind(model)
     variables = {LANDMARK_ID: initial_state(trial.init_rts, parameterization)}
     fixed = set()
     factors = []
@@ -255,7 +265,7 @@ def trial_problem(trial: Trial, parameterization: str, model: str,
                 kind=kind,
                 targets=(vid, LANDMARK_ID),
                 payload={"intrinsics": frame.intrinsics, "box": box},
-                variance=box_variance,
+                variance=DEFAULT_VARIANCES[kind],
             )
         )
     return Problem(variables, factors, fixed)
@@ -282,7 +292,7 @@ def run_trial(trial: Trial, parameterization: str, model: str,
     success = declare_success(report, floor)
     to_success = None
     if success:
-        bar = report.success_factor * floor + 1e-6
+        bar = SUCCESS_FACTOR * floor + 1e-6
         to_success = next(i for i, c in enumerate(report.cost_trace) if c <= bar)
     return TrialResult(
         noise=trial.noise,
@@ -318,6 +328,16 @@ class CampaignSpec:
     models: tuple = MODELS
     scene: SceneSpec = field(default_factory=SceneSpec)
     options: SolveOptions = field(default_factory=SolveOptions)
+
+    def __post_init__(self):
+        for name, known in (("noise_levels", tuple(NOISE_LEVELS)),
+                            ("parameterizations", PARAMETERIZATIONS), ("models", MODELS)):
+            unknown = [v for v in getattr(self, name) if v not in known]
+            if unknown:
+                raise ValueError(f"unknown {name} {unknown}, expected some of {list(known)}")
+        bad = [a for a in self.arcs if not 0.0 < a <= 360.0]
+        if bad:
+            raise ValueError(f"arcs must be in (0, 360] degrees, got {bad}")
 
 
 def _scene_seed(spec: CampaignSpec, noise: str, arc: float, index: int):

@@ -1,10 +1,12 @@
 """Levenberg-Marquardt over a product manifold of poses and landmarks.
 
-The solver is generic in the landmark parameterization: it only asks each
-variable for its tangent dimension and retraction, takes Jacobians by
-central finite differences through the retraction, and solves damped dense
-normal equations. Identical solver settings therefore compare
-parameterizations fairly; only the retraction differs.
+The solver is generic in its variables: poses (:class:`quadricfit.manifold.Pose`)
+and the three landmark states (:mod:`quadricfit.quadric`) share one
+protocol, ``tangent_dim`` / ``retract`` / ``fd_scales``, and the solver asks
+nothing else of them. It takes Jacobians by central finite differences
+through the retraction and solves damped dense normal equations. Identical
+solver settings therefore compare parameterizations fairly; only the
+retraction differs.
 
 Finite differences are batched over the whole problem. A per-solve plan
 sorts the factors once, groups box factors by box model and priors by
@@ -15,18 +17,20 @@ factor's landmark stack (the center, or the center and its FD variants)
 seen from its camera, and, for a free pose, the landmark center seen from
 each of the pose's 12 variants. A landmark's orientation, shape, size and
 support priors are evaluated on its stacked variant duals with one batched
-eigendecomposition. One block builder, :func:`_blocks`, does all of this;
-the cost calls it without variants and sums the residual rows it returns,
-so the cost is exactly the residual the Jacobian linearizes. Every row is
-computed as the one-factor formula would compute it, so batching does not
-change a single bit of the results.
+eigendecomposition, and a pose prior on its pose's stacked variants. One
+block builder, :func:`_blocks`, does all of this; the cost calls it
+without variants and sums the residual rows it returns, so the cost is
+exactly the residual the Jacobian linearizes. Every row is computed as the
+one-factor formula would compute it, so batching does not change a single
+bit of the results.
 
 Factors that cannot be evaluated at the current state (landmark behind the
 camera, degenerate projection) are dropped for that evaluation with a skip
 count; a candidate step is only accepted when it does not increase the
 skip count and strictly decreases the total cost, so the reported cost
 trace is monotone across accepted steps and "all factors dropped" is never
-an attractor.
+an attractor. A rejected step (singular normal equations, a step beyond
+the trust bound, or a candidate that fails that test) raises the damping.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ from __future__ import annotations
 import logging
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -59,12 +64,11 @@ from .costs import (
     support_residuals,
     unit_direction,
 )
-from .manifold import InvalidInputError, Pose, orthonormalize, pose_retract
+from .manifold import InvalidInputError, Pose, orthonormalize
 from .quadric import (
     DegenerateLandmarkError,
     FullState,
     RtsState,
-    SpdState,
     regularize_full,
     rts_from_duals,
 )
@@ -87,35 +91,11 @@ class ProblemError(ValueError):
     """The problem references unknown variables or is otherwise malformed."""
 
 
-# ---------------------------------------------------------------------------
-# Variable dispatch (poses are plain Pose values; landmarks carry their own
-# retraction, see quadricfit.quadric)
-
-
-def tangent_dim(value) -> int:
-    if isinstance(value, Pose):
-        return 6
-    return value.tangent_dim
-
-
 def retract_value(value, delta: np.ndarray):
-    if isinstance(value, Pose):
-        return pose_retract(value, delta)
+    """``value`` moved by the tangent step ``delta``: every variable, pose or
+    landmark, carries its own retraction (see :class:`quadricfit.manifold.Pose`
+    and :mod:`quadricfit.quadric`)."""
     return value.retract(delta)
-
-
-def fd_scales(value) -> np.ndarray:
-    if isinstance(value, Pose):
-        return np.concatenate([np.ones(3), 1.0 + np.abs(value.translation)])
-    return value.fd_scales()
-
-
-def landmark_dual(value) -> np.ndarray:
-    return value.dual
-
-
-def is_landmark(value) -> bool:
-    return isinstance(value, (RtsState, SpdState, FullState))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +170,6 @@ class SolveReport:
     skip_events: int
     unconstrained: list
     options: SolveOptions
-    success_factor: float = 1.5
 
     @property
     def final_cost(self) -> float:
@@ -222,7 +201,7 @@ def factor_residual(factor: Factor, values: dict) -> np.ndarray:
     kind = factor.kind
     if kind in _BOX_KINDS:
         pose = values[factor.targets[0]]
-        q = landmark_dual(values[factor.targets[1]])
+        q = values[factor.targets[1]].dual
         frame = _frame_for(factor, pose)
         box = factor.payload["box"]
         if kind == "box-inverse":
@@ -230,33 +209,26 @@ def factor_residual(factor: Factor, values: dict) -> np.ndarray:
         return residual_box_semi(frame, q, box)
     value = values[factor.targets[0]]
     if kind == "orientation":
-        return residual_orientation(landmark_dual(value), factor.payload["direction"])
+        return residual_orientation(value.dual, factor.payload["direction"])
     if kind == "shape":
-        return residual_shape(landmark_dual(value), factor.payload["prior"])
+        return residual_shape(value.dual, factor.payload["prior"])
     if kind == "size":
         return np.array(
-            [residual_size(landmark_dual(value), factor.payload["prior"],
+            [residual_size(value.dual, factor.payload["prior"],
                            factor.payload.get("form", "sqrt"))]
         )
     if kind == "support":
-        return np.array([residual_support(landmark_dual(value), factor.payload["plane"])])
+        return np.array([residual_support(value.dual, factor.payload["plane"])])
     if kind == "pose-prior":
         return residual_pose_prior(value, factor.payload["observed"])
     raise InvalidInputError(f"unknown factor kind {kind!r}")
-
-
-def _try_residual(factor: Factor, values: dict):
-    try:
-        return factor_residual(factor, values)
-    except _EVAL_ERRORS:
-        return None
 
 
 def _safe_dual(value):
     if value is None:
         return None
     try:
-        return landmark_dual(value)
+        return value.dual
     except _EVAL_ERRORS:
         return None
 
@@ -383,17 +355,13 @@ class Linearization:
 
 
 class _Variants:
-    """Center value plus per-coordinate +/- retracted values of one variable.
-
-    For a landmark, ``duals`` stacks the center dual, then the duals of
-    the plus and of the minus variants; ``valid`` marks the rows that
-    could be evaluated.
-    """
+    """Center value plus per-coordinate +/- retracted values of one variable
+    (a variant that cannot be retracted is None)."""
 
     def __init__(self, value, fd_step: float):
         self.value = value
-        self.dim = tangent_dim(value)
-        self.h = fd_step * fd_scales(value)
+        self.dim = value.tangent_dim
+        self.h = fd_step * value.fd_scales()
         self.plus = []
         self.minus = []
         for j in range(self.dim):
@@ -401,14 +369,16 @@ class _Variants:
             step[j] = self.h[j]
             self.plus.append(self._safe_retract(value, step))
             self.minus.append(self._safe_retract(value, -step))
-        if is_landmark(value):
-            rows = [_safe_dual(value)]
-            rows += [_safe_dual(v) for v in self.plus]
-            rows += [_safe_dual(v) for v in self.minus]
-            self.valid = np.array([r is not None for r in rows])
-            self.duals = np.stack(
-                [r if r is not None else np.zeros((4, 4)) for r in rows]
-            )
+
+    @cached_property
+    def duals(self):
+        """A landmark's center dual, then the duals of its plus and of its
+        minus variants, stacked (2 dim + 1, 4, 4); None when any of them
+        cannot be evaluated."""
+        rows = [_safe_dual(v) for v in (self.value, *self.plus, *self.minus)]
+        if any(r is None for r in rows):
+            return None
+        return np.stack(rows)
 
     @staticmethod
     def _safe_retract(value, step):
@@ -429,7 +399,7 @@ def _landmark_stack(lm_id, values: dict, variants: dict):
     center plus FD variants when the landmark is free, else its center."""
     var = variants.get(lm_id)
     if var is not None:
-        return var.duals if var.valid.all() else None
+        return var.duals
     q = _safe_dual(values[lm_id])
     return None if q is None else q[None]
 
@@ -521,32 +491,18 @@ def _prior_blocks(lm_id, group: list, values: dict, variants: dict, columns: dic
             blocks[f.fid] = (table[0], [])
 
 
-def _generic_block(f: Factor, values: dict, variants: dict, columns: dict):
-    """Plain central differences through the retraction, one factor at a time."""
-    res = _try_residual(f, values)
-    if res is None:
+def _pose_prior_block(f: Factor, values: dict, variants: dict, columns: dict):
+    """Block of one pose prior, its residual stacked over the pose's center
+    and, when the pose is free, its plus and minus variants."""
+    pose_id = f.targets[0]
+    var = variants.get(pose_id)
+    poses = [values[pose_id]] if var is None else [var.value, *var.plus, *var.minus]
+    if any(p is None for p in poses):
         return None
-    pieces = []
-    scratch = {t: values[t] for t in f.targets}
-    for t in f.targets:
-        var = variants.get(t)
-        if var is None:
-            continue
-        jac = np.empty((f.dim, var.dim))
-        for j in range(var.dim):
-            pair = []
-            for v in (var.plus[j], var.minus[j]):
-                if v is None:
-                    return None
-                scratch[t] = v
-                r = _try_residual(f, scratch)
-                if r is None:
-                    return None
-                pair.append(r)
-            jac[:, j] = (pair[0] - pair[1]) / (2.0 * var.h[j])
-        scratch[t] = values[t]
-        pieces.append((columns[t], jac))
-    return res, pieces
+    table = np.stack([residual_pose_prior(p, f.payload["observed"]) for p in poses])
+    if var is None:
+        return table[0], []
+    return table[0], [(columns[pose_id], var.central_difference(table[1:]))]
 
 
 def _blocks(values: dict, plan: _Plan, variants: dict, columns: dict) -> dict:
@@ -562,7 +518,7 @@ def _blocks(values: dict, plan: _Plan, variants: dict, columns: dict) -> dict:
     for lm_id, group in plan.priors.items():
         _prior_blocks(lm_id, group, values, variants, columns, blocks)
     for f in plan.pose_priors:
-        blocks[f.fid] = _generic_block(f, values, variants, columns)
+        blocks[f.fid] = _pose_prior_block(f, values, variants, columns)
     return blocks
 
 
@@ -623,18 +579,18 @@ def linearize(problem: Problem, options: SolveOptions | None = None) -> Lineariz
 _ROT_DRIFT_TOL = 1e-8
 _LAMBDA_MAX = 1e12
 
+# A solve succeeds when its final cost is within this factor of the noise
+# floor (see declare_success).
+SUCCESS_FACTOR = 1.5
+
 
 def _renormalize_rotations(values: dict, free: list) -> None:
     for vid in free:
         v = values[vid]
-        if isinstance(v, Pose):
+        if isinstance(v, (Pose, RtsState)):
             r = v.rotation
             if np.max(np.abs(r @ r.T - np.eye(3))) > _ROT_DRIFT_TOL:
-                values[vid] = Pose(orthonormalize(r), v.translation)
-        elif isinstance(v, RtsState):
-            r = v.rotation
-            if np.max(np.abs(r @ r.T - np.eye(3))) > _ROT_DRIFT_TOL:
-                values[vid] = RtsState(orthonormalize(r), v.translation, v.scale)
+                values[vid] = replace(v, rotation=orthonormalize(r))
 
 
 def _regularize_full_states(values: dict, free: list) -> bool:
@@ -706,40 +662,30 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
         n = hess.shape[0]
 
         accepted = False
-        solve_failed = False
         evals = 0
         while True:
             try:
                 delta = np.linalg.solve(hess + lam * np.eye(n), -grad)
-                if not np.all(np.isfinite(delta)):
-                    raise np.linalg.LinAlgError("non-finite step")
-                solve_failed = False
+                solve_failed = not np.all(np.isfinite(delta))
             except np.linalg.LinAlgError:
                 solve_failed = True
-                if lam >= _LAMBDA_MAX:
+            # A singular system yields no step, and an over-long step is
+            # outside the model's trust region: neither spends a cost
+            # evaluation. Every rejection raises the damping below.
+            if not solve_failed and np.max(np.abs(delta)) <= options.max_step:
+                attempts += 1
+                evals += 1
+                candidate = dict(values)
+                try:
+                    for vid in free:
+                        candidate[vid] = retract_value(values[vid], delta[lin.columns[vid]])
+                    ccost, cnskip, _ = _cost_of(candidate, factors, plan)
+                except _EVAL_ERRORS:
+                    ccost, cnskip = np.inf, nskip + 1
+                accepted = bool(np.isfinite(ccost) and cnskip <= nskip and ccost < cost)
+                if accepted or evals > options.max_inner_retries:
                     break
-                lam = min(lam * options.lambda_up, _LAMBDA_MAX)
-                continue
-            # Over-long steps are outside the model's trust region: raise the
-            # damping without spending a cost evaluation on them.
-            if np.max(np.abs(delta)) > options.max_step:
-                if lam >= _LAMBDA_MAX:
-                    break
-                lam = min(lam * options.lambda_up, _LAMBDA_MAX)
-                continue
-            attempts += 1
-            evals += 1
-            candidate = dict(values)
-            try:
-                for vid in free:
-                    candidate[vid] = retract_value(values[vid], delta[lin.columns[vid]])
-                ccost, cnskip, _ = _cost_of(candidate, factors, plan)
-            except _EVAL_ERRORS:
-                ccost, cnskip = np.inf, nskip + 1
-            if np.isfinite(ccost) and cnskip <= nskip and ccost < cost:
-                accepted = True
-                break
-            if evals > options.max_inner_retries or lam >= _LAMBDA_MAX:
+            if lam >= _LAMBDA_MAX:
                 break
             lam = min(lam * options.lambda_up, _LAMBDA_MAX)
 
@@ -783,10 +729,10 @@ def declare_success(report: SolveReport, noise_floor_cost: float) -> bool:
 
     The floor is the cost of the ground-truth landmark under the same noisy
     observations; a solve counts as successful when its final cost is within
-    ``success_factor`` of that floor (plus a small absolute slack for the
+    ``SUCCESS_FACTOR`` of that floor (plus a small absolute slack for the
     noiseless case), it did not diverge, and no factor had to be dropped at
     the final state.
     """
     if report.diverged or report.skipped_final > 0:
         return False
-    return report.final_cost <= report.success_factor * noise_floor_cost + 1e-6
+    return report.final_cost <= SUCCESS_FACTOR * noise_floor_cost + 1e-6

@@ -130,6 +130,9 @@ def test_cells_filter(tmp_path):
 def test_usage_errors_exit_1(tmp_path):
     assert main(["simulate", "--cells", "nonsense"]) == 1
     assert main(["simulate", "--cells", "bogus=1"]) == 1
+    # Unknown grid names are rejected before any trial runs.
+    for cells in ("model=foo", "param=foo", "noise=X", "arc=0", "arc=abc"):
+        assert main(["simulate", "--cells", cells, "--out", str(tmp_path / "cells")]) == 1
     assert main(["nope"]) == 1
     assert main(["solve", "--graph", "/does/not/exist.json", "--param", "rts"]) == 1
     cfg = tmp_path / "gauss_newton.json"

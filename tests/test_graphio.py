@@ -91,6 +91,11 @@ def test_problem_from_graph_inventory(graph):
     assert set(graph["fixed"]) <= set(problem.fixed)
 
 
+def test_problem_from_graph_rejects_unknown_model(graph):
+    with pytest.raises(ValueError, match="unknown model 'foo'"):
+        graphio.problem_from_graph(graph, "rts", model="foo")
+
+
 @pytest.mark.parametrize("param", ["full", "rts", "spd"])
 def test_problem_from_graph_conversion_preserves_quadric(graph, param):
     problem = graphio.problem_from_graph(graph, param)

@@ -1,6 +1,7 @@
 import os
 
 import numpy as np
+import pytest
 
 from quadricfit import sim
 from quadricfit.costs import residual_box_inverse
@@ -17,6 +18,7 @@ from quadricfit.sim import (
     run_campaign,
     run_trial,
     synthetic_graph,
+    trial_problem,
 )
 
 
@@ -232,3 +234,22 @@ def test_default_jobs_follow_the_affinity_set(monkeypatch):
     assert sim.usable_cpus() == 2
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert sim.usable_cpus() == 64
+
+
+def test_trial_problem_rejects_unknown_model():
+    trial = make_trial(SceneSpec(), NOISE_LEVELS["L"], np.random.SeedSequence(5))
+    with pytest.raises(ValueError, match="unknown model 'foo'"):
+        trial_problem(trial, "rts", "foo")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("models", ("semi", "foo"), "unknown models"),
+    ("parameterizations", ("bar",), "unknown parameterizations"),
+    ("noise_levels", ("X",), "unknown noise_levels"),
+    ("arcs", (0.0,), "arcs must be in"),
+    ("arcs", (360.5,), "arcs must be in"),
+    ("arcs", (float("nan"),), "arcs must be in"),
+])
+def test_campaign_spec_rejects_unknown_grid_names(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        CampaignSpec(**{field: value})

@@ -293,6 +293,48 @@ def test_solve_ends_when_trust_bound_rejects_every_step():
     assert report.iterations == 0 and report.attempts == 0
 
 
+def _singular(*args):
+    raise np.linalg.LinAlgError("singular matrix")
+
+
+def _non_finite(a, b):
+    return np.full(len(b), np.nan)
+
+
+@pytest.mark.parametrize("normal_solve", [_singular, _non_finite])
+def test_solve_diverges_when_normal_equations_give_no_step(monkeypatch, normal_solve):
+    # Every retry raises the damping to its cap without a cost evaluation.
+    trial = seeded_trial("M", idx=2)
+    problem = trial_problem(trial, "rts", "inverse")
+    monkeypatch.setattr(np.linalg, "solve", normal_solve)
+    report = solve(problem)
+    assert report.termination == "diverged"
+    assert report.iterations == 0 and report.attempts == 0
+    assert report.lambda_final == solver._LAMBDA_MAX
+
+
+def test_solve_stalls_after_max_inner_retries_rejected_candidates(monkeypatch):
+    trial = seeded_trial("M", idx=2)
+    problem = trial_problem(trial, "rts", "inverse")
+    true_cost_of = solver._cost_of
+    calls = []
+
+    def rejecting_cost_of(values, factors, plan=None):
+        # The initial cost is the true one; every later one is twice that.
+        total, skipped, per_factor = true_cost_of(values, factors, plan)
+        calls.append(total)
+        return (total if len(calls) == 1 else 2.0 * calls[0]), skipped, per_factor
+
+    monkeypatch.setattr(solver, "_cost_of", rejecting_cost_of)
+    options = SolveOptions(max_inner_retries=4)
+    report = solve(problem, options)
+    assert report.termination == "stalled"
+    assert report.iterations == 0
+    assert report.attempts == options.max_inner_retries + 1
+    # The initial cost, one evaluation per candidate, and the final skip count.
+    assert len(calls) == 1 + (options.max_inner_retries + 1) + 1
+
+
 # ---------------------------------------------------------------------------
 # Camera-grouped linearization and cost against one factor at a time
 
@@ -333,7 +375,7 @@ def _oracle_block(f, values, variants, columns, n):
         jac = np.zeros((f.dim, n))
         if lm_free:
             var = variants[lm_id]
-            if not var.valid.all():
+            if var.duals is None:
                 return None
             table, ok = _oracle_box_table(f, frame, var.duals)
             if not ok.all():
