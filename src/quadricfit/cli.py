@@ -52,24 +52,25 @@ def _build_campaign_spec(args) -> CampaignSpec:
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config {args.config}: {exc}") from exc
-    scene_cfg = dict(cfg.get("scene", {}))
-    if "intrinsics" in scene_cfg:
-        scene_cfg["intrinsics"] = CameraIntrinsics(**scene_cfg["intrinsics"])
-    for key in ("region", "distance", "axis_range"):
-        if key in scene_cfg:
-            scene_cfg[key] = tuple(scene_cfg[key])
-    options_cfg = dict(cfg.get("options", {}))
+    if not isinstance(cfg, dict):
+        raise UsageError("invalid config: expected a JSON object")
+    unknown = sorted(set(cfg) - {f.name for f in dataclasses.fields(CampaignSpec)})
+    if unknown:
+        raise UsageError(f"invalid config: unknown key {unknown[0]!r}")
     try:
-        spec = CampaignSpec(
-            master_seed=cfg.get("master_seed", 0),
-            noise_levels=tuple(cfg.get("noise_levels", ("L", "M", "H"))),
-            arcs=tuple(float(a) for a in cfg.get("arcs", (60.0, 120.0))),
-            trials_per_cell=int(cfg.get("trials_per_cell", 24)),
-            parameterizations=tuple(cfg.get("parameterizations", ("full", "rts", "spd"))),
-            models=tuple(cfg.get("models", ("inverse", "semi"))),
-            scene=SceneSpec(**scene_cfg),
-            options=SolveOptions(**options_cfg),
-        )
+        scene_cfg = dict(cfg.get("scene", {}))
+        if "intrinsics" in scene_cfg:
+            scene_cfg["intrinsics"] = CameraIntrinsics(**scene_cfg["intrinsics"])
+        for key in ("region", "distance", "axis_range"):
+            if key in scene_cfg:
+                scene_cfg[key] = tuple(scene_cfg[key])
+        # CampaignSpec holds the default of every key the config leaves out.
+        grid = {k: tuple(v) if isinstance(v, list) else v for k, v in cfg.items()
+                if k not in ("scene", "options")}
+        if "arcs" in grid:
+            grid["arcs"] = tuple(float(a) for a in grid["arcs"])
+        spec = CampaignSpec(**grid, scene=SceneSpec(**scene_cfg),
+                            options=SolveOptions(**cfg.get("options", {})))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid config: {exc}") from exc
     if args.seed is not None:

@@ -23,8 +23,9 @@ from .costs import (
     Factor,
 )
 from .evaluation import summarize
-from .manifold import Pose, quat_to_rot, rot_to_quat
+from .manifold import SPD_EIG_TOL, Pose, quat_to_rot, rot_to_quat
 from .quadric import (
+    DegenerateLandmarkError,
     FullState,
     RtsState,
     SpdState,
@@ -103,9 +104,16 @@ def _landmark_from(d: dict, what: str):
     if param == "spd":
         shape = _numbers(d, "shape", what, (3, 3))
         t = _numbers(d, "t_xyz", what, (3,), "translation")
-        return SpdState(0.5 * (shape + shape.T), t)
+        shape = 0.5 * (shape + shape.T)
+        _check(np.linalg.eigvalsh(shape)[0] > SPD_EIG_TOL, f"{what}: shape must be positive definite")
+        return SpdState(shape, t)
     if param == "full":
-        return FullState(_numbers(d, "coefficients", what, (10,)))
+        state = FullState(_numbers(d, "coefficients", what, (10,)))
+        try:
+            spd_from_dual(state.dual)
+        except DegenerateLandmarkError:
+            raise GraphError(f"{what}: coefficients do not describe an ellipsoid") from None
+        return state
     raise GraphError(f"{what}: unknown parameterization tag {param!r}")
 
 

@@ -17,7 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -254,6 +254,20 @@ def orthonormalize(r: np.ndarray) -> np.ndarray:
     return out
 
 
+# Largest entry of |R R^T - I| a stepped rotation may reach before it is
+# re-orthonormalized.
+ROT_DRIFT_TOL = 1e-8
+
+
+def settle_rotation(state):
+    """``state`` (a Pose or RtsState), or a copy of it with its rotation
+    re-orthonormalized once that has drifted beyond ``ROT_DRIFT_TOL``."""
+    r = state.rotation
+    if not np.max(np.abs(r @ r.T - np.eye(3))) > ROT_DRIFT_TOL:
+        return state
+    return replace(state, rotation=orthonormalize(r))
+
+
 def quat_to_rot(q: np.ndarray) -> np.ndarray:
     """Rotation matrix of a (w, x, y, z) quaternion; normalizes the input."""
     q = _require_finite("quaternion", q)
@@ -294,8 +308,8 @@ class Pose:
     """Rigid transform: ``x_out = rotation @ x_in + translation``.
 
     Implements the variable protocol of the landmark states
-    (``tangent_dim`` / ``retract`` / ``fd_scales``), so the solver steps
-    and differentiates poses and landmarks alike.
+    (``tangent_dim`` / ``retract`` / ``fd_scales`` / ``settled``), so the
+    solver steps, differentiates and fixes up poses and landmarks alike.
     """
 
     rotation: np.ndarray
@@ -308,6 +322,9 @@ class Pose:
 
     def fd_scales(self) -> np.ndarray:
         return np.concatenate([np.ones(3), 1.0 + np.abs(self.translation)])
+
+    def settled(self) -> "Pose":
+        return settle_rotation(self)
 
     @staticmethod
     def identity() -> "Pose":

@@ -14,13 +14,14 @@ Parameterizations
 * ``RtsState``   -- rotation + translation + semi-axis lengths (9 tangent dims)
 * ``SpdState``   -- SPD(3) shape matrix + translation (9 tangent dims),
   free of the axis-relabeling ambiguity of ``RtsState``
-* ``FullState``  -- raw 10 coefficients of the dual matrix; its retraction
-  re-projects onto valid ellipsoids after every step
+* ``FullState``  -- raw 10 coefficients of the dual matrix; its ``settled``
+  fixup re-projects onto valid ellipsoids after every accepted step
 
-All states implement ``tangent_dim`` / ``retract`` / ``fd_scales``, the
-protocol through which :mod:`quadricfit.solver` steps and differentiates
-every variable; camera poses (:class:`quadricfit.manifold.Pose`) implement
-it too. Landmark states add ``dual``, the quadric every landmark factor is
+All states implement ``tangent_dim`` / ``retract`` / ``fd_scales`` /
+``settled``, the protocol through which :mod:`quadricfit.solver` steps and
+differentiates every variable and fixes it up after an accepted step;
+camera poses (:class:`quadricfit.manifold.Pose`) implement it too.
+Landmark states add ``dual``, the quadric every landmark factor is
 evaluated on.
 """
 
@@ -37,6 +38,7 @@ from .manifold import (
     Pose,
     as_spd,
     pose_retract,
+    settle_rotation,
     so3_exp,
     spd_retract_normalized,
     vec6_to_sym,
@@ -181,6 +183,9 @@ class RtsState:
             [np.ones(3), 1.0 + np.abs(self.translation), 1.0 + np.abs(self.scale)]
         )
 
+    def settled(self) -> "RtsState":
+        return settle_rotation(self)
+
     @cached_property
     def dual(self) -> np.ndarray:
         return dual_from_rts(self)
@@ -213,6 +218,9 @@ class SpdState:
     def fd_scales(self) -> np.ndarray:
         return np.concatenate([np.ones(6), 1.0 + np.abs(self.translation)])
 
+    def settled(self) -> "SpdState":
+        return self  # every retraction stays on SPD(3)
+
     @cached_property
     def dual(self) -> np.ndarray:
         return dual_from_spd(self)
@@ -225,9 +233,10 @@ class FullState:
     Coefficient order follows the symmetric matrix layout
     ``[[A, D, F, G], [D, B, E, H], [F, E, C, I], [G, H, I, J]]``.
     The retraction is plain vector addition; nothing at rest keeps the
-    coefficients on the ellipsoid set. A solver using this
-    parameterization re-projects accepted iterates through
-    :func:`regularize_full` after each step.
+    coefficients on the ellipsoid set. ``settled`` re-projects an accepted
+    iterate through :func:`regularize_full`; when the projection undoes
+    part of a step's cost decrease, that is the known fragility of this
+    baseline parameterization.
     """
 
     v: np.ndarray
@@ -239,6 +248,13 @@ class FullState:
 
     def fd_scales(self) -> np.ndarray:
         return 1.0 + np.abs(np.asarray(self.v, dtype=float))
+
+    def settled(self) -> "FullState":
+        """:func:`regularize_full` of itself, or itself when degenerate."""
+        try:
+            return regularize_full(self)
+        except DegenerateLandmarkError:
+            return self
 
     @cached_property
     def dual(self) -> np.ndarray:

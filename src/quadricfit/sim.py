@@ -12,6 +12,7 @@ campaign deterministic under any parallelism.
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -338,6 +339,9 @@ class CampaignSpec:
         bad = [a for a in self.arcs if not 0.0 < a <= 360.0]
         if bad:
             raise ValueError(f"arcs must be in (0, 360] degrees, got {bad}")
+        n = self.trials_per_cell
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"trials_per_cell must be a positive integer, got {n!r}")
 
 
 def _scene_seed(spec: CampaignSpec, noise: str, arc: float, index: int):

@@ -2,27 +2,28 @@
 
 The solver is generic in its variables: poses (:class:`quadricfit.manifold.Pose`)
 and the three landmark states (:mod:`quadricfit.quadric`) share one
-protocol, ``tangent_dim`` / ``retract`` / ``fd_scales``, and the solver asks
-nothing else of them. It takes Jacobians by central finite differences
-through the retraction and solves damped dense normal equations. Identical
-solver settings therefore compare parameterizations fairly; only the
-retraction differs.
+protocol, ``tangent_dim`` / ``retract`` / ``fd_scales`` / ``settled``, and
+the solver asks nothing else of them. It takes Jacobians by central finite
+differences through the retraction, solves damped dense normal equations
+and replaces each free variable by its ``settled()`` fixup after every
+accepted step. Identical solver settings therefore compare
+parameterizations fairly; only the retraction and its fixup differ.
 
-Finite differences are batched over the whole problem. A per-solve plan
-sorts the factors once, groups box factors by box model and priors by
-landmark, and caches each pose's [R|t] and each box-semi factor's edge
-planes per pose value (once per solve for a fixed pose). Each evaluation
-then makes one kernel call per box model, with a camera per row: every
-factor's landmark stack (the center, or the center and its FD variants)
-seen from its camera, and, for a free pose, the landmark center seen from
-each of the pose's 12 variants. A landmark's orientation, shape, size and
-support priors are evaluated on its stacked variant duals with one batched
-eigendecomposition, and a pose prior on its pose's stacked variants. One
-block builder, :func:`_blocks`, does all of this; the cost calls it
-without variants and sums the residual rows it returns, so the cost is
-exactly the residual the Jacobian linearizes. Every row is computed as the
-one-factor formula would compute it, so batching does not change a single
-bit of the results.
+Finite differences are batched over the whole problem. Every variable has
+one :class:`_Stack` of the values its factors are evaluated at: the value
+alone, or for a free variable in a linearization the value and its FD
+variants. A per-solve plan sorts the factors once, groups box factors by
+box model and priors by landmark, and caches each pose's [R|t] and each
+box-semi factor's edge planes per pose value. Each evaluation then makes
+one kernel call per box model, with a camera per row: every factor's
+landmark stack seen from its camera and the landmark center seen from
+each of its pose's variants. A landmark's priors are evaluated on its
+stacked duals with one batched eigendecomposition, and a pose prior on its
+pose's stack. One block builder, :func:`_blocks`, does all of this; the
+cost calls it with value-only stacks and sums the residual rows it
+returns, so the cost is exactly the residual the Jacobian linearizes.
+Every row is computed as the one-factor formula would compute it, so
+batching does not change a single bit of the results.
 
 Factors that cannot be evaluated at the current state (landmark behind the
 camera, degenerate projection) are dropped for that evaluation with a skip
@@ -38,7 +39,7 @@ from __future__ import annotations
 import logging
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 
@@ -64,14 +65,8 @@ from .costs import (
     support_residuals,
     unit_direction,
 )
-from .manifold import InvalidInputError, Pose, orthonormalize
-from .quadric import (
-    DegenerateLandmarkError,
-    FullState,
-    RtsState,
-    regularize_full,
-    rts_from_duals,
-)
+from .manifold import InvalidInputError, Pose
+from .quadric import DegenerateLandmarkError, rts_from_duals
 
 _EVAL_ERRORS = (
     BehindCameraError,
@@ -310,7 +305,7 @@ def _cost_of(values: dict, factors: list, plan: _Plan | None = None):
     Jacobian uses; the sum runs in factor-id order.
     """
     plan = plan or _Plan(factors)
-    blocks = _blocks(values, plan, {}, {})
+    blocks = _blocks(plan, {vid: _Stack(v) for vid, v in values.items()}, {})
     total = 0.0
     skipped = 0
     per_factor = {}
@@ -354,28 +349,30 @@ class Linearization:
     skipped: list  # factor ids dropped this linearization
 
 
-class _Variants:
-    """Center value plus per-coordinate +/- retracted values of one variable
-    (a variant that cannot be retracted is None)."""
+class _Stack:
+    """The values one variable's factors are evaluated at.
 
-    def __init__(self, value, fd_step: float):
-        self.value = value
+    ``values`` holds the value alone for a fixed variable (``fd_step`` None),
+    which is every variable in a cost evaluation; for a free variable it
+    holds the value, then its plus, then its minus finite-difference
+    variants (a variant that cannot be retracted is None).
+    """
+
+    def __init__(self, value, fd_step: float | None = None):
+        self.values = [value]
+        self.dim = 0
+        if fd_step is None:
+            return
         self.dim = value.tangent_dim
         self.h = fd_step * value.fd_scales()
-        self.plus = []
-        self.minus = []
-        for j in range(self.dim):
-            step = np.zeros(self.dim)
-            step[j] = self.h[j]
-            self.plus.append(self._safe_retract(value, step))
-            self.minus.append(self._safe_retract(value, -step))
+        steps = np.diag(self.h)
+        self.values += [self._safe_retract(value, s) for s in (*steps, *-steps)]
 
     @cached_property
     def duals(self):
-        """A landmark's center dual, then the duals of its plus and of its
-        minus variants, stacked (2 dim + 1, 4, 4); None when any of them
-        cannot be evaluated."""
-        rows = [_safe_dual(v) for v in (self.value, *self.plus, *self.minus)]
+        """A landmark's duals over ``values``, stacked (len(values), 4, 4);
+        None when any of them cannot be evaluated."""
+        rows = [_safe_dual(v) for v in self.values]
         if any(r is None for r in rows):
             return None
         return np.stack(rows)
@@ -387,44 +384,33 @@ class _Variants:
         except _EVAL_ERRORS:
             return None
 
-    def central_difference(self, table: np.ndarray) -> np.ndarray:
-        """Jacobian block (dim_r, dim) from a residual table (2 dim, dim_r)
-        over the plus, then the minus variants."""
+    def pieces(self, columns: dict, vid, table: np.ndarray) -> list:
+        """[(columns, Jacobian block (dim_r, dim))] from a residual table
+        (2 dim, dim_r) over the plus, then the minus variants; [] for a
+        fixed variable."""
+        if self.dim == 0:
+            return []
         d = self.dim
-        return (table[:d] - table[d:]).T / (2.0 * self.h)
+        return [(columns[vid], (table[:d] - table[d:]).T / (2.0 * self.h))]
 
 
-def _landmark_stack(lm_id, values: dict, variants: dict):
-    """The duals a landmark's factors are evaluated on, or None to skip them:
-    center plus FD variants when the landmark is free, else its center."""
-    var = variants.get(lm_id)
-    if var is not None:
-        return var.duals
-    q = _safe_dual(values[lm_id])
-    return None if q is None else q[None]
-
-
-def _box_blocks(plan: _Plan, values: dict, variants: dict, columns: dict, blocks: dict) -> None:
+def _box_blocks(plan: _Plan, stacks: dict, columns: dict, blocks: dict) -> None:
     """Blocks of every box factor, one kernel call per box model.
 
-    The call stacks, factor by factor, the factor's landmark stack seen
-    from its camera and, when the camera's pose is free, the landmark
-    center seen from each of the pose's 12 variants (plus, then minus).
-    Each row carries its own camera: an [R|t] (box-inverse) or the
-    factor's edge planes at that pose value (box-semi).
+    The call stacks, factor by factor, the landmark's duals seen from the
+    factor's camera and the landmark center seen from each of the pose's
+    variants (none for a fixed pose). Each row carries its own camera: an
+    [R|t] (box-inverse) or the factor's edge planes at that pose value
+    (box-semi).
     """
-    stacks = {}  # landmark id -> _landmark_stack
     for kind, (group, intrinsics, observed) in plan.boxes.items():
         live, sizes, duals = [], [], []
         views, view_of_row = [], []  # each row's camera, as an index into views
         center = {}  # box-inverse: pose id -> index of its [R|t], shared by its factors
         for i, f in enumerate(group):
             pose_id, lm_id = f.targets
-            if lm_id not in stacks:
-                stacks[lm_id] = _landmark_stack(lm_id, values, variants)
-            stack = stacks[lm_id]
-            pose_var = variants.get(pose_id)
-            poses = [] if pose_var is None else pose_var.plus + pose_var.minus
+            stack = stacks[lm_id].duals
+            pose, *poses = stacks[pose_id].values
             if stack is None or any(v is None for v in poses):
                 blocks[f.fid] = None
                 continue
@@ -432,11 +418,11 @@ def _box_blocks(plan: _Plan, values: dict, variants: dict, columns: dict, blocks
                 c = center.get(pose_id)
                 if c is None:
                     c = center[pose_id] = len(views)
-                    views.append(plan.rt(f, values[pose_id]))
+                    views.append(plan.rt(f, pose))
                     views.extend(_frame_for(f, v).projection_rt() for v in poses)
             else:
                 c = len(views)
-                views.append(plan.planes(f, values[pose_id]))
+                views.append(plan.planes(f, pose))
                 views.extend(box_edge_planes(_frame_for(f, v), f.payload["box"]) for v in poses)
             live.append(i)
             sizes.append(len(stack) + len(poses))
@@ -465,76 +451,64 @@ def _box_blocks(plan: _Plan, values: dict, variants: dict, columns: dict, blocks
                 continue
             pose_id, lm_id = f.targets
             table = rows[starts[k] : starts[k] + sizes[k]]
-            n = len(stacks[lm_id])
-            pieces = []
-            if lm_id in variants:
-                pieces.append((columns[lm_id], variants[lm_id].central_difference(table[1:n])))
-            if pose_id in variants:
-                pieces.append((columns[pose_id], variants[pose_id].central_difference(table[n:])))
-            blocks[f.fid] = (table[0], pieces)
+            n = len(stacks[lm_id].values)
+            blocks[f.fid] = (table[0], stacks[lm_id].pieces(columns, lm_id, table[1:n])
+                             + stacks[pose_id].pieces(columns, pose_id, table[n:]))
 
 
-def _prior_blocks(lm_id, group: list, values: dict, variants: dict, columns: dict,
-                  blocks: dict) -> None:
+def _prior_blocks(lm_id, group: list, stacks: dict, columns: dict, blocks: dict) -> None:
     """Blocks of one landmark's priors, all evaluated on its stacked duals."""
-    stack = _landmark_stack(lm_id, values, variants)
-    if stack is None:
+    stack = stacks[lm_id]
+    if stack.duals is None:
         blocks.update((f.fid, None) for f in group)
         return
-    for f, (table, ok) in zip(group, _prior_tables(group, stack)):
-        if not ok.all():
-            blocks[f.fid] = None
-        elif lm_id in variants:
-            jac = variants[lm_id].central_difference(table[1:])
-            blocks[f.fid] = (table[0], [(columns[lm_id], jac)])
-        else:
-            blocks[f.fid] = (table[0], [])
+    for f, (table, ok) in zip(group, _prior_tables(group, stack.duals)):
+        blocks[f.fid] = (table[0], stack.pieces(columns, lm_id, table[1:])) if ok.all() else None
 
 
-def _pose_prior_block(f: Factor, values: dict, variants: dict, columns: dict):
-    """Block of one pose prior, its residual stacked over the pose's center
-    and, when the pose is free, its plus and minus variants."""
+def _pose_prior_block(f: Factor, stacks: dict, columns: dict):
+    """Block of one pose prior, its residual stacked over the pose's values."""
     pose_id = f.targets[0]
-    var = variants.get(pose_id)
-    poses = [values[pose_id]] if var is None else [var.value, *var.plus, *var.minus]
-    if any(p is None for p in poses):
+    stack = stacks[pose_id]
+    if any(p is None for p in stack.values):
         return None
-    table = np.stack([residual_pose_prior(p, f.payload["observed"]) for p in poses])
-    if var is None:
-        return table[0], []
-    return table[0], [(columns[pose_id], var.central_difference(table[1:]))]
+    table = np.stack([residual_pose_prior(p, f.payload["observed"]) for p in stack.values])
+    return table[0], stack.pieces(columns, pose_id, table[1:])
 
 
-def _blocks(values: dict, plan: _Plan, variants: dict, columns: dict) -> dict:
+def _blocks(plan: _Plan, stacks: dict, columns: dict) -> dict:
     """Residual and Jacobian blocks of every factor of ``plan``.
 
-    Maps each fid to (residual at ``values``, [(columns, jacobian block)])
-    or to None when the factor is skipped. ``variants`` holds the FD
-    variants of the free variables, ``columns`` their tangent columns; with
-    none, the blocks carry residuals only, which is what the cost uses.
+    Maps each fid to (residual at the variables' values, [(columns,
+    jacobian block)]) or to None when the factor is skipped. ``stacks``
+    holds every variable's :class:`_Stack`, ``columns`` the tangent columns
+    of the free ones; with no free stack, the blocks carry residuals only,
+    which is what the cost uses.
     """
     blocks = {}
-    _box_blocks(plan, values, variants, columns, blocks)
+    _box_blocks(plan, stacks, columns, blocks)
     for lm_id, group in plan.priors.items():
-        _prior_blocks(lm_id, group, values, variants, columns, blocks)
+        _prior_blocks(lm_id, group, stacks, columns, blocks)
     for f in plan.pose_priors:
-        blocks[f.fid] = _pose_prior_block(f, values, variants, columns)
+        blocks[f.fid] = _pose_prior_block(f, stacks, columns)
     return blocks
 
 
 def _linearize(values: dict, factors: list, free: list, options: SolveOptions,
                plan: _Plan | None = None) -> Linearization:
     plan = plan or _Plan(factors)
-    variants = {vid: _Variants(values[vid], options.fd_step) for vid in free}
+    free_set = set(free)
+    stacks = {vid: _Stack(v, options.fd_step if vid in free_set else None)
+              for vid, v in values.items()}
     columns = {}
     offset = 0
     for vid in free:
-        d = variants[vid].dim
+        d = stacks[vid].dim
         columns[vid] = slice(offset, offset + d)
         offset += d
     n = offset
 
-    blocks = _blocks(values, plan, variants, columns)
+    blocks = _blocks(plan, stacks, columns)
     kept, skipped = [], []
     for f in plan.factors:
         if blocks[f.fid] is None:
@@ -576,7 +550,6 @@ def linearize(problem: Problem, options: SolveOptions | None = None) -> Lineariz
 # Levenberg-Marquardt
 
 
-_ROT_DRIFT_TOL = 1e-8
 _LAMBDA_MAX = 1e12
 
 # A solve succeeds when its final cost is within this factor of the noise
@@ -584,33 +557,11 @@ _LAMBDA_MAX = 1e12
 SUCCESS_FACTOR = 1.5
 
 
-def _renormalize_rotations(values: dict, free: list) -> None:
-    for vid in free:
-        v = values[vid]
-        if isinstance(v, (Pose, RtsState)):
-            r = v.rotation
-            if np.max(np.abs(r @ r.T - np.eye(3))) > _ROT_DRIFT_TOL:
-                values[vid] = replace(v, rotation=orthonormalize(r))
-
-
-def _regularize_full_states(values: dict, free: list) -> bool:
-    """Re-project raw-coefficient landmarks onto valid ellipsoids.
-
-    Applied after every accepted step. Identity (up to the projective
-    gauge) while the iterate is still a valid ellipsoid; when a raw step
-    has left the valid set, the clamp moves the state and can undo part of
-    the step's cost decrease, which is the known fragility of this
-    baseline parameterization.
-    """
-    changed = False
-    for vid in free:
-        v = values[vid]
-        if isinstance(v, FullState):
-            try:
-                values[vid] = regularize_full(v)
-            except DegenerateLandmarkError:
-                continue
-            changed = True
+def _settle(values: dict, free: list) -> bool:
+    """Replace each free variable by its ``settled()`` fixup; True if any changed."""
+    settled = {vid: values[vid].settled() for vid in free}
+    changed = any(settled[vid] is not values[vid] for vid in free)
+    values.update(settled)
     return changed
 
 
@@ -694,21 +645,19 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
             termination = "diverged" if solve_failed else "stalled"
             break
         values = candidate
-        _renormalize_rotations(values, free)
         prev = cost
         cost, nskip = ccost, cnskip
         trace.append(cost)
-        if _regularize_full_states(values, free):
-            # The regularized state is the next linearization point, but the
+        if _settle(values, free):
+            # The settled state is the next linearization point, but the
             # acceptance bar stays at the accepted cost so the recorded
-            # trace is monotone even when the projection undoes progress.
+            # trace is monotone even when a fixup undoes progress.
             _, nskip, _ = _cost_of(values, factors, plan)
         lam = max(lam * options.lambda_down, 1e-15)
         if prev - cost <= options.rel_cost_tol * max(prev, 1e-300):
             termination = "cost_converged"
             break
 
-    _, skipped_final, _ = _cost_of(values, factors, plan)
     return SolveReport(
         cost_trace=trace,
         variables=values,
@@ -717,7 +666,7 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
         termination=termination,
         iter_times=iter_times,
         lambda_final=lam,
-        skipped_final=skipped_final,
+        skipped_final=nskip,
         skip_events=skip_events,
         unconstrained=unconstrained,
         options=options,

@@ -127,7 +127,7 @@ def test_cells_filter(tmp_path):
     assert {r["parameterization"] for r in doc["records"]} == {"rts"}
 
 
-def test_usage_errors_exit_1(tmp_path):
+def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["simulate", "--cells", "nonsense"]) == 1
     assert main(["simulate", "--cells", "bogus=1"]) == 1
     # Unknown grid names are rejected before any trial runs.
@@ -138,6 +138,16 @@ def test_usage_errors_exit_1(tmp_path):
     cfg = tmp_path / "gauss_newton.json"
     cfg.write_text(json.dumps({**SMALL_CONFIG, "options": {"gauss_newton": True}}))
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "gn")]) == 1
+    # An empty campaign and a misspelt top-level key are rejected before any trial runs.
+    cfg = tmp_path / "empty.json"
+    cfg.write_text(json.dumps({"trials_per_cell": 0, "noise_levels": ["L"], "arcs": [60]}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "empty")]) == 1
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({"trial_per_cell": 1, "noise_levels": ["L"], "arcs": [60]}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "typo")]) == 1
+    assert "unknown key 'trial_per_cell'" in capsys.readouterr().err
+    cfg.write_text(json.dumps([SMALL_CONFIG]))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "list")]) == 1
 
 
 def test_eval_detects_tampered_summaries(tmp_path, capsys):

@@ -71,9 +71,16 @@ def _edit(path, value=None):
     (_edit(("detections", 0, "box")), "detection 0: missing box"),
     (_edit(("frames", 0, "q_wxyz")), "frame 'cam00': missing q_wxyz"),
     (_edit(("detections",), {"0": {}}), "detections: expected a list"),
+    (_edit(("initial", 0), {"landmark": "obj", "param": "spd", "t_xyz": [0.0, 0.0, 0.0],
+                            "shape": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -0.5]]}),
+     "initial estimate for 'obj': shape must be positive definite"),
+    (_edit(("initial", 0), {"landmark": "obj", "param": "full",
+                            "coefficients": [1, 1, 1, 0, 0, 0, 0, 0, 0, 0]}),
+     "initial estimate for 'obj': coefficients do not describe an ellipsoid"),
 ], ids=["box-inf", "frame-t-nan", "initial-t-inf", "support-nan", "sigma-negative",
         "sigma-inf", "sigma-zero", "intrinsics-nan", "truth-scale-nan", "box-string",
-        "box-missing", "quaternion-missing", "detections-not-a-list"])
+        "box-missing", "quaternion-missing", "detections-not-a-list", "spd-not-definite",
+        "full-not-ellipsoid"])
 def test_validate_rejects_malformed_fields(graph, edit, entity):
     bad = json.loads(json.dumps(graph))
     edit(bad)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from quadricfit.manifold import (
     InvalidInputError,
+    Pose,
     as_spd,
     pose_retract,
     quat_to_rot,
@@ -245,3 +246,14 @@ def test_retractions_are_local_diffeomorphisms(rng, make_chart, dim):
         step[j] = h
         cols.append((chart(step) - chart(-step)) / (2 * h))
     assert np.linalg.matrix_rank(np.column_stack(cols), tol=1e-8) == dim
+
+
+def test_pose_settled_reorthonormalizes_drifted_rotation(rng):
+    pose = Pose(so3_exp(rng.normal(size=3)), np.array([1.0, -2.0, 3.0]))
+    assert pose.settled() is pose
+    drifted = Pose(pose.rotation @ (np.eye(3) + np.diag([1e-6, 0.0, 0.0])), pose.translation)
+    out = drifted.settled()
+    np.testing.assert_allclose(out.rotation @ out.rotation.T, np.eye(3), atol=1e-14)
+    assert np.linalg.det(out.rotation) > 0.0
+    np.testing.assert_allclose(out.rotation, pose.rotation, atol=2e-6)
+    np.testing.assert_array_equal(out.translation, pose.translation)

@@ -183,6 +183,35 @@ def test_regularize_all_zero_raises():
         regularize_full(FullState(np.zeros(10)))
 
 
+def test_rts_settled_reorthonormalizes_drifted_rotation(rng):
+    state = random_rts(rng)
+    assert state.settled() is state
+    drifted = RtsState(state.rotation @ (np.eye(3) + np.diag([0.0, 1e-6, 0.0])),
+                       state.translation, state.scale)
+    out = drifted.settled()
+    np.testing.assert_allclose(out.rotation @ out.rotation.T, np.eye(3), atol=1e-14)
+    assert np.linalg.det(out.rotation) > 0.0
+    np.testing.assert_allclose(out.rotation, state.rotation, atol=2e-6)
+    np.testing.assert_array_equal(out.translation, state.translation)
+    np.testing.assert_array_equal(out.scale, state.scale)
+
+
+def test_spd_settled_is_itself(rng):
+    state = spd_from_dual(random_rts(rng).dual)
+    assert state.settled() is state
+
+
+def test_full_settled_is_regularized_unless_degenerate(rng):
+    state = random_rts(rng)
+    q_bad = state.dual.copy()
+    q_bad[0, 0] -= 10.0  # a hyperboloid: one negative shape eigenvalue
+    for v in (full_from_dual(state.dual).v, sym4_to_coeffs(q_bad)):
+        np.testing.assert_array_equal(FullState(v).settled().v, regularize_full(FullState(v)).v)
+    for v in (np.zeros(10), np.array([1.0, 1, 1, 0, 0, 0, 0, 0, 0, 0])):
+        degenerate = FullState(v)
+        assert degenerate.settled() is degenerate
+
+
 def test_full_retract_is_plain_addition(rng):
     state = full_from_dual(random_rts(rng).dual)
     delta = rng.normal(size=10) * 0.1

@@ -249,6 +249,9 @@ def test_trial_problem_rejects_unknown_model():
     ("arcs", (0.0,), "arcs must be in"),
     ("arcs", (360.5,), "arcs must be in"),
     ("arcs", (float("nan"),), "arcs must be in"),
+    ("trials_per_cell", 0, "trials_per_cell must be a positive integer"),
+    ("trials_per_cell", -2, "trials_per_cell must be a positive integer"),
+    ("trials_per_cell", 1.5, "trials_per_cell must be a positive integer"),
 ])
 def test_campaign_spec_rejects_unknown_grid_names(field, value, message):
     with pytest.raises(ValueError, match=message):

@@ -252,6 +252,25 @@ def test_behind_camera_factors_skipped_not_fatal():
     assert report.skip_events >= 1 or report.skipped_final >= 0
 
 
+@pytest.mark.parametrize("param", ["rts", "spd", "full"])
+def test_skipped_final_is_the_skip_count_at_the_final_variables(param):
+    trial = seeded_trial("M", idx=3)
+    problem = trial_problem(trial, param, "inverse")
+    # A camera turned half way round about its y axis sees the landmark
+    # behind it at every state, so its factor is skipped to the end.
+    frame = trial.scene.frames[0]
+    away = Pose(frame.pose.rotation @ np.diag([-1.0, 1.0, -1.0]), frame.pose.translation)
+    problem.variables["away"] = away
+    problem.fixed.add("away")
+    problem.factors.append(Factor(100, "box-inverse", ("away", "obj"),
+                                  {"intrinsics": frame.intrinsics, "box": trial.noisy_boxes[0]},
+                                  25.0))
+    report = solve(problem)
+    assert report.iterations > 0
+    assert report.skipped_final == 1
+    assert report.skipped_final == solver._cost_of(report.variables, problem.factors)[1]
+
+
 def test_declare_success_rules():
     trial = seeded_trial("L", idx=7)
     problem = trial_problem(trial, "rts", "inverse")
@@ -331,8 +350,9 @@ def test_solve_stalls_after_max_inner_retries_rejected_candidates(monkeypatch):
     assert report.termination == "stalled"
     assert report.iterations == 0
     assert report.attempts == options.max_inner_retries + 1
-    # The initial cost, one evaluation per candidate, and the final skip count.
-    assert len(calls) == 1 + (options.max_inner_retries + 1) + 1
+    # The initial cost and one evaluation per candidate; the final skip
+    # count is the one the loop tracked, not a further evaluation.
+    assert len(calls) == 1 + (options.max_inner_retries + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +417,7 @@ def _oracle_block(f, values, variants, columns, n):
             qc = variants[lm_id].duals[0] if lm_free else solver._safe_dual(values[lm_id])
             for j in range(var.dim):
                 pair = []
-                for v in (var.plus[j], var.minus[j]):
+                for v in (var.values[1 + j], var.values[1 + var.dim + j]):
                     if v is None:
                         return None
                     t, ok = _oracle_box_table(f, CameraFrame(f.payload["intrinsics"], v), qc[None])
@@ -416,7 +436,7 @@ def _oracle_block(f, values, variants, columns, n):
         cols = columns[t]
         for j in range(var.dim):
             pair = []
-            for v in (var.plus[j], var.minus[j]):
+            for v in (var.values[1 + j], var.values[1 + var.dim + j]):
                 if v is None:
                     return None
                 scratch[t] = v
@@ -432,7 +452,7 @@ def _oracle_block(f, values, variants, columns, n):
 def _oracle_linearize(problem, options):
     unconstrained = set(problem.unconstrained())
     free = [v for v in problem.free_ids() if v not in unconstrained]
-    variants = {vid: solver._Variants(problem.variables[vid], options.fd_step) for vid in free}
+    variants = {vid: solver._Stack(problem.variables[vid], options.fd_step) for vid in free}
     columns, offset = {}, 0
     for vid in free:
         columns[vid] = slice(offset, offset + variants[vid].dim)
