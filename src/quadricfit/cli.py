@@ -17,13 +17,9 @@ import numpy as np
 
 from . import graphio
 from .costs import CameraIntrinsics
-from .evaluation import orientation_error, render_report
-from .quadric import rts_from_dual
-from .sim import (
-    CampaignSpec,
-    SceneSpec,
-    run_campaign,
-)
+from .evaluation import render_report, score_estimate
+from .quadric import PARAMETERIZATIONS
+from .sim import MODELS, CampaignSpec, SceneSpec, run_campaign
 from .solver import SolveOptions, cost_breakdown, solve
 
 OUT_ENV = "QUADRICFIT_OUT"
@@ -69,12 +65,12 @@ def _build_campaign_spec(args) -> CampaignSpec:
                 if k not in ("scene", "options")}
         if "arcs" in grid:
             grid["arcs"] = tuple(float(a) for a in grid["arcs"])
+        if args.seed is not None:
+            grid["master_seed"] = args.seed
         spec = CampaignSpec(**grid, scene=SceneSpec(**scene_cfg),
                             options=SolveOptions(**cfg.get("options", {})))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid config: {exc}") from exc
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, master_seed=args.seed)
     if args.cells:
         spec = _apply_cells_filter(spec, args.cells)
     return spec
@@ -162,17 +158,10 @@ def cmd_solve(args) -> int:
     }
     truth = graphio.truth_landmarks(graph)
     if truth:
-        from .evaluation import iou_duals
-
         per_landmark = {}
         for vid, truth_state in truth.items():
-            est = report.variables[vid]
-            per_landmark[vid] = {
-                "iou": iou_duals(est.dual, truth_state.dual),
-                "orientation_error_deg": orientation_error(
-                    rts_from_dual(est.dual).rotation, truth_state.rotation
-                ),
-            }
+            iou, orient = score_estimate(report.variables[vid], truth_state)
+            per_landmark[vid] = {"iou": iou, "orientation_error_deg": orient}
         summary["against_truth"] = per_landmark
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -225,8 +214,8 @@ def make_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="solve a factor-graph file")
     p.add_argument("--graph", required=True)
-    p.add_argument("--param", required=True, choices=("full", "rts", "spd"))
-    p.add_argument("--model", default="inverse", choices=("inverse", "semi"))
+    p.add_argument("--param", required=True, choices=PARAMETERIZATIONS)
+    p.add_argument("--model", default="inverse", choices=MODELS)
     p.add_argument("--size-form", default="sqrt", choices=("sqrt", "paper"))
     p.add_argument("--out", help=f"output directory (default ${OUT_ENV} or .)")
     p.set_defaults(func=cmd_solve)

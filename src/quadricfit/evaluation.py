@@ -1,5 +1,5 @@
 """Quantitative evaluation: 3D IoU on circumscribed boxes, orientation
-error on the axis-permutation quotient, and per-cell summaries."""
+error on the axis-permutation quotient, trial scores and cell summaries."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifold import InvalidInputError
-from .quadric import proper_axis_permutations, rts_from_dual
+from .quadric import PARAMETERIZATIONS, DegenerateLandmarkError, proper_axis_permutations, rts_from_dual
 
 # Tolerances of the exact box IoU, relative to the largest corner coordinate
 # of the pair. Faces closer than _COPLANAR_TOL are one boundary piece: that
@@ -225,6 +225,17 @@ def orientation_error(est: np.ndarray, truth: np.ndarray) -> float:
     return float(np.degrees(best))
 
 
+def score_estimate(estimate, truth) -> tuple[float, float]:
+    """(IoU, orientation error in degrees) of a landmark estimate against its
+    ground-truth RTS state; (0.0, 180.0) when the estimate is no ellipsoid."""
+    try:
+        dual = estimate.dual
+        return (iou_duals(dual, truth.dual),
+                orientation_error(rts_from_dual(dual).rotation, truth.rotation))
+    except (DegenerateLandmarkError, np.linalg.LinAlgError):
+        return 0.0, 180.0
+
+
 @dataclass
 class CellSummary:
     """Aggregates of one campaign cell (noise, arc, parameterization, model)."""
@@ -267,62 +278,51 @@ def summarize(results: list) -> CellSummary:
     )
 
 
-_PARAM_ORDER = ("full", "rts", "spd")
+def group_cells(results: list) -> dict:
+    """Records by campaign cell ``(noise, arc_deg, parameterization, model)``;
+    cells in order of first appearance, records in input order."""
+    cells: dict = {}
+    for r in results:
+        cells.setdefault((r.noise, r.arc_deg, r.parameterization, r.model), []).append(r)
+    return cells
+
+
+# Report rows: label, separator between parameterizations (None: pooled),
+# whether only successes count, and the entry of a non-empty record list.
+_REPORT_ROWS = (
+    ("success F+S+O", "+", False, lambda rs: str(sum(r.success for r in rs))),
+    ("avg IoU F/S/O", "/", False, lambda rs: f"{np.mean([r.iou for r in rs]):.2f}"),
+    ("avg success IoU", None, True, lambda rs: f"{np.mean([r.iou for r in rs]):.2f}"),
+    ("med iters to ok", "/", True,
+     lambda rs: f"{np.median([r.iterations_to_success for r in rs]):.0f}"),
+)
 
 
 def render_report(results: list) -> str:
     """Success-count / IoU table over (noise, arc, model) with one column
     block per measurement model and arc, parameterizations pooled per the
-    F+S+O convention."""
+    F+S+O convention. Pooled entries take their records in key order."""
     noises = sorted({r.noise for r in results}, key="LMH".index)
     arcs = sorted({r.arc_deg for r in results})
     models = [m for m in ("inverse", "semi") if any(r.model == m for r in results)]
     combos = [(m, a) for a in arcs for m in models]
+    cells = group_cells(results)
 
-    def cell(noise, model, arc):
-        return [r for r in results if r.noise == noise and r.model == model and r.arc_deg == arc]
-
-    lines = []
     header = ["metric", "noise"] + [f"{m[:4]}-{a}" for m, a in combos]
     widths = [16, 6] + [14] * len(combos)
 
     def fmt_row(cols):
         return "  ".join(str(c).ljust(w) for c, w in zip(cols, widths)).rstrip()
 
-    lines.append(fmt_row(header))
-    for noise in noises:
-        row = ["success F+S+O" if noise == noises[0] else "", noise]
-        for model, arc in combos:
-            rs = cell(noise, model, arc)
-            counts = []
-            for p in _PARAM_ORDER:
-                sub = [r for r in rs if r.parameterization == p]
-                counts.append(str(sum(r.success for r in sub)) if sub else "-")
-            row.append("+".join(counts))
-        lines.append(fmt_row(row))
-    for noise in noises:
-        row = ["avg IoU F/S/O" if noise == noises[0] else "", noise]
-        for model, arc in combos:
-            rs = cell(noise, model, arc)
-            vals = []
-            for p in _PARAM_ORDER:
-                sub = [r for r in rs if r.parameterization == p]
-                vals.append(f"{np.mean([r.iou for r in sub]):.2f}" if sub else "-")
-            row.append("/".join(vals))
-        lines.append(fmt_row(row))
-    for noise in noises:
-        row = ["avg success IoU" if noise == noises[0] else "", noise]
-        for model, arc in combos:
-            rs = [r for r in cell(noise, model, arc) if r.success]
-            row.append(f"{np.mean([r.iou for r in rs]):.2f}" if rs else "-")
-        lines.append(fmt_row(row))
-    for noise in noises:
-        row = ["med iters to ok" if noise == noises[0] else "", noise]
-        for model, arc in combos:
-            vals = []
-            for p in _PARAM_ORDER:
-                sub = [r for r in cell(noise, model, arc) if r.parameterization == p and r.success]
-                vals.append(f"{np.median([r.iterations_to_success for r in sub]):.0f}" if sub else "-")
-            row.append("/".join(vals))
-        lines.append(fmt_row(row))
+    lines = [fmt_row(header)]
+    for label, sep, successes_only, entry in _REPORT_ROWS:
+        for noise in noises:
+            row = [label if noise == noises[0] else "", noise]
+            for model, arc in combos:
+                groups = [[r for r in cells.get((noise, arc, p, model), [])
+                           if r.success or not successes_only] for p in PARAMETERIZATIONS]
+                if sep is None:
+                    groups = [sorted((r for g in groups for r in g), key=lambda r: r.key())]
+                row.append((sep or "").join(entry(rs) if rs else "-" for rs in groups))
+            lines.append(fmt_row(row))
     return "\n".join(lines)

@@ -1,8 +1,10 @@
 """File formats: factor-graph files, campaign result files, CSV traces.
 
 Both formats are JSON (diffable, full float precision via repr round-trip).
-Angles are serialized in degrees; everything internal is radians. The
-result file separates deterministic content (config echo, per-trial
+Angles are serialized in degrees; everything internal is radians. One
+reader per graph section checks it and returns its typed values; every
+graph entry point reads through them, so each raises the same GraphError.
+The result file separates deterministic content (config echo, per-trial
 records, summaries) from wall-clock telemetry, so identical seeds produce
 identical records regardless of parallelism.
 """
@@ -22,17 +24,10 @@ from .costs import (
     DEFAULT_VARIANCES,
     Factor,
 )
-from .evaluation import summarize
+from .evaluation import group_cells, summarize
 from .manifold import SPD_EIG_TOL, Pose, quat_to_rot, rot_to_quat
-from .quadric import (
-    DegenerateLandmarkError,
-    FullState,
-    RtsState,
-    SpdState,
-    full_from_dual,
-    rts_from_dual,
-    spd_from_dual,
-)
+from .quadric import (DegenerateLandmarkError, FullState, RtsState, SpdState, as_parameterization,
+                      parameterization_tag, rts_from_dual, spd_from_dual)
 from .sim import TrialResult, box_factor_kind
 from .solver import SUCCESS_FACTOR, Problem
 
@@ -54,8 +49,10 @@ def _check(cond: bool, message: str):
 
 
 def _field(d: dict, key: str, what: str):
-    _check(isinstance(d, dict), f"{what}: expected an object")
-    _check(key in d, f"{what}: missing {key}")
+    if not isinstance(d, dict):
+        raise GraphError(f"{what}: expected an object")
+    if key not in d:
+        raise GraphError(f"{what}: missing {key}")
     return d[key]
 
 
@@ -74,17 +71,40 @@ def _numbers(d: dict, key: str, what: str, shape: tuple, name: str | None = None
         a = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise GraphError(f"{what}: {name} must be numeric") from None
-    size = " x ".join(map(str, shape))
-    _check(a.shape == shape, f"{what}: {name} must be " + (f"{size} numbers" if shape else "a number"))
-    _check(bool(np.all(np.isfinite(a))), f"{what}: {name} must be finite")
+    if a.shape != shape:
+        size = " x ".join(map(str, shape))
+        raise GraphError(f"{what}: {name} must be " + (f"{size} numbers" if shape else "a number"))
+    if not np.isfinite(a).all():
+        raise GraphError(f"{what}: {name} must be finite")
     return a
 
 
-def _check_sigma(d: dict, key: str, what: str) -> None:
-    """An optional standard deviation must be a finite positive number."""
-    if key in d:
-        sigma = _numbers(d, key, what, ())
-        _check(sigma > 0.0, f"{what}: {key} must be positive")
+def _id(d: dict, key: str, what: str, known=None, noun: str = "") -> str:
+    """Field ``key`` of ``d``: a string variable id, one of ``known`` unless that is None."""
+    vid = _field(d, key, what)
+    if not isinstance(vid, str):
+        raise GraphError(f"{what}: {key} must be a string")
+    if known is not None and vid not in known:
+        raise GraphError(f"{what}: unknown {noun} {vid!r}")
+    return vid
+
+
+def _variance(d: dict, key: str, what: str, default=None, unit=float):
+    """Variance of the optional standard deviation ``d[key]``, which must be
+    a finite positive number, converted by ``unit``; ``default`` if absent."""
+    if key not in d:
+        return default
+    sigma = _numbers(d, key, what, ())
+    _check(sigma > 0.0, f"{what}: {key} must be positive")
+    return unit(float(sigma)) ** 2
+
+
+def _targeted(d: dict, key: str, owner: str, known, ref_key: str = "landmark"):
+    """(target id, description, entry) for each entry of the optional list
+    ``d[key]``, whose ``ref_key`` must name an id in ``known`` (None: any)."""
+    for entry in _entries(d, key):
+        ref = _id(entry, ref_key, owner, known, ref_key)
+        yield ref, f"{owner} for {ref!r}", entry
 
 
 def _pose_from(d: dict, what: str) -> Pose:
@@ -94,13 +114,17 @@ def _pose_from(d: dict, what: str) -> Pose:
     return Pose(quat_to_rot(q), t)
 
 
+def _rts_from(d: dict, what: str) -> RtsState:
+    pose = _pose_from(d, what)
+    s = _numbers(d, "scale", what, (3,))
+    _check(bool(np.all(s > 0)), f"{what}: scale must be 3 positive entries")
+    return RtsState(pose.rotation, pose.translation, s)
+
+
 def _landmark_from(d: dict, what: str):
     param = d.get("param")
     if param == "rts":
-        pose = _pose_from(d, what)
-        s = _numbers(d, "scale", what, (3,))
-        _check(bool(np.all(s > 0)), f"{what}: scale must be 3 positive entries")
-        return RtsState(pose.rotation, pose.translation, s)
+        return _rts_from(d, what)
     if param == "spd":
         shape = _numbers(d, "shape", what, (3, 3))
         t = _numbers(d, "t_xyz", what, (3,), "translation")
@@ -117,85 +141,128 @@ def _landmark_from(d: dict, what: str):
     raise GraphError(f"{what}: unknown parameterization tag {param!r}")
 
 
-def validate_graph(graph: dict) -> None:
-    """Raise :class:`GraphError` naming the offending entity, else return.
+# One reader per section: each checks its section and returns typed values,
+# a factor section its factors as (kind, targets, payload, variance) specs.
+# A variance of None stands for the factor kind's default.
 
-    Every numeric field must be finite, every standard deviation positive,
-    and every required key present.
-    """
-    _check(isinstance(graph, dict), "graph must be an object")
-    _check(graph.get("version") == GRAPH_VERSION, f"unsupported graph version {graph.get('version')!r}")
+
+def _read_intrinsics(graph: dict) -> CameraIntrinsics:
     intr = _field(graph, "intrinsics", "graph")
     for key in ("fx", "fy", "cx", "cy", "width", "height"):
         _numbers(intr, key, "intrinsics", ())
     try:
-        CameraIntrinsics(**intr)
+        return CameraIntrinsics(**intr)
     except (TypeError, ValueError) as exc:
         raise GraphError(f"intrinsics: {exc}") from None
 
-    frame_ids = []
-    for f in _entries(graph, "frames"):
-        fid = _field(f, "id", "frame")
-        _check(fid not in frame_ids, f"duplicate frame id {fid!r}")
-        frame_ids.append(fid)
-        _pose_from(f, f"frame {fid!r}")
-    landmark_ids = []
-    for lm in _entries(graph, "initial"):
-        lid = _field(lm, "landmark", "initial estimate")
-        _check(lid not in landmark_ids, f"duplicate landmark id {lid!r}")
-        landmark_ids.append(lid)
-        _landmark_from(lm, f"initial estimate for {lid!r}")
 
+def _read_frames(graph: dict) -> dict:
+    """Frame id -> world-from-camera pose."""
+    frames = {}
+    for f in _entries(graph, "frames"):
+        fid = _id(f, "id", "frame")
+        _check(fid not in frames, f"duplicate frame id {fid!r}")
+        frames[fid] = _pose_from(f, f"frame {fid!r}")
+    return frames
+
+
+def _read_initial(graph: dict, frames: dict) -> dict:
+    """Landmark id -> initial state, in the parameterization its tag names."""
+    landmarks = {}
+    for lm in _entries(graph, "initial"):
+        lid = _id(lm, "landmark", "initial estimate")
+        _check(lid not in landmarks, f"duplicate landmark id {lid!r}")
+        _check(lid not in frames, f"landmark id {lid!r} is also a frame id")
+        landmarks[lid] = _landmark_from(lm, f"initial estimate for {lid!r}")
+    return landmarks
+
+
+def _read_detections(graph: dict, intrinsics, frames: dict, landmarks: dict, kind: str) -> list:
+    specs = []
     for i, det in enumerate(_entries(graph, "detections")):
         what = f"detection {i}"
-        _check(_field(det, "frame", what) in frame_ids, f"{what}: unknown frame id {det['frame']!r}")
-        _check(_field(det, "landmark", what) in landmark_ids,
-               f"{what}: unknown landmark id {det['landmark']!r}")
-        box = _numbers(det, "box", what, (4,))
-        _check(box[0] <= box[1] and box[2] <= box[3], f"{what}: box edges out of order")
-        _check_sigma(det, "sigma_px", what)
+        targets = (_id(det, "frame", what, frames, "frame id"),
+                   _id(det, "landmark", what, landmarks, "landmark id"))
+        ul, ur, vu, vd = _numbers(det, "box", what, (4,)).tolist()
+        if not (ul <= ur and vu <= vd):
+            raise GraphError(f"{what}: box edges out of order")
+        specs.append((kind, targets, {"intrinsics": intrinsics, "box": BoundingBox(ul, ur, vu, vd)},
+                      _variance(det, "sigma_px", what)))
+    return specs
 
-    priors = graph.get("priors", {})
-    _check(isinstance(priors, dict), "priors: expected an object")
-    for p in _entries(priors, "orientation"):
-        ref = _field(p, "landmark", "orientation prior")
-        _check(ref in landmark_ids, f"orientation prior: unknown landmark {ref!r}")
-        what = f"orientation prior for {ref!r}"
-        m = _numbers(p, "direction", what, (3,))
-        _check(np.linalg.norm(m) > 1e-9, f"{what}: bad direction")
-        _check_sigma(p, "sigma", what)
-    for p in _entries(priors, "scale"):
-        ref = _field(p, "landmark", "scale prior")
-        _check(ref in landmark_ids, f"scale prior: unknown landmark {ref!r}")
-        what = f"scale prior for {ref!r}"
+
+def _read_unit_priors(priors: dict, landmarks: dict, kind: str, key: str, size: int) -> list:
+    """Orientation or support priors, each vector scaled to a unit first three entries."""
+    specs = []
+    for ref, what, p in _targeted(priors, kind, f"{kind} prior", landmarks):
+        v = _numbers(p, key, what, (size,))
+        _check(np.linalg.norm(v[:3]) > 1e-9, f"{what}: bad {key}")
+        specs.append((kind, (ref,), {key: v / np.linalg.norm(v[:3])}, _variance(p, "sigma", what)))
+    return specs
+
+
+def _read_scale_priors(priors: dict, landmarks: dict, size_form: str) -> list:
+    """A shape and a size factor per scale prior."""
+    specs = []
+    for ref, what, p in _targeted(priors, "scale", "scale prior", landmarks):
         abc = _numbers(p, "abc", what, (3,))
         _check(abc[0] >= abc[1] >= abc[2] > 0, f"{what}: abc must be sorted descending, positive")
-        _check_sigma(p, "sigma_shape", what)
-        _check_sigma(p, "sigma_size", what)
-    for p in _entries(priors, "support"):
-        ref = _field(p, "landmark", "support prior")
-        _check(ref in landmark_ids, f"support prior: unknown landmark {ref!r}")
-        what = f"support prior for {ref!r}"
-        pl = _numbers(p, "plane", what, (4,))
-        _check(np.linalg.norm(pl[:3]) > 1e-9, f"{what}: bad plane")
-        _check_sigma(p, "sigma", what)
-    for p in _entries(priors, "pose"):
-        ref = _field(p, "frame", "pose prior")
-        _check(ref in frame_ids, f"pose prior: unknown frame {ref!r}")
-        what = f"pose prior for {ref!r}"
-        _pose_from(p, what)
-        _check_sigma(p, "sigma_rot_deg", what)
-        _check_sigma(p, "sigma_trans_m", what)
+        abc = tuple(abc.tolist())
+        specs += [("shape", (ref,), {"prior": abc}, _variance(p, "sigma_shape", what)),
+                  ("size", (ref,), {"prior": abc, "form": size_form}, _variance(p, "sigma_size", what))]
+    return specs
 
-    for vid in _entries(graph, "fixed"):
-        _check(vid in frame_ids or vid in landmark_ids, f"fixed list: unknown id {vid!r}")
-    for t in _entries(graph, "truth"):
-        ref = _field(t, "landmark", "truth block")
-        _check(ref in landmark_ids, f"truth block: unknown landmark {ref!r}")
-        what = f"truth for {ref!r}"
-        _pose_from(t, what)
-        s = _numbers(t, "scale", what, (3,))
-        _check(bool(np.all(s > 0)), f"{what}: scale must be 3 positive entries")
+
+def _read_pose_priors(priors: dict, frames: dict) -> list:
+    specs = []
+    default = DEFAULT_VARIANCES["pose-prior"]
+    for ref, what, p in _targeted(priors, "pose", "pose prior", frames, "frame"):
+        observed = _pose_from(p, what)
+        rot = _variance(p, "sigma_rot_deg", what, default, np.radians)
+        trans = _variance(p, "sigma_trans_m", what, default)
+        specs.append(("pose-prior", (ref,), {"observed": observed},
+                      np.concatenate([np.full(3, rot), np.full(3, trans)])))
+    return specs
+
+
+def _read_fixed(graph: dict, frames: dict, landmarks: dict) -> set:
+    fixed = _entries(graph, "fixed")
+    for vid in fixed:
+        _check(isinstance(vid, str) and (vid in frames or vid in landmarks),
+               f"fixed list: unknown id {vid!r}")
+    return set(fixed)
+
+
+def _read_truth(graph: dict, landmarks=None) -> dict:
+    """Landmark id -> ground-truth RTS state, for ids in ``landmarks`` (None: any)."""
+    return {ref: _rts_from(t, what) for ref, what, t in _targeted(graph, "truth", "truth", landmarks)}
+
+
+def _read_graph(graph: dict, box_kind: str = "box-inverse", size_form: str = "sqrt"):
+    """Every section, read in file order: (frames, landmarks, factor specs,
+    fixed ids, truth). GraphError names the first offending entity."""
+    _check(isinstance(graph, dict), "graph must be an object")
+    _check(graph.get("version") == GRAPH_VERSION, f"unsupported graph version {graph.get('version')!r}")
+    intrinsics = _read_intrinsics(graph)
+    frames = _read_frames(graph)
+    landmarks = _read_initial(graph, frames)
+    specs = _read_detections(graph, intrinsics, frames, landmarks, box_kind)
+    priors = graph.get("priors", {})
+    _check(isinstance(priors, dict), "priors: expected an object")
+    specs += _read_unit_priors(priors, landmarks, "orientation", "direction", 3)
+    specs += _read_scale_priors(priors, landmarks, size_form)
+    specs += _read_unit_priors(priors, landmarks, "support", "plane", 4)
+    specs += _read_pose_priors(priors, frames)
+    return frames, landmarks, specs, _read_fixed(graph, frames, landmarks), _read_truth(graph, landmarks)
+
+
+def validate_graph(graph: dict) -> None:
+    """Raise :class:`GraphError` naming the offending entity, else return.
+
+    Every numeric field must be finite, every standard deviation positive,
+    every required key present and every id reference known.
+    """
+    _read_graph(graph)
 
 
 def load_graph(path) -> dict:
@@ -211,96 +278,36 @@ def save_graph(graph: dict, path) -> None:
         fh.write("\n")
 
 
-def _convert_landmark(state, parameterization: str):
-    if parameterization == "rts":
-        return state if isinstance(state, RtsState) else rts_from_dual(state.dual)
-    if parameterization == "spd":
-        return state if isinstance(state, SpdState) else spd_from_dual(state.dual)
-    if parameterization == "full":
-        return state if isinstance(state, FullState) else full_from_dual(state.dual)
-    raise GraphError(f"unknown parameterization {parameterization!r}")
-
-
 def problem_from_graph(graph: dict, parameterization: str, model: str = "inverse",
                        size_form: str = "sqrt") -> Problem:
-    """Build the full multi-constraint problem from a validated graph."""
-    kind = box_factor_kind(model)
-    intr = CameraIntrinsics(**graph["intrinsics"])
-    variables: dict = {}
-    for f in graph.get("frames", []):
-        variables[f["id"]] = _pose_from(f, f"frame {f['id']!r}")
-    for lm in graph.get("initial", []):
-        variables[lm["landmark"]] = _convert_landmark(
-            _landmark_from(lm, lm["landmark"]), parameterization
-        )
-
-    factors = []
-    fid = 0
-    for det in graph.get("detections", []):
-        var = det.get("sigma_px", np.sqrt(DEFAULT_VARIANCES[kind])) ** 2
-        factors.append(
-            Factor(fid, kind, (det["frame"], det["landmark"]),
-                   {"intrinsics": intr, "box": BoundingBox.from_array(det["box"])},
-                   variance=var)
-        )
-        fid += 1
-    priors = graph.get("priors", {})
-    for p in priors.get("orientation", []):
-        m = np.asarray(p["direction"], dtype=float)
-        var = p.get("sigma", np.sqrt(DEFAULT_VARIANCES["orientation"])) ** 2
-        factors.append(Factor(fid, "orientation", (p["landmark"],),
-                              {"direction": m / np.linalg.norm(m)}, variance=var))
-        fid += 1
-    for p in priors.get("scale", []):
-        abc = tuple(float(x) for x in p["abc"])
-        var_shape = p.get("sigma_shape", np.sqrt(DEFAULT_VARIANCES["shape"])) ** 2
-        var_size = p.get("sigma_size", np.sqrt(DEFAULT_VARIANCES["size"])) ** 2
-        factors.append(Factor(fid, "shape", (p["landmark"],), {"prior": abc}, variance=var_shape))
-        fid += 1
-        factors.append(Factor(fid, "size", (p["landmark"],),
-                              {"prior": abc, "form": size_form}, variance=var_size))
-        fid += 1
-    for p in priors.get("support", []):
-        pl = np.asarray(p["plane"], dtype=float)
-        pl = pl / np.linalg.norm(pl[:3])
-        var = p.get("sigma", np.sqrt(DEFAULT_VARIANCES["support"])) ** 2
-        factors.append(Factor(fid, "support", (p["landmark"],), {"plane": pl}, variance=var))
-        fid += 1
-    for p in priors.get("pose", []):
-        sig_rot = np.radians(p.get("sigma_rot_deg", np.degrees(0.01)))
-        sig_t = p.get("sigma_trans_m", 0.01)
-        var = np.concatenate([np.full(3, sig_rot**2), np.full(3, sig_t**2)])
-        factors.append(Factor(fid, "pose-prior", (p["frame"],),
-                              {"observed": _pose_from(p, "pose prior")}, variance=var))
-        fid += 1
-
-    return Problem(variables, factors, set(graph.get("fixed", [])))
+    """Build the full multi-constraint problem of a graph; GraphError if it
+    is malformed. Factor ids follow the file: detections, then orientation,
+    scale (a shape and a size factor each), support and pose priors."""
+    frames, landmarks, specs, fixed, _ = _read_graph(graph, box_factor_kind(model), size_form)
+    variables = dict(frames)
+    for lid, state in landmarks.items():
+        variables[lid] = as_parameterization(state, parameterization)
+    return Problem(variables, [Factor(i, *spec) for i, spec in enumerate(specs)], fixed)
 
 
 def truth_landmarks(graph: dict) -> dict:
-    """Ground-truth RTS states keyed by landmark id (empty if no truth block)."""
-    out = {}
-    for t in graph.get("truth", []):
-        pose = _pose_from(t, f"truth for {t['landmark']!r}")
-        out[t["landmark"]] = RtsState(pose.rotation, pose.translation,
-                                      np.asarray(t["scale"], dtype=float))
-    return out
+    """Ground-truth RTS states keyed by landmark id (empty if no truth
+    block); reads the truth block alone. GraphError if it is malformed."""
+    return _read_truth(graph)
 
 
 def estimate_entry(landmark_id: str, state) -> dict:
     """Serialized estimate: native tag plus the dual coefficients."""
-    entry: dict = {"landmark": landmark_id}
-    if isinstance(state, RtsState):
-        entry["param"] = "rts"
+    tag = parameterization_tag(state)
+    entry: dict = {"landmark": landmark_id, "param": tag}
+    if tag == "rts":
         entry["q_wxyz"] = rot_to_quat(state.rotation).tolist()
         entry["t_xyz"] = np.asarray(state.translation, dtype=float).tolist()
         entry["scale"] = np.asarray(state.scale, dtype=float).tolist()
-    elif isinstance(state, SpdState):
-        entry["param"] = "spd"
+    elif tag == "spd":
         entry["shape"] = np.asarray(state.shape, dtype=float).tolist()
         entry["t_xyz"] = np.asarray(state.translation, dtype=float).tolist()
     else:
-        entry["param"] = "full"
         entry["coefficients"] = np.asarray(state.v, dtype=float).tolist()
     rts = rts_from_dual(state.dual)
     entry["rts_equivalent"] = {
@@ -335,9 +342,7 @@ def records_to_results(records: list) -> list:
 
 
 def cell_summaries(results: list) -> list:
-    cells: dict = {}
-    for r in results:
-        cells.setdefault((r.noise, r.arc_deg, r.parameterization, r.model), []).append(r)
+    cells = group_cells(results)
     out = []
     for (noise, arc, param, model) in sorted(cells, key=str):
         s = summarize(cells[(noise, arc, param, model)])
@@ -400,10 +405,7 @@ def load_result(path) -> dict:
 def write_traces(directory, results: list) -> list:
     """One CSV of (scene_index, iteration, cost) rows per campaign cell."""
     paths = []
-    cells: dict = {}
-    for r in sorted(results, key=lambda r: r.key()):
-        cells.setdefault((r.noise, r.arc_deg, r.parameterization, r.model), []).append(r)
-    for (noise, arc, param, model), rs in cells.items():
+    for (noise, arc, param, model), rs in group_cells(sorted(results, key=lambda r: r.key())).items():
         name = f"trace_{noise}_{int(round(arc))}_{param}_{model}.csv"
         p = directory / name
         with open(p, "w", encoding="utf-8") as fh:

@@ -22,7 +22,8 @@ All states implement ``tangent_dim`` / ``retract`` / ``fd_scales`` /
 differentiates every variable and fixes it up after an accepted step;
 camera poses (:class:`quadricfit.manifold.Pose`) implement it too.
 Landmark states add ``dual``, the quadric every landmark factor is
-evaluated on.
+evaluated on. :data:`PARAMETERIZATIONS` holds the classes' tags, which
+:func:`as_parameterization` and :func:`parameterization_tag` map to states.
 """
 
 from __future__ import annotations
@@ -294,6 +295,24 @@ def sym4_to_coeffs(m: np.ndarray) -> np.ndarray:
 
 def full_from_dual(q: np.ndarray) -> FullState:
     return FullState(sym4_to_coeffs(normalize_dual(q)))
+
+
+# Parameterization tag -> state class and its conversion from a dual quadric.
+_PARAMETERIZATIONS = {"full": (FullState, full_from_dual), "rts": (RtsState, rts_from_dual),
+                      "spd": (SpdState, spd_from_dual)}
+PARAMETERIZATIONS = tuple(_PARAMETERIZATIONS)
+
+
+def parameterization_tag(state: LandmarkState) -> str:
+    return next(tag for tag, (cls, _) in _PARAMETERIZATIONS.items() if isinstance(state, cls))
+
+
+def as_parameterization(state: LandmarkState, tag: str) -> LandmarkState:
+    """``state`` in parameterization ``tag``, converted through its dual if need be."""
+    if tag not in _PARAMETERIZATIONS:
+        raise ValueError(f"unknown parameterization {tag!r}")
+    cls, from_dual = _PARAMETERIZATIONS[tag]
+    return state if isinstance(state, cls) else from_dual(state.dual)
 
 
 def regularize_full(state: FullState) -> FullState:

@@ -30,22 +30,13 @@ from .costs import (
     conic_bbox,
     project_dual,
 )
-from .evaluation import iou_duals, orientation_error
+from .evaluation import score_estimate
 from .manifold import Pose, quat_to_rot, rot_to_quat
-from .quadric import (
-    DegenerateLandmarkError,
-    RtsState,
-    SpdState,
-    dual_shape,
-    full_from_dual,
-    rts_from_dual,
-    rts_perturb,
-)
+from .quadric import PARAMETERIZATIONS, RtsState, SpdState, as_parameterization, dual_shape, rts_perturb
 from .solver import SUCCESS_FACTOR, Problem, SolveOptions, declare_success, solve, total_cost
 
 DEFAULT_INTRINSICS = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 
-PARAMETERIZATIONS = ("full", "rts", "spd")
 # Measurement model -> the box factor kind that implements it.
 _BOX_FACTOR_KINDS = {"inverse": "box-inverse", "semi": "box-semi"}
 MODELS = tuple(_BOX_FACTOR_KINDS)
@@ -235,16 +226,13 @@ def make_trial(spec: SceneSpec, noise: NoiseSpec, seed_seq, scene_index: int = 0
 
 
 def initial_state(init_rts: RtsState, parameterization: str):
-    """Convert the shared RTS-space perturbation to the solver's parameterization."""
-    if parameterization == "rts":
-        return init_rts
+    """Convert the shared RTS-space perturbation to the solver's parameterization.
+    SPD takes R diag(s^2) R^T, whose last bits campaign records follow, not the dual."""
     if parameterization == "spd":
         s = np.asarray(init_rts.scale, dtype=float)
         shape = init_rts.rotation @ np.diag(s * s) @ init_rts.rotation.T
         return SpdState(0.5 * (shape + shape.T), init_rts.translation)
-    if parameterization == "full":
-        return full_from_dual(init_rts.dual)
-    raise ValueError(f"unknown parameterization {parameterization!r}")
+    return as_parameterization(init_rts, parameterization)
 
 
 LANDMARK_ID = "obj"
@@ -283,13 +271,7 @@ def run_trial(trial: Trial, parameterization: str, model: str,
     floor_vars[LANDMARK_ID] = trial.scene.landmark
     floor = total_cost(Problem(floor_vars, problem.factors, problem.fixed))
 
-    est = report.variables[LANDMARK_ID]
-    try:
-        est_dual = est.dual
-        iou = iou_duals(est_dual, trial.scene.landmark.dual)
-        orient = orientation_error(rts_from_dual(est_dual).rotation, trial.scene.landmark.rotation)
-    except (DegenerateLandmarkError, np.linalg.LinAlgError):
-        iou, orient = 0.0, 180.0
+    iou, orient = score_estimate(report.variables[LANDMARK_ID], trial.scene.landmark)
     success = declare_success(report, floor)
     to_success = None
     if success:
@@ -339,9 +321,10 @@ class CampaignSpec:
         bad = [a for a in self.arcs if not 0.0 < a <= 360.0]
         if bad:
             raise ValueError(f"arcs must be in (0, 360] degrees, got {bad}")
-        n = self.trials_per_cell
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError(f"trials_per_cell must be a positive integer, got {n!r}")
+        for name, low, what in (("master_seed", 0, "non-negative"), ("trials_per_cell", 1, "positive")):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < low:
+                raise ValueError(f"{name} must be a {what} integer, got {n!r}")
 
 
 def _scene_seed(spec: CampaignSpec, noise: str, arc: float, index: int):

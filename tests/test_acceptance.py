@@ -18,15 +18,14 @@ from quadricfit.evaluation import (
     OrientedBox,
     iou_aabb_analytic,
     iou_boxes,
-    iou_duals,
     orientation_error,
+    score_estimate,
 )
 from quadricfit.manifold import so3_exp, spd_log, spd_metric, spd_retract, spd_sqrt
 from quadricfit.quadric import (
     RtsState,
     permuted_rts,
     proper_axis_permutations,
-    rts_from_dual,
 )
 from quadricfit.sim import CampaignSpec, run_campaign, synthetic_graph
 from quadricfit.solver import SolveOptions, solve
@@ -269,13 +268,9 @@ def test_criterion_8_multi_constraint_paired():
         for param, ious, oes in (("rts", rts_iou, rts_oe), ("spd", spd_iou, spd_oe)):
             problem = graphio.problem_from_graph(graph, param, model="semi")
             rep = solve(problem, SolveOptions())
-            est = rep.variables["obj"]
-            try:
-                ious.append(iou_duals(est.dual, truth.dual))
-                oes.append(orientation_error(rts_from_dual(est.dual).rotation, truth.rotation))
-            except Exception:
-                ious.append(0.0)
-                oes.append(180.0)
+            iou, oe = score_estimate(rep.variables["obj"], truth)
+            ious.append(iou)
+            oes.append(oe)
     iou_ok = np.mean(spd_iou) >= np.mean(rts_iou)
     oe_ok = np.mean(spd_oe) <= np.mean(rts_oe)
     ok = iou_ok and oe_ok

@@ -142,6 +142,13 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     cfg = tmp_path / "empty.json"
     cfg.write_text(json.dumps({"trials_per_cell": 0, "noise_levels": ["L"], "arcs": [60]}))
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "empty")]) == 1
+    # So is a master seed that is not a non-negative integer.
+    for seed in (-1, 1.5, "abc", True):
+        cfg = tmp_path / "seed.json"
+        cfg.write_text(json.dumps({"master_seed": seed, "noise_levels": ["L"], "arcs": [60]}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "seed")]) == 1
+    assert main(["simulate", "--seed", "-1", "--out", str(tmp_path / "seed")]) == 1
+    assert "master_seed must be a non-negative integer" in capsys.readouterr().err
     cfg = tmp_path / "typo.json"
     cfg.write_text(json.dumps({"trial_per_cell": 1, "noise_levels": ["L"], "arcs": [60]}))
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "typo")]) == 1

@@ -12,10 +12,11 @@ from quadricfit.evaluation import (
     iou_duals,
     orientation_error,
     render_report,
+    score_estimate,
     summarize,
 )
 from quadricfit.manifold import InvalidInputError, so3_exp
-from quadricfit.quadric import RtsState, proper_axis_permutations, rts_from_dual
+from quadricfit.quadric import FullState, RtsState, proper_axis_permutations, rts_from_dual
 from quadricfit.sim import TrialResult
 from conftest import random_rts
 
@@ -167,6 +168,17 @@ def test_iou_bounded_and_symmetric_property(seed, eps):
 def test_iou_duals(rng):
     state = random_rts(rng)
     assert iou_duals(state.dual, state.dual) == 1.0
+
+
+def test_score_estimate(rng):
+    truth, est = random_rts(rng), random_rts(rng)
+    assert score_estimate(est, truth) == (
+        iou_duals(est.dual, truth.dual),
+        orientation_error(rts_from_dual(est.dual).rotation, truth.rotation),
+    )
+    # Raw coefficients with a vanishing corner describe no ellipsoid.
+    degenerate = FullState(np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
+    assert score_estimate(degenerate, truth) == (0.0, 180.0)
 
 
 def test_orientation_error_zero_cases(rng):

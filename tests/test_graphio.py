@@ -77,16 +77,33 @@ def _edit(path, value=None):
     (_edit(("initial", 0), {"landmark": "obj", "param": "full",
                             "coefficients": [1, 1, 1, 0, 0, 0, 0, 0, 0, 0]}),
      "initial estimate for 'obj': coefficients do not describe an ellipsoid"),
+    (_edit(("priors", "scale", 0, "abc"), [0.2, 0.3, 0.1]),
+     "scale prior for 'obj': abc must be sorted descending, positive"),
+    (_edit(("initial", 0, "landmark"), "cam03"), "landmark id 'cam03' is also a frame id"),
+    (_edit(("detections", 2, "frame"), ["cam00"]), "detection 2: frame must be a string"),
+    (_edit(("fixed", 1), "ghost"), "fixed list: unknown id 'ghost'"),
+    (_edit(("truth", 0, "landmark"), "ghost"), "truth: unknown landmark 'ghost'"),
 ], ids=["box-inf", "frame-t-nan", "initial-t-inf", "support-nan", "sigma-negative",
         "sigma-inf", "sigma-zero", "intrinsics-nan", "truth-scale-nan", "box-string",
         "box-missing", "quaternion-missing", "detections-not-a-list", "spd-not-definite",
-        "full-not-ellipsoid"])
+        "full-not-ellipsoid", "abc-unsorted", "landmark-id-of-a-frame", "id-not-a-string",
+        "fixed-unknown", "truth-unknown"])
 def test_validate_rejects_malformed_fields(graph, edit, entity):
+    # Validation and problem building share one reader, so both reject a
+    # malformed graph with the same message.
     bad = json.loads(json.dumps(graph))
     edit(bad)
     with pytest.raises(graphio.GraphError) as info:
         graphio.validate_graph(bad)
     assert str(info.value) == entity
+    for param in ("full", "rts", "spd"):
+        with pytest.raises(graphio.GraphError) as info:
+            graphio.problem_from_graph(bad, param)
+        assert str(info.value) == entity
+    if entity.startswith("truth for"):
+        with pytest.raises(graphio.GraphError) as info:
+            graphio.truth_landmarks(bad)
+        assert str(info.value) == entity
 
 
 def test_problem_from_graph_inventory(graph):

@@ -252,6 +252,10 @@ def test_trial_problem_rejects_unknown_model():
     ("trials_per_cell", 0, "trials_per_cell must be a positive integer"),
     ("trials_per_cell", -2, "trials_per_cell must be a positive integer"),
     ("trials_per_cell", 1.5, "trials_per_cell must be a positive integer"),
+    ("master_seed", -1, "master_seed must be a non-negative integer"),
+    ("master_seed", 1.5, "master_seed must be a non-negative integer"),
+    ("master_seed", "abc", "master_seed must be a non-negative integer"),
+    ("master_seed", True, "master_seed must be a non-negative integer"),
 ])
 def test_campaign_spec_rejects_unknown_grid_names(field, value, message):
     with pytest.raises(ValueError, match=message):

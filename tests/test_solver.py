@@ -19,10 +19,10 @@ from quadricfit.manifold import InvalidInputError, Pose, se3_exp, so3_exp
 from quadricfit.quadric import (
     DegenerateLandmarkError,
     RtsState,
+    as_parameterization,
     dual_center,
     dual_shape,
     full_from_dual,
-    spd_from_dual,
 )
 from quadricfit.sim import (
     NOISE_LEVELS,
@@ -492,12 +492,6 @@ def _look_at(position, target):
     return Pose(np.column_stack([x, np.cross(z, x), z]), position)
 
 
-def _as_param(state, param):
-    if param == "rts":
-        return state
-    return spd_from_dual(state.dual) if param == "spd" else full_from_dual(state.dual)
-
-
 def random_graph_problem(seed, param, landmarks, poses, near_plane=False):
     """Random small graph: every box model and prior kind, free and fixed
     variables, shuffled factor ids. With ``near_plane`` the first camera
@@ -510,7 +504,7 @@ def random_graph_problem(seed, param, landmarks, poses, near_plane=False):
     for i in range(landmarks):
         state = RtsState(so3_exp(rng.normal(size=3)), rng.normal(scale=0.5, size=3),
                          rng.uniform(0.2, 0.6, size=3))
-        variables[f"lm{i}"] = _as_param(state, param)
+        variables[f"lm{i}"] = as_parameterization(state, param)
     for j in range(poses):
         azimuth = rng.uniform(0.0, 2.0 * np.pi)
         position = rng.uniform(4.0, 6.0) * np.array([np.cos(azimuth), np.sin(azimuth), 0.5])
@@ -633,7 +627,7 @@ def test_linearize_skips_factor_whose_variant_falls_behind_camera(param, fixed):
     reach = np.sqrt(rotation[2] ** 2 @ axes ** 2)  # support reach along the camera's axis
     state = RtsState(rotation, np.array([0.1, 0.05, reach + 5e-7]), axes)
     side = _look_at(np.array([1.0, -4.0, 0.5]), state.translation)
-    variables = {"cam": Pose.identity(), "side": side, "obj": _as_param(state, param)}
+    variables = {"cam": Pose.identity(), "side": side, "obj": as_parameterization(state, param)}
     box = BoundingBox(280.0, 360.0, 200.0, 280.0)
     factors = [
         Factor(0, "box-inverse", ("cam", "obj"), {"intrinsics": INTR, "box": box}),
