@@ -5,8 +5,9 @@ The one conic-box formula (:func:`boxes_from_duals`, built from
 tangency formula (:func:`tangency_values`). Each row carries its own
 camera ([R|t] and intrinsics, or edge planes), so one call can cover
 every camera of a problem; rows never mix, and a row's result has the
-same bits in any stack. The solver's cost and its Jacobian, and the
-one-factor residuals of :mod:`quadricfit.costs`, all evaluate boxes and
+same bits in any stack. The box rows of
+:data:`quadricfit.costs.FACTOR_KINDS`, which the solver's cost, its
+Jacobian and any single-factor evaluation all use, evaluate boxes and
 tangency defects through these functions, so each residual has a single
 implementation. A voxel overlap count serves only as a brute-force test
 oracle for the exact box IoU of :mod:`quadricfit.evaluation`. All inputs

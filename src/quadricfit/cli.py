@@ -34,6 +34,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _jobs(text: str) -> int:
+    """A --jobs value: a worker-process count of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return jobs
+
+
 def _out_dir(arg) -> Path:
     out = Path(arg or os.environ.get(OUT_ENV, "."))
     out.mkdir(parents=True, exist_ok=True)
@@ -206,7 +217,7 @@ def make_parser() -> _Parser:
     p = sub.add_parser("simulate", help="run the Monte-Carlo campaign grid")
     p.add_argument("--config", help="JSON config mirroring the campaign/scene/solver options")
     p.add_argument("--seed", type=int, default=None, help="master seed override")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=_jobs, default=None,
                    help="worker processes (default: the CPUs this process may use)")
     p.add_argument("--cells", help="grid filter, e.g. noise=H,arc=60")
     p.add_argument("--out", help=f"output directory (default ${OUT_ENV} or .)")

@@ -1,5 +1,11 @@
-"""Residual functions: box measurement (two models), orientation, shape,
-size, supporting plane and pose prior.
+"""Factor kinds and their residuals: box measurement (two models),
+orientation, shape, size, supporting plane and pose prior.
+
+Each factor kind is defined once, in :data:`FACTOR_KINDS`: its residual
+dimension, its default variance and its batched row function. The solver
+evaluates every factor through that table, on stacks of its targets'
+values, and so does :func:`quadricfit.solver.factor_residual` for a single
+factor; there is no second, one-factor implementation of any residual.
 
 Every residual is evaluated through the canonical dual quadric, so its
 value does not depend on which landmark parameterization produced the
@@ -10,22 +16,21 @@ along +z; image u grows right, v grows down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
+from . import _kernels
 from ._kernels import (
     BEHIND_CAMERA,
     CUTS_PRINCIPAL_PLANE,
     NEGATIVE_DISCRIMINANT,
     UNNORMALIZABLE,
-    boxes_from_duals,
     conic_boxes,
     project_duals,
-    tangency_values,
 )
 from .manifold import InvalidInputError, Pose, se3_log
-from .quadric import dual_shape, rts_from_dual
+from .quadric import DegenerateLandmarkError, dual_shape
 
 
 class BehindCameraError(ValueError):
@@ -47,6 +52,8 @@ class CameraIntrinsics:
     height: int = 480
 
     def __post_init__(self):
+        if not (np.isfinite(self.fx) and np.isfinite(self.fy)):
+            raise InvalidInputError("focal lengths must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise InvalidInputError("focal lengths must be positive")
         if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):
@@ -87,6 +94,8 @@ class BoundingBox:
     vd: float
 
     def __post_init__(self):
+        if not np.isfinite([self.ul, self.ur, self.vu, self.vd]).all():
+            raise InvalidInputError("bounding box edges must be finite")
         if self.ul > self.ur or self.vu > self.vd:
             raise InvalidInputError("bounding box edges out of order")
 
@@ -98,8 +107,15 @@ class BoundingBox:
         return BoundingBox(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
 
 
-def projection_error(status: int) -> Exception | None:
+# Why a prior's row is not evaluable, beside the kernels' projection
+# statuses: the landmark's shape block is not positive definite.
+NOT_DECOMPOSABLE = 5
+
+
+def evaluation_error(status: int) -> Exception | None:
     """The error a single evaluation raises for a batched row's status."""
+    if status == NOT_DECOMPOSABLE:
+        return DegenerateLandmarkError("shape block is not positive definite")
     if status == BEHIND_CAMERA:
         return BehindCameraError("ellipsoid center behind camera")
     if status == CUTS_PRINCIPAL_PLANE:
@@ -121,7 +137,7 @@ def project_dual(q: np.ndarray, frame: CameraFrame) -> np.ndarray:
     g, status = project_duals(np.asarray(q, dtype=float)[None], rt[None],
                               (frame.intrinsics.k @ rt)[None])
     if status[0]:
-        raise projection_error(status[0])
+        raise evaluation_error(status[0])
     return g[0]
 
 
@@ -133,7 +149,7 @@ def conic_bbox(g: np.ndarray) -> BoundingBox:
     """
     boxes, ok = conic_boxes(np.asarray(g, dtype=float)[None])
     if not ok[0]:
-        raise projection_error(NEGATIVE_DISCRIMINANT)
+        raise evaluation_error(NEGATIVE_DISCRIMINANT)
     return BoundingBox.from_array(boxes[0])
 
 
@@ -159,18 +175,24 @@ def box_edge_planes(frame: CameraFrame, box: BoundingBox) -> np.ndarray:
     return np.array([_backproject(m, l) for l in lines])
 
 
-def residual_box_inverse(frame: CameraFrame, q: np.ndarray, observed: BoundingBox) -> np.ndarray:
-    """Predicted box minus observed box (4 components, px)."""
-    intr = frame.intrinsics
-    boxes, status = boxes_from_duals(intr.fx, intr.fy, intr.cx, intr.cy, frame.projection_rt(),
-                                     np.asarray(q, dtype=float)[None])
-    if status[0]:
-        raise projection_error(status[0])
-    return boxes[0] - observed.as_array()
+def _evaluable(rows: np.ndarray):
+    """Rows with the status of rows that are always evaluable."""
+    return rows, np.zeros(len(rows), dtype=int)
 
 
-def residual_box_semi(frame: CameraFrame, q: np.ndarray, observed: BoundingBox) -> np.ndarray:
-    """Tangency defect of each observed edge plane (4 components).
+def box_inverse_rows(views, duals, intrinsics, observed):
+    """Predicted box minus observed box (4 components, px), a row per camera:
+    ``views`` (n, 3, 4) holds each row's [R|t], ``intrinsics`` (n, 4) its
+    fx, fy, cx, cy and ``observed`` (n, 4) its box; statuses as
+    :func:`~quadricfit._kernels.boxes_from_duals` gives them."""
+    fx, fy, cx, cy = intrinsics.T
+    boxes, status = _kernels.boxes_from_duals(fx, fy, cx, cy, views, duals)
+    return boxes - observed, status
+
+
+def box_semi_rows(views, duals, intrinsics, observed):
+    """Tangency defect of each observed edge plane (4 components), a row
+    per camera; ``views`` (n, 4, 4) holds each row's edge planes.
 
     With a unit-normal plane and the canonical quadric scale the defect is
     ``reach^2 - dist^2`` (m^2): the squared support reach of the ellipsoid
@@ -178,9 +200,9 @@ def residual_box_semi(frame: CameraFrame, q: np.ndarray, observed: BoundingBox) 
     it is zero exactly at tangency and grows with landmark size, which
     anchors the otherwise scale-free tangency condition. Stacked per edge
     rather than summed so a per-edge covariance stays meaningful; the
-    minimizer is the same under isotropic covariance.
+    minimizer is the same under isotropic covariance. Always evaluable.
     """
-    return tangency_values(box_edge_planes(frame, observed), np.asarray(q, dtype=float)[None])[0][0]
+    return _evaluable(_kernels.tangency_values(views, duals)[0])
 
 
 def unit_direction(m) -> np.ndarray:
@@ -193,16 +215,8 @@ def unit_direction(m) -> np.ndarray:
 
 
 def orientation_residuals(rotations: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Batched :func:`residual_orientation`: rotations (n, 3, 3), unit ``m``; (n, 9)."""
-    out = np.empty((len(rotations), 9))
-    for i in range(3):
-        axis = rotations[:, :, i]
-        out[:, 3 * i : 3 * i + 3] = np.cross(axis, m) * np.vecdot(axis, m)[:, None]
-    return out
-
-
-def residual_orientation(q: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Alignment defect of each landmark axis against direction ``m``.
+    """Alignment defect of each landmark axis against unit direction ``m``,
+    for rotations (n, 3, 3); (n, 9).
 
     For axis column n: ``(n x m) * (n . m)``, which vanishes when the axis
     is parallel or perpendicular to ``m``; stacking all three axes gives a
@@ -210,12 +224,16 @@ def residual_orientation(q: np.ndarray, m: np.ndarray) -> np.ndarray:
     either direction). Independent of the axis labeling returned by the
     underlying decomposition.
     """
-    m = unit_direction(m)
-    return orientation_residuals(rts_from_dual(q).rotation[None], m)[0]
+    out = np.empty((len(rotations), 9))
+    for i in range(3):
+        axis = rotations[:, :, i]
+        out[:, 3 * i : 3 * i + 3] = np.cross(axis, m) * np.vecdot(axis, m)[:, None]
+    return out
 
 
 def shape_residuals(scales: np.ndarray, prior) -> np.ndarray:
-    """Batched :func:`residual_shape` on descending semi-axes (n, 3); (n, 2)."""
+    """Axis-ratio defect [s1/s3 - a/c, s2/s3 - b/c] of descending semi-axes
+    (n, 3); (n, 2). The prior is sorted a >= b >= c."""
     a, b, c = (float(x) for x in prior)
     if not (a >= b >= c > 0.0):
         raise InvalidInputError("shape prior must satisfy a >= b >= c > 0")
@@ -223,13 +241,14 @@ def shape_residuals(scales: np.ndarray, prior) -> np.ndarray:
                      scales[:, 1] / scales[:, 2] - b / c], axis=1)
 
 
-def residual_shape(q: np.ndarray, prior: np.ndarray) -> np.ndarray:
-    """Axis-ratio defect [s1/s3 - a/c, s2/s3 - b/c]; prior sorted a >= b >= c."""
-    return shape_residuals(rts_from_dual(q).scale[None], prior)[0]
-
-
 def size_residuals(qs: np.ndarray, scales: np.ndarray, prior, form: str = "sqrt") -> np.ndarray:
-    """Batched :func:`residual_size` on duals (n, 4, 4) and their semi-axes (n, 3)."""
+    """Volume-scale defect against the prior product a*b*c, for duals
+    (n, 4, 4) and their semi-axes (n, 3); (n,).
+
+    form='sqrt' (default) compares the semi-axis product s1*s2*s3, which has
+    the same units as a*b*c. form='det' compares the raw shape-block
+    determinant (s1*s2*s3)^2 instead, kept selectable for A/B comparison.
+    """
     a, b, c = (float(x) for x in prior)
     if form == "sqrt":
         return scales[:, 0] * scales[:, 1] * scales[:, 2] - a * b * c
@@ -238,32 +257,15 @@ def size_residuals(qs: np.ndarray, scales: np.ndarray, prior, form: str = "sqrt"
     raise InvalidInputError(f"unknown size residual form: {form!r}")
 
 
-def residual_size(q: np.ndarray, prior: np.ndarray, form: str = "sqrt") -> float:
-    """Volume-scale defect against the prior product a*b*c.
-
-    form='sqrt' (default) compares the semi-axis product s1*s2*s3, which has
-    the same units as a*b*c. form='det' compares the raw shape-block
-    determinant (s1*s2*s3)^2 instead, kept selectable for A/B comparison.
-    """
-    s = rts_from_dual(q).scale
-    return float(size_residuals(np.asarray(q, dtype=float)[None], s[None], prior, form)[0])
-
-
 def support_residuals(qs: np.ndarray, plane) -> np.ndarray:
-    """Batched :func:`residual_support` on duals (n, 4, 4); (n,)."""
+    """Tangency defect of a supporting plane for duals (n, 4, 4), zero when
+    tangent; (n,). Same ``reach^2 - dist^2`` form as the box-semi residual;
+    the plane is scaled to a unit normal first."""
     plane = np.asarray(plane, dtype=float)
     n = np.linalg.norm(plane[:3])
     if abs(n - 1.0) > 1e-9:
         plane = plane / n
     return np.vecdot(plane @ qs, plane)
-
-
-def residual_support(q: np.ndarray, plane: np.ndarray) -> float:
-    """Tangency defect of a supporting plane (unit normal), zero when tangent.
-
-    Same ``reach^2 - dist^2`` form as the semi-inverse box residual.
-    """
-    return float(support_residuals(np.asarray(q, dtype=float)[None], plane)[0])
 
 
 def residual_pose_prior(x: Pose, observed: Pose) -> np.ndarray:
@@ -277,37 +279,53 @@ def residual_pose_prior(x: Pose, observed: Pose) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Factors
+# Factor kinds
 
-FACTOR_KINDS = (
-    "box-inverse",
-    "box-semi",
-    "orientation",
-    "shape",
-    "size",
-    "support",
-    "pose-prior",
-)
 
-RESIDUAL_DIMS = {
-    "box-inverse": 4,
-    "box-semi": 4,
-    "orientation": 9,
-    "shape": 2,
-    "size": 1,
-    "support": 1,
-    "pose-prior": 6,
-}
+@dataclass(frozen=True)
+class FactorKind:
+    """A factor kind: residual dimension, default per-component variance and
+    ``rows``, which gives a factor's residual rows (n, dim) over stacked
+    values of its targets and each row's status (n,), 0 where evaluable.
 
-# Per-component variances by factor kind (configurable per factor).
-DEFAULT_VARIANCES = {
-    "box-inverse": 5.0**2,
-    "box-semi": 5.0**2,
-    "orientation": 0.1**2,
-    "shape": 0.5**2,
-    "size": 0.2**2,
-    "support": 0.05**2,
-    "pose-prior": 0.01**2,
+    A single-target kind reads ``rows(stack, payload)`` from its variable's
+    stack: ``values``, or a landmark's ``duals`` (n, 4, 4) and ``rts``, their
+    :func:`~quadricfit.quadric.rts_from_duals` shared by the stack's priors.
+    A camera-landmark kind (targets: pose, landmark) sees each row from
+    ``view(frame, box)`` and has rows as :func:`box_inverse_rows`; a
+    ``shared_view`` ignores the box, so the factors of one pose share it.
+    """
+
+    dim: int
+    variance: float
+    rows: Callable
+    view: Callable | None = None
+    shared_view: bool = False
+
+
+def _decomposed(stack) -> np.ndarray:
+    """Row statuses of a prior read from the stack's shared decomposition."""
+    return np.where(stack.rts[2], 0, NOT_DECOMPOSABLE)
+
+
+# The view functions and kernels are looked up at call time, so a tracer
+# or a test that replaces them by name sees every call.
+FACTOR_KINDS = {
+    "box-inverse": FactorKind(4, 5.0**2, box_inverse_rows,
+                              lambda frame, box: frame.projection_rt(), shared_view=True),
+    "box-semi": FactorKind(4, 5.0**2, box_semi_rows,
+                           lambda frame, box: box_edge_planes(frame, box)),
+    "orientation": FactorKind(9, 0.1**2, lambda s, p: (
+        orientation_residuals(s.rts[0], unit_direction(p["direction"])), _decomposed(s))),
+    "shape": FactorKind(2, 0.5**2, lambda s, p: (
+        shape_residuals(s.rts[1], p["prior"]), _decomposed(s))),
+    "size": FactorKind(1, 0.2**2, lambda s, p: (
+        size_residuals(s.duals, s.rts[1], p["prior"], p.get("form", "sqrt"))[:, None],
+        _decomposed(s))),
+    "support": FactorKind(1, 0.05**2, lambda s, p: _evaluable(
+        support_residuals(s.duals, p["plane"])[:, None])),
+    "pose-prior": FactorKind(6, 0.01**2, lambda s, p: _evaluable(
+        np.stack([residual_pose_prior(x, p["observed"]) for x in s.values]))),
 }
 
 
@@ -324,16 +342,17 @@ class Factor:
     def __post_init__(self):
         if self.kind not in FACTOR_KINDS:
             raise InvalidInputError(f"unknown factor kind: {self.kind!r}")
-        dim = RESIDUAL_DIMS[self.kind]
+        kind = FACTOR_KINDS[self.kind]
         var = self.variance
         if var is None:
-            var = np.full(dim, DEFAULT_VARIANCES[self.kind])
+            var = np.full(kind.dim, kind.variance)
         else:
-            var = np.broadcast_to(np.asarray(var, dtype=float), (dim,)).copy()
-        if np.any(var <= 0.0):
-            raise InvalidInputError("covariance entries must be positive")
+            var = np.broadcast_to(np.asarray(var, dtype=float), (kind.dim,)).copy()
+        # Negated comparisons, so NaN is rejected too.
+        if not np.all((var > 0.0) & (var < np.inf)):
+            raise InvalidInputError("covariance entries must be positive and finite")
         object.__setattr__(self, "variance", var)
 
     @property
     def dim(self) -> int:
-        return RESIDUAL_DIMS[self.kind]
+        return FACTOR_KINDS[self.kind].dim

@@ -28,11 +28,6 @@ class OrientedBox:
     rotation: np.ndarray
     half_extents: np.ndarray
 
-    def aabb(self) -> tuple[np.ndarray, np.ndarray]:
-        reach = np.abs(self.rotation) @ np.asarray(self.half_extents, dtype=float)
-        c = np.asarray(self.center, dtype=float)
-        return c - reach, c + reach
-
 
 def circumscribed_box(q: np.ndarray) -> OrientedBox:
     """Tight box around the ellipsoid: its center, rotation and semi-axes."""
@@ -185,19 +180,6 @@ def iou_boxes(a: OrientedBox, b: OrientedBox) -> float:
         if j not in partner:
             inter += _clipped_volume(face, planes_a, snap_tol)
     inter = min(max(inter, 0.0), vol_a, vol_b)
-    return inter / (vol_a + vol_b - inter)
-
-
-def iou_aabb_analytic(a: OrientedBox, b: OrientedBox) -> float:
-    """Exact IoU for axis-aligned boxes; an oracle for :func:`iou_boxes`."""
-    lo_a, hi_a = a.aabb()
-    lo_b, hi_b = b.aabb()
-    overlap = np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b)
-    if np.any(overlap <= 0.0):
-        return 0.0
-    inter = float(np.prod(overlap))
-    vol_a = float(np.prod(hi_a - lo_a))
-    vol_b = float(np.prod(hi_b - lo_b))
     return inter / (vol_a + vol_b - inter)
 
 

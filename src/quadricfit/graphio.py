@@ -19,9 +19,9 @@ import numpy as np
 
 from . import _kernels
 from .costs import (
+    FACTOR_KINDS,
     BoundingBox,
     CameraIntrinsics,
-    DEFAULT_VARIANCES,
     Factor,
 )
 from .evaluation import group_cells, summarize
@@ -215,7 +215,7 @@ def _read_scale_priors(priors: dict, landmarks: dict, size_form: str) -> list:
 
 def _read_pose_priors(priors: dict, frames: dict) -> list:
     specs = []
-    default = DEFAULT_VARIANCES["pose-prior"]
+    default = FACTOR_KINDS["pose-prior"].variance
     for ref, what, p in _targeted(priors, "pose", "pose prior", frames, "frame"):
         observed = _pose_from(p, what)
         rot = _variance(p, "sigma_rot_deg", what, default, np.radians)
@@ -363,7 +363,7 @@ def config_echo(campaign_spec, extra: dict | None = None) -> dict:
         "models": list(campaign_spec.models),
         "scene": dataclasses.asdict(campaign_spec.scene),
         "options": dataclasses.asdict(campaign_spec.options),
-        "default_variances": dict(DEFAULT_VARIANCES),
+        "default_variances": {name: kind.variance for name, kind in FACTOR_KINDS.items()},
         "success_factor": SUCCESS_FACTOR,
         "iou_protocol": "circumscribed-box exact IoU",
         "kernel_backend": _kernels.backend(),

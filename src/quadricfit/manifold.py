@@ -80,11 +80,6 @@ def _eigh_apply(p: np.ndarray, fn) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def sym_logm(p: np.ndarray) -> np.ndarray:
-    """Principal matrix logarithm of an SPD matrix."""
-    return _eigh_apply(p, np.log)
-
-
 def spd_sqrt(p: np.ndarray) -> np.ndarray:
     """Unique SPD square root, ``spd_sqrt(p) @ spd_sqrt(p) = p``.
 
@@ -148,18 +143,6 @@ def spd_retract_normalized(p: np.ndarray, z: np.ndarray) -> np.ndarray:
     if not np.any(z):
         return p
     return _spd_exp_congruence(spd_sqrt(p), z)
-
-
-def spd_log(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Logarithmic map on SPD(3), the exact inverse of :func:`spd_retract`.
-
-    ``log_p(q) = p^{1/2} Log(p^{-1/2} q p^{-1/2}) p^{1/2}``.
-    """
-    s = spd_sqrt(p)
-    s_inv = spd_inv_sqrt(p)
-    inner = s_inv @ q @ s_inv
-    out = s @ sym_logm(inner) @ s
-    return 0.5 * (out + out.T)
 
 
 def spd_metric(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:

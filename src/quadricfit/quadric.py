@@ -355,12 +355,3 @@ def proper_axis_permutations() -> list[np.ndarray]:
             if np.linalg.det(m) > 0.5:
                 mats.append(m)
     return mats
-
-
-def permuted_rts(state: RtsState, perm: np.ndarray) -> RtsState:
-    """Relabel the axes of an RTS state: same ellipsoid, different tuple."""
-    return RtsState(
-        state.rotation @ perm,
-        state.translation,
-        np.abs(perm).T @ np.asarray(state.scale, dtype=float),
-    )

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .costs import (
-    DEFAULT_VARIANCES,
     BehindCameraError,
     BoundingBox,
     CameraFrame,
@@ -82,7 +81,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         for v in (self.sigma_box_px, self.sigma_rot_rad, self.sigma_trans_m, self.sigma_scale_rel):
-            if v < 0:
+            if not v >= 0:  # negated, so NaN is rejected too
                 raise ValueError("noise levels must be non-negative")
 
 
@@ -254,7 +253,6 @@ def trial_problem(trial: Trial, parameterization: str, model: str) -> Problem:
                 kind=kind,
                 targets=(vid, LANDMARK_ID),
                 payload={"intrinsics": frame.intrinsics, "box": box},
-                variance=DEFAULT_VARIANCES[kind],
             )
         )
     return Problem(variables, factors, fixed)

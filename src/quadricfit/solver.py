@@ -12,18 +12,20 @@ parameterizations fairly; only the retraction and its fixup differ.
 Finite differences are batched over the whole problem. Every variable has
 one :class:`_Stack` of the values its factors are evaluated at: the value
 alone, or for a free variable in a linearization the value and its FD
-variants. A per-solve plan sorts the factors once, groups box factors by
-box model and priors by landmark, and caches each pose's [R|t] and each
-box-semi factor's edge planes per pose value. Each evaluation then makes
-one kernel call per box model, with a camera per row: every factor's
-landmark stack seen from its camera and the landmark center seen from
-each of its pose's variants. A landmark's priors are evaluated on its
-stacked duals with one batched eigendecomposition, and a pose prior on its
-pose's stack. One block builder, :func:`_blocks`, does all of this; the
-cost calls it with value-only stacks and sums the residual rows it
-returns, so the cost is exactly the residual the Jacobian linearizes.
-Every row is computed as the one-factor formula would compute it, so
-batching does not change a single bit of the results.
+variants. Each factor kind is evaluated by its entry in
+:data:`quadricfit.costs.FACTOR_KINDS`, so the solver has no per-kind code.
+A per-solve plan sorts the factors once, groups camera-landmark factors by
+kind and single-target factors by variable, and caches each camera view
+per pose value. Each evaluation makes one row-function call per
+camera-landmark kind, with a camera per row: every factor's landmark stack
+seen from its camera and the landmark center seen from each of its pose's
+variants. A single-target factor, landmark prior or pose prior alike, is
+evaluated on its variable's stack, and a landmark's priors share the
+stack's one batched eigendecomposition. One block builder, :func:`_blocks`,
+does all of this; the cost calls it with value-only stacks and sums the
+residual rows it returns, so the cost is exactly the residual the Jacobian
+linearizes. Each row has the bits of the batch of one that
+:func:`factor_residual` evaluates, so batching changes no result.
 
 Factors that cannot be evaluated at the current state (landmark behind the
 camera, degenerate projection) are dropped for that evaluation with a skip
@@ -45,25 +47,13 @@ from itertools import accumulate
 
 import numpy as np
 
-from . import _kernels
 from .costs import (
+    FACTOR_KINDS,
     BehindCameraError,
     CameraFrame,
     DegenerateProjectionError,
     Factor,
-    box_edge_planes,
-    orientation_residuals,
-    residual_box_inverse,
-    residual_box_semi,
-    residual_orientation,
-    residual_pose_prior,
-    residual_shape,
-    residual_size,
-    residual_support,
-    shape_residuals,
-    size_residuals,
-    support_residuals,
-    unit_direction,
+    evaluation_error,
 )
 from .manifold import InvalidInputError, Pose
 from .quadric import DegenerateLandmarkError, rts_from_duals
@@ -179,10 +169,6 @@ class SolveReport:
 # Residual evaluation
 
 
-_BOX_KINDS = ("box-inverse", "box-semi")
-_LANDMARK_PRIORS = ("orientation", "shape", "size", "support")
-
-
 def _frame_for(factor: Factor, pose: Pose) -> CameraFrame:
     return CameraFrame(factor.payload["intrinsics"], pose)
 
@@ -190,112 +176,189 @@ def _frame_for(factor: Factor, pose: Pose) -> CameraFrame:
 def factor_residual(factor: Factor, values: dict) -> np.ndarray:
     """Residual vector of one factor at the given variable values.
 
-    Raises the evaluation errors (behind camera, degenerate projection or
-    landmark) that the solver treats as per-iteration skips.
+    A batch of one through the kind table, evaluated exactly as the solver
+    evaluates it. Raises the evaluation errors (behind camera, degenerate
+    projection or landmark) that the solver treats as per-iteration skips.
     """
-    kind = factor.kind
-    if kind in _BOX_KINDS:
-        pose = values[factor.targets[0]]
-        q = values[factor.targets[1]].dual
-        frame = _frame_for(factor, pose)
-        box = factor.payload["box"]
-        if kind == "box-inverse":
-            return residual_box_inverse(frame, q, box)
-        return residual_box_semi(frame, q, box)
-    value = values[factor.targets[0]]
-    if kind == "orientation":
-        return residual_orientation(value.dual, factor.payload["direction"])
-    if kind == "shape":
-        return residual_shape(value.dual, factor.payload["prior"])
-    if kind == "size":
-        return np.array(
-            [residual_size(value.dual, factor.payload["prior"],
-                           factor.payload.get("form", "sqrt"))]
-        )
-    if kind == "support":
-        return np.array([residual_support(value.dual, factor.payload["plane"])])
-    if kind == "pose-prior":
-        return residual_pose_prior(value, factor.payload["observed"])
-    raise InvalidInputError(f"unknown factor kind {kind!r}")
-
-
-def _safe_dual(value):
-    if value is None:
-        return None
-    try:
-        return value.dual
-    except _EVAL_ERRORS:
-        return None
+    block = _blocks(_Plan([factor]), {t: _Stack(values[t]) for t in factor.targets}, {})[factor.fid]
+    if isinstance(block, Exception):
+        raise block
+    return block[0]
 
 
 class _Plan:
     """The factors of one solve, laid out once.
 
-    Factors are sorted by id; box factors are grouped by box model, with
-    their intrinsics and observed boxes stacked, landmark priors by
-    landmark, and pose priors kept apart. Each pose's [R|t] and each
-    box-semi factor's edge planes are cached for the latest pose value
-    they were computed at, so a fixed pose computes them once per solve
-    and a free pose once per value it takes.
+    Factors are sorted by id; camera-landmark factors are grouped by kind,
+    with their intrinsics and observed boxes stacked, and single-target
+    factors by their variable. Each camera view is cached for the latest
+    pose value it was computed at, so a fixed pose computes it once per
+    solve and a free pose once per value it takes.
     """
 
     def __init__(self, factors: list):
         self.factors = sorted(factors, key=lambda f: f.fid)
-        # box model -> (factors in fid order, intrinsics (k, 4) as fx, fy, cx, cy, boxes (k, 4))
+        # kind -> (factors in fid order, intrinsics (k, 4) as fx, fy, cx, cy, boxes (k, 4))
         self.boxes = {}
-        self.priors = {}  # landmark id -> landmark prior factors in fid order
-        self.pose_priors = []
+        self.singles = {}  # variable id -> its single-target factors in fid order
         for f in self.factors:
-            if f.kind in _BOX_KINDS:
-                self.boxes.setdefault(f.kind, []).append(f)
-            elif f.kind in _LANDMARK_PRIORS:
-                self.priors.setdefault(f.targets[0], []).append(f)
+            if FACTOR_KINDS[f.kind].view is None:
+                self.singles.setdefault(f.targets[0], []).append(f)
             else:
-                self.pose_priors.append(f)
+                self.boxes.setdefault(f.kind, []).append(f)
         for kind, group in self.boxes.items():
             intrinsics = [f.payload["intrinsics"] for f in group]
             self.boxes[kind] = (group, np.array([[i.fx, i.fy, i.cx, i.cy] for i in intrinsics]),
                                 np.array([f.payload["box"].as_array() for f in group]))
-        self._rts = {}  # pose id -> (pose value, [R|t])
-        self._planes = {}  # box-semi fid -> (pose value, edge planes)
+        self._views = {}  # (kind, pose id of a shared view, else fid) -> (pose value, view)
 
-    def rt(self, factor: Factor, pose: Pose) -> np.ndarray:
-        """The [R|t] of a box factor's camera at ``pose``, its current value."""
-        cached = self._rts.get(factor.targets[0])
+    def view(self, factor: Factor, pose: Pose) -> np.ndarray:
+        """The camera view of a camera-landmark factor at ``pose``, its current value."""
+        kind = FACTOR_KINDS[factor.kind]
+        key = (factor.kind, factor.targets[0] if kind.shared_view else factor.fid)
+        cached = self._views.get(key)
         if cached is None or cached[0] is not pose:
-            cached = self._rts[factor.targets[0]] = (pose, _frame_for(factor, pose).projection_rt())
-        return cached[1]
-
-    def planes(self, factor: Factor, pose: Pose) -> np.ndarray:
-        """The edge planes of a box-semi factor's box at ``pose``, its current value."""
-        cached = self._planes.get(factor.fid)
-        if cached is None or cached[0] is not pose:
-            planes = box_edge_planes(_frame_for(factor, pose), factor.payload["box"])
-            cached = self._planes[factor.fid] = (pose, planes)
+            view = kind.view(_frame_for(factor, pose), factor.payload["box"])
+            cached = self._views[key] = (pose, view)
         return cached[1]
 
 
-def _prior_tables(factors: list, duals: np.ndarray) -> list:
-    """(residual table (k, dim), ok (k,)) of each prior factor of one landmark
-    over a stack of its duals (k, 4, 4), sharing one batched decomposition."""
-    if any(f.kind != "support" for f in factors):
-        rotations, scales, decomposed = rts_from_duals(duals)
-    out = []
-    for f in factors:
-        payload = f.payload
-        if f.kind == "orientation":
-            table = orientation_residuals(rotations, unit_direction(payload["direction"]))
-        elif f.kind == "shape":
-            table = shape_residuals(scales, payload["prior"])
-        elif f.kind == "size":
-            table = size_residuals(duals, scales, payload["prior"],
-                                   payload.get("form", "sqrt"))[:, None]
-        else:
-            table = support_residuals(duals, payload["plane"])[:, None]
-            out.append((table, np.ones(len(duals), dtype=bool)))
+class _Stack:
+    """The values one variable's factors are evaluated at.
+
+    ``values`` holds the value alone for a fixed variable (``fd_step`` None),
+    which is every variable in a cost evaluation; for a free variable it
+    holds the value, then its plus, then its minus finite-difference
+    variants. Reading the values or duals of a stack that cannot form them
+    raises the evaluation error why, and its factors are skipped.
+    """
+
+    def __init__(self, value, fd_step: float | None = None):
+        self._values = [value]
+        self._error = None
+        self.dim = 0
+        if fd_step is None:
+            return
+        self.dim = value.tangent_dim
+        self.h = fd_step * value.fd_scales()
+        steps = np.diag(self.h)
+        try:
+            self._values += [retract_value(value, s) for s in (*steps, *-steps)]
+        except _EVAL_ERRORS as exc:
+            self._error = exc
+
+    @property
+    def values(self) -> list:
+        if self._error is not None:
+            raise self._error
+        return self._values
+
+    @cached_property
+    def duals(self) -> np.ndarray:
+        """A landmark's duals over ``values``, stacked (len(values), 4, 4)."""
+        return np.stack([v.dual for v in self.values])
+
+    @cached_property
+    def rts(self):
+        """:func:`rts_from_duals` of ``duals``: one batched eigendecomposition
+        that every prior of the stack shares, made when the first reads it."""
+        return rts_from_duals(self.duals)
+
+    def pieces(self, columns: dict, vid, table: np.ndarray) -> list:
+        """[(columns, Jacobian block (dim_r, dim))] from a residual table
+        (2 dim, dim_r) over the plus, then the minus variants; [] for a
+        fixed variable."""
+        if self.dim == 0:
+            return []
+        d = self.dim
+        return [(columns[vid], (table[:d] - table[d:]).T / (2.0 * self.h))]
+
+
+def _box_blocks(plan: _Plan, stacks: dict, columns: dict, blocks: dict) -> None:
+    """Blocks of every camera-landmark factor, one row-function call per kind.
+
+    The call stacks, factor by factor, the landmark's duals seen from the
+    factor's camera and the landmark center seen from each of the pose's
+    variants (none for a fixed pose). Each row carries its own camera view:
+    an [R|t] (box-inverse) or the factor's edge planes (box-semi) at that
+    pose value.
+    """
+    for name, (group, intrinsics, observed) in plan.boxes.items():
+        kind = FACTOR_KINDS[name]
+        live, sizes, duals = [], [], []
+        views, view_of_row = [], []  # each row's camera, as an index into views
+        first_view = {}  # pose id of a shared view, else fid -> index of its views
+        for i, f in enumerate(group):
+            pose_id, lm_id = f.targets
+            try:
+                stack = stacks[lm_id].duals
+                pose, *poses = stacks[pose_id].values
+            except _EVAL_ERRORS as exc:
+                blocks[f.fid] = exc
+                continue
+            key = pose_id if kind.shared_view else f.fid
+            c = first_view.get(key)
+            if c is None:
+                c = first_view[key] = len(views)
+                views.append(plan.view(f, pose))
+                views.extend(kind.view(_frame_for(f, v), f.payload["box"]) for v in poses)
+            live.append(i)
+            sizes.append(len(stack) + len(poses))
+            duals.append(stack)
+            view_of_row += [c] * len(stack)
+            if poses:
+                duals.append(np.broadcast_to(stack[0], (len(poses), 4, 4)))
+                view_of_row += range(c + 1, c + 1 + len(poses))
+        if not live:
             continue
-        out.append((table, decomposed))
-    return out
+        owner = np.repeat(live, sizes)
+        rows, status = kind.rows(np.stack(views)[view_of_row], np.concatenate(duals),
+                                 intrinsics[owner], observed[owner])
+        starts = list(accumulate(sizes[:-1], initial=0))
+        worst = np.maximum.reduceat(status, starts)  # a factor's rows are all evaluable iff 0
+        for k, i in enumerate(live):
+            f = group[i]
+            if worst[k]:
+                blocks[f.fid] = evaluation_error(worst[k])
+                continue
+            pose_id, lm_id = f.targets
+            table = rows[starts[k] : starts[k] + sizes[k]]
+            n = len(stacks[lm_id].values)
+            blocks[f.fid] = (table[0], stacks[lm_id].pieces(columns, lm_id, table[1:n])
+                             + stacks[pose_id].pieces(columns, pose_id, table[n:]))
+
+
+def _single_blocks(plan: _Plan, stacks: dict, columns: dict, blocks: dict) -> None:
+    """Blocks of every single-target factor: its kind's rows over the stack
+    of its variable, so a landmark's priors share one decomposition. Rows
+    that raise an evaluation error, or a row with a nonzero status, skip
+    the factor."""
+    for vid, group in plan.singles.items():
+        stack = stacks[vid]
+        for f in group:
+            try:
+                table, status = FACTOR_KINDS[f.kind].rows(stack, f.payload)
+            except _EVAL_ERRORS as exc:
+                blocks[f.fid] = exc
+                continue
+            worst = status.max()
+            blocks[f.fid] = (evaluation_error(worst) if worst
+                             else (table[0], stack.pieces(columns, vid, table[1:])))
+
+
+def _blocks(plan: _Plan, stacks: dict, columns: dict) -> dict:
+    """Residual and Jacobian blocks of every factor of ``plan``.
+
+    Maps each fid to (residual at the variables' values, [(columns,
+    jacobian block)]), or to the evaluation error for which the factor is
+    skipped. ``stacks`` holds every target's :class:`_Stack`, ``columns``
+    the tangent columns of the free ones; with no free stack, the blocks
+    carry residuals only, which is what the cost uses.
+    """
+    blocks = {}
+    _box_blocks(plan, stacks, columns, blocks)
+    _single_blocks(plan, stacks, columns, blocks)
+    return blocks
 
 
 def _cost_of(values: dict, factors: list, plan: _Plan | None = None):
@@ -311,7 +374,7 @@ def _cost_of(values: dict, factors: list, plan: _Plan | None = None):
     per_factor = {}
     for f in plan.factors:
         block = blocks[f.fid]
-        if block is None:
+        if isinstance(block, Exception):
             skipped += 1
             continue
         r = block[0]
@@ -349,151 +412,6 @@ class Linearization:
     skipped: list  # factor ids dropped this linearization
 
 
-class _Stack:
-    """The values one variable's factors are evaluated at.
-
-    ``values`` holds the value alone for a fixed variable (``fd_step`` None),
-    which is every variable in a cost evaluation; for a free variable it
-    holds the value, then its plus, then its minus finite-difference
-    variants (a variant that cannot be retracted is None).
-    """
-
-    def __init__(self, value, fd_step: float | None = None):
-        self.values = [value]
-        self.dim = 0
-        if fd_step is None:
-            return
-        self.dim = value.tangent_dim
-        self.h = fd_step * value.fd_scales()
-        steps = np.diag(self.h)
-        self.values += [self._safe_retract(value, s) for s in (*steps, *-steps)]
-
-    @cached_property
-    def duals(self):
-        """A landmark's duals over ``values``, stacked (len(values), 4, 4);
-        None when any of them cannot be evaluated."""
-        rows = [_safe_dual(v) for v in self.values]
-        if any(r is None for r in rows):
-            return None
-        return np.stack(rows)
-
-    @staticmethod
-    def _safe_retract(value, step):
-        try:
-            return retract_value(value, step)
-        except _EVAL_ERRORS:
-            return None
-
-    def pieces(self, columns: dict, vid, table: np.ndarray) -> list:
-        """[(columns, Jacobian block (dim_r, dim))] from a residual table
-        (2 dim, dim_r) over the plus, then the minus variants; [] for a
-        fixed variable."""
-        if self.dim == 0:
-            return []
-        d = self.dim
-        return [(columns[vid], (table[:d] - table[d:]).T / (2.0 * self.h))]
-
-
-def _box_blocks(plan: _Plan, stacks: dict, columns: dict, blocks: dict) -> None:
-    """Blocks of every box factor, one kernel call per box model.
-
-    The call stacks, factor by factor, the landmark's duals seen from the
-    factor's camera and the landmark center seen from each of the pose's
-    variants (none for a fixed pose). Each row carries its own camera: an
-    [R|t] (box-inverse) or the factor's edge planes at that pose value
-    (box-semi).
-    """
-    for kind, (group, intrinsics, observed) in plan.boxes.items():
-        live, sizes, duals = [], [], []
-        views, view_of_row = [], []  # each row's camera, as an index into views
-        center = {}  # box-inverse: pose id -> index of its [R|t], shared by its factors
-        for i, f in enumerate(group):
-            pose_id, lm_id = f.targets
-            stack = stacks[lm_id].duals
-            pose, *poses = stacks[pose_id].values
-            if stack is None or any(v is None for v in poses):
-                blocks[f.fid] = None
-                continue
-            if kind == "box-inverse":
-                c = center.get(pose_id)
-                if c is None:
-                    c = center[pose_id] = len(views)
-                    views.append(plan.rt(f, pose))
-                    views.extend(_frame_for(f, v).projection_rt() for v in poses)
-            else:
-                c = len(views)
-                views.append(plan.planes(f, pose))
-                views.extend(box_edge_planes(_frame_for(f, v), f.payload["box"]) for v in poses)
-            live.append(i)
-            sizes.append(len(stack) + len(poses))
-            duals.append(stack)
-            view_of_row += [c] * len(stack)
-            if poses:
-                duals.append(np.broadcast_to(stack[0], (len(poses), 4, 4)))
-                view_of_row += range(c + 1, c + 1 + len(poses))
-        if not live:
-            continue
-        duals = np.concatenate(duals)
-        views = np.stack(views)[view_of_row]
-        if kind == "box-inverse":
-            owner = np.repeat(live, sizes)
-            fx, fy, cx, cy = intrinsics[owner].T
-            boxes, status = _kernels.boxes_from_duals(fx, fy, cx, cy, views, duals)
-            rows, ok = boxes - observed[owner], status == 0
-        else:
-            rows, ok = _kernels.tangency_values(views, duals)
-        starts = list(accumulate(sizes[:-1], initial=0))
-        ok = np.logical_and.reduceat(ok, starts)
-        for k, i in enumerate(live):
-            f = group[i]
-            if not ok[k]:
-                blocks[f.fid] = None
-                continue
-            pose_id, lm_id = f.targets
-            table = rows[starts[k] : starts[k] + sizes[k]]
-            n = len(stacks[lm_id].values)
-            blocks[f.fid] = (table[0], stacks[lm_id].pieces(columns, lm_id, table[1:n])
-                             + stacks[pose_id].pieces(columns, pose_id, table[n:]))
-
-
-def _prior_blocks(lm_id, group: list, stacks: dict, columns: dict, blocks: dict) -> None:
-    """Blocks of one landmark's priors, all evaluated on its stacked duals."""
-    stack = stacks[lm_id]
-    if stack.duals is None:
-        blocks.update((f.fid, None) for f in group)
-        return
-    for f, (table, ok) in zip(group, _prior_tables(group, stack.duals)):
-        blocks[f.fid] = (table[0], stack.pieces(columns, lm_id, table[1:])) if ok.all() else None
-
-
-def _pose_prior_block(f: Factor, stacks: dict, columns: dict):
-    """Block of one pose prior, its residual stacked over the pose's values."""
-    pose_id = f.targets[0]
-    stack = stacks[pose_id]
-    if any(p is None for p in stack.values):
-        return None
-    table = np.stack([residual_pose_prior(p, f.payload["observed"]) for p in stack.values])
-    return table[0], stack.pieces(columns, pose_id, table[1:])
-
-
-def _blocks(plan: _Plan, stacks: dict, columns: dict) -> dict:
-    """Residual and Jacobian blocks of every factor of ``plan``.
-
-    Maps each fid to (residual at the variables' values, [(columns,
-    jacobian block)]) or to None when the factor is skipped. ``stacks``
-    holds every variable's :class:`_Stack`, ``columns`` the tangent columns
-    of the free ones; with no free stack, the blocks carry residuals only,
-    which is what the cost uses.
-    """
-    blocks = {}
-    _box_blocks(plan, stacks, columns, blocks)
-    for lm_id, group in plan.priors.items():
-        _prior_blocks(lm_id, group, stacks, columns, blocks)
-    for f in plan.pose_priors:
-        blocks[f.fid] = _pose_prior_block(f, stacks, columns)
-    return blocks
-
-
 def _linearize(values: dict, factors: list, free: list, options: SolveOptions,
                plan: _Plan | None = None) -> Linearization:
     plan = plan or _Plan(factors)
@@ -511,8 +429,8 @@ def _linearize(values: dict, factors: list, free: list, options: SolveOptions,
     blocks = _blocks(plan, stacks, columns)
     kept, skipped = [], []
     for f in plan.factors:
-        if blocks[f.fid] is None:
-            logger.debug("factor %s (%s) unevaluable at current state; dropped", f.fid, f.kind)
+        if isinstance(blocks[f.fid], Exception):
+            logger.debug("factor %s (%s) dropped: %s", f.fid, f.kind, blocks[f.fid])
             skipped.append(f.fid)
         else:
             kept.append(f)

@@ -16,20 +16,19 @@ from quadricfit.cli import main as cli_main
 from quadricfit.costs import conic_bbox, project_dual
 from quadricfit.evaluation import (
     OrientedBox,
-    iou_aabb_analytic,
     iou_boxes,
     orientation_error,
     score_estimate,
 )
-from quadricfit.manifold import so3_exp, spd_log, spd_metric, spd_retract, spd_sqrt
+from quadricfit.manifold import so3_exp, spd_metric, spd_retract, spd_sqrt
 from quadricfit.quadric import (
     RtsState,
-    permuted_rts,
     proper_axis_permutations,
 )
 from quadricfit.sim import CampaignSpec, run_campaign, synthetic_graph
 from quadricfit.solver import SolveOptions, solve
 from conftest import random_rts, random_spd, random_sym
+from oracles import iou_aabb_analytic, permuted_rts, spd_log
 
 JOBS = 4
 MASTER_SEEDS = (0, 1, 2, 3, 4)

@@ -155,6 +155,18 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert "unknown key 'trial_per_cell'" in capsys.readouterr().err
     cfg.write_text(json.dumps([SMALL_CONFIG]))
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "list")]) == 1
+    # Non-finite intrinsics (json reads NaN) are a config error, not a runtime error.
+    cfg = tmp_path / "nan_fx.json"
+    intrinsics = {"fx": float("nan"), "fy": 500.0, "cx": 320.0, "cy": 240.0}
+    cfg.write_text(json.dumps({**SMALL_CONFIG, "scene": {"intrinsics": intrinsics}}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "nan_fx")]) == 1
+    assert "focal lengths must be finite" in capsys.readouterr().err
+    # A worker count below 1 is rejected before any trial runs.
+    cfg = write_config(tmp_path)
+    for jobs in ("0", "-2"):
+        assert main(["simulate", "--config", str(cfg), "--jobs", jobs,
+                     "--out", str(tmp_path / "jobs")]) == 1
+        assert "--jobs: must be a positive integer" in capsys.readouterr().err
 
 
 def test_eval_detects_tampered_summaries(tmp_path, capsys):

@@ -15,14 +15,8 @@ from quadricfit.costs import (
     conic_bbox,
     orientation_residuals,
     project_dual,
-    unit_direction,
-    residual_box_inverse,
-    residual_box_semi,
-    residual_orientation,
     residual_pose_prior,
-    residual_shape,
-    residual_size,
-    residual_support,
+    unit_direction,
 )
 from quadricfit.manifold import InvalidInputError, Pose, se3_exp, so3_exp
 from quadricfit.quadric import (
@@ -30,12 +24,12 @@ from quadricfit.quadric import (
     RtsState,
     dual_center,
     dual_shape,
-    permuted_rts,
     proper_axis_permutations,
     rts_from_dual,
     rts_from_duals,
 )
 from conftest import random_rts
+from oracles import permuted_rts, residual
 
 INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
 
@@ -151,14 +145,15 @@ def test_backproject_center_line_axis_aligned():
 def test_residual_box_inverse_zero_at_truth(rng):
     state, frame = random_visible_pair(rng)
     observed = conic_bbox(project_dual(state.dual, frame))
-    np.testing.assert_allclose(residual_box_inverse(frame, state.dual, observed), np.zeros(4), atol=1e-9)
+    np.testing.assert_allclose(residual("box-inverse", state.dual, {"box": observed}, frame),
+                               np.zeros(4), atol=1e-9)
 
 
 def test_residual_box_inverse_shifted_edges(rng):
     state, frame = random_visible_pair(rng)
     observed = conic_bbox(project_dual(state.dual, frame)).as_array()
     shifted = BoundingBox(observed[0] + 2.0, observed[1] + 2.0, observed[2], observed[3])
-    r = residual_box_inverse(frame, state.dual, shifted)
+    r = residual("box-inverse", state.dual, {"box": shifted}, frame)
     np.testing.assert_allclose(np.abs(r), [2.0, 2.0, 0.0, 0.0], atol=1e-9)
 
 
@@ -166,7 +161,7 @@ def test_residual_box_inverse_matches_oracle(rng):
     for _ in range(5):
         state, frame = random_visible_pair(rng)
         observed = BoundingBox(100.0, 400.0, 100.0, 300.0)
-        r = residual_box_inverse(frame, state.dual, observed)
+        r = residual("box-inverse", state.dual, {"box": observed}, frame)
         oracle = sampled_box(state, frame) - observed.as_array()
         assert np.max(np.abs(r - oracle)) < 0.5
 
@@ -174,7 +169,8 @@ def test_residual_box_inverse_matches_oracle(rng):
 def test_residual_box_semi_zero_at_truth(rng):
     state, frame = random_visible_pair(rng)
     observed = conic_bbox(project_dual(state.dual, frame))
-    np.testing.assert_allclose(residual_box_semi(frame, state.dual, observed), np.zeros(4), atol=1e-9)
+    np.testing.assert_allclose(residual("box-semi", state.dual, {"box": observed}, frame),
+                               np.zeros(4), atol=1e-9)
 
 
 def test_ellipsoid_cutting_principal_plane_raises():
@@ -187,13 +183,13 @@ def test_ellipsoid_cutting_principal_plane_raises():
     _, status = _kernels.boxes_from_duals(INTR.fx, INTR.fy, INTR.cx, INTR.cy, rt, near[None])
     assert status[0] == CUTS_PRINCIPAL_PLANE
     with pytest.raises(BehindCameraError, match="principal plane"):
-        residual_box_inverse(frame, near, observed)
+        residual("box-inverse", near, {"box": observed}, frame)
     with pytest.raises(BehindCameraError, match="principal plane"):
         project_dual(near, frame)
     far = RtsState(np.eye(3), np.array([1.0, 0.3, 5.0]), np.array([0.3, 0.25, 0.2])).dual
     box = conic_bbox(project_dual(far, frame)).as_array()
     assert np.all(np.isfinite(box)) and box[0] < box[1] and box[2] < box[3]
-    np.testing.assert_array_equal(residual_box_inverse(frame, far, observed),
+    np.testing.assert_array_equal(residual("box-inverse", far, {"box": observed}, frame),
                                   box - observed.as_array())
 
 
@@ -210,8 +206,10 @@ def test_residual_orientation_aligned(rng):
     q = state.dual
     axes = rts_from_dual(q).rotation
     for i in range(3):
-        np.testing.assert_allclose(residual_orientation(q, axes[:, i]), np.zeros(9), atol=1e-9)
-        np.testing.assert_allclose(residual_orientation(q, -axes[:, i]), np.zeros(9), atol=1e-9)
+        np.testing.assert_allclose(residual("orientation", q, {"direction": axes[:, i]}),
+                                   np.zeros(9), atol=1e-9)
+        np.testing.assert_allclose(residual("orientation", q, {"direction": -axes[:, i]}),
+                                   np.zeros(9), atol=1e-9)
 
 
 def test_residual_orientation_formula(rng):
@@ -220,7 +218,7 @@ def test_residual_orientation_formula(rng):
     r = rts_from_dual(q).rotation
     m = r[:, 0] + r[:, 1]
     m /= np.linalg.norm(m)  # 45 degrees between two axes
-    res = residual_orientation(q, m)
+    res = residual("orientation", q, {"direction": m})
     manual = np.concatenate([np.cross(r[:, i], m) * float(r[:, i] @ m) for i in range(3)])
     np.testing.assert_allclose(res, manual, atol=1e-12)
     assert np.linalg.norm(res) > 0.1
@@ -231,34 +229,38 @@ def test_residual_orientation_sign_symmetry(rng):
     m = rng.normal(size=3)
     m /= np.linalg.norm(m)
     np.testing.assert_array_equal(
-        residual_orientation(state.dual, m), residual_orientation(state.dual, -m)
+        residual("orientation", state.dual, {"direction": m}),
+        residual("orientation", state.dual, {"direction": -m}),
     )
 
 
 def test_residual_orientation_zero_direction(rng):
     with pytest.raises(InvalidInputError):
-        residual_orientation(random_rts(rng).dual, np.zeros(3))
+        residual("orientation", random_rts(rng).dual, {"direction": np.zeros(3)})
 
 
 def test_residual_shape_examples():
     q = RtsState(np.eye(3), np.zeros(3), np.array([3.0, 2.0, 1.0])).dual
-    np.testing.assert_allclose(residual_shape(q, (3.0, 2.0, 1.0)), [0.0, 0.0], atol=1e-9)
-    np.testing.assert_allclose(residual_shape(q, (6.0, 4.0, 2.0)), [0.0, 0.0], atol=1e-9)
+    np.testing.assert_allclose(residual("shape", q, {"prior": (3.0, 2.0, 1.0)}),
+                               [0.0, 0.0], atol=1e-9)
+    np.testing.assert_allclose(residual("shape", q, {"prior": (6.0, 4.0, 2.0)}),
+                               [0.0, 0.0], atol=1e-9)
     q2 = RtsState(np.eye(3), np.zeros(3), np.array([4.0, 2.0, 1.0])).dual
-    np.testing.assert_allclose(residual_shape(q2, (3.0, 2.0, 1.0)), [1.0, 0.0], atol=1e-9)
+    np.testing.assert_allclose(residual("shape", q2, {"prior": (3.0, 2.0, 1.0)}),
+                               [1.0, 0.0], atol=1e-9)
 
 
 def test_residual_shape_bad_prior(rng):
     with pytest.raises(InvalidInputError):
-        residual_shape(random_rts(rng).dual, (1.0, 2.0, 3.0))
+        residual("shape", random_rts(rng).dual, {"prior": (1.0, 2.0, 3.0)})
 
 
 def test_residual_size_examples():
     q = RtsState(np.eye(3), np.zeros(3), np.array([3.0, 2.0, 1.0])).dual
-    assert abs(residual_size(q, (3.0, 2.0, 1.0))) < 1e-9
-    assert abs(residual_size(q, (1.0, 1.0, 1.0)) - 5.0) < 1e-9
+    assert abs(residual("size", q, {"prior": (3.0, 2.0, 1.0)})) < 1e-9
+    assert abs(residual("size", q, {"prior": (1.0, 1.0, 1.0)}) - 5.0) < 1e-9
     # paper-literal determinant form, selectable for comparison
-    assert abs(residual_size(q, (1.0, 1.0, 1.0), form="det") - 35.0) < 1e-8
+    assert abs(residual("size", q, {"prior": (1.0, 1.0, 1.0), "form": "det"}) - 35.0) < 1e-8
 
 
 def test_residual_size_rotation_invariant(rng):
@@ -267,16 +269,16 @@ def test_residual_size_rotation_invariant(rng):
     vals = []
     for _ in range(10):
         r = so3_exp(rng.normal(size=3))
-        vals.append(residual_size(RtsState(r, rng.normal(size=3), s).dual, prior))
+        vals.append(residual("size", RtsState(r, rng.normal(size=3), s).dual, {"prior": prior}))
     np.testing.assert_allclose(vals, vals[0], atol=1e-9)
 
 
 def test_residual_support_examples():
-    assert abs(residual_support(sphere_at(0.0), np.array([0.0, 0.0, 1.0, 1.0]))) < 1e-12
+    assert abs(residual("support", sphere_at(0.0), {"plane": np.array([0.0, 0.0, 1.0, 1.0])})) < 1e-12
     q = RtsState(np.eye(3), np.array([0.0, 0.0, 1.0]), np.ones(3)).dual
-    assert abs(residual_support(q, np.array([0.0, 0.0, 1.0, 0.0]))) < 1e-12
+    assert abs(residual("support", q, {"plane": np.array([0.0, 0.0, 1.0, 0.0])})) < 1e-12
     q2 = RtsState(np.eye(3), np.array([0.0, 0.0, 1.0]), np.full(3, 2.0)).dual
-    val = residual_support(q2, np.array([0.0, 0.0, 1.0, 0.0]))
+    val = residual("support", q2, {"plane": np.array([0.0, 0.0, 1.0, 0.0])})
     assert abs(val - 3.0) < 1e-12  # reach^2 - dist^2 = 4 - 1
 
 
@@ -301,32 +303,37 @@ def test_parameterization_independence_under_relabeling(rng):
     plane = np.array([0.0, 0.0, 1.0, -float(state.translation[2] - 3.0)])
     prior = tuple(sorted(np.asarray(state.scale), reverse=True))
     base = {
-        "inv": residual_box_inverse(frame, state.dual, observed),
-        "semi": residual_box_semi(frame, state.dual, observed),
-        "ori": residual_orientation(state.dual, m),
-        "shape": residual_shape(state.dual, prior),
-        "size": residual_size(state.dual, prior),
-        "sup": residual_support(state.dual, plane),
+        "inv": residual("box-inverse", state.dual, {"box": observed}, frame),
+        "semi": residual("box-semi", state.dual, {"box": observed}, frame),
+        "ori": residual("orientation", state.dual, {"direction": m}),
+        "shape": residual("shape", state.dual, {"prior": prior}),
+        "size": residual("size", state.dual, {"prior": prior}),
+        "sup": residual("support", state.dual, {"plane": plane}),
     }
     for perm in proper_axis_permutations():
         q = permuted_rts(state, perm).dual
-        np.testing.assert_allclose(residual_box_inverse(frame, q, observed), base["inv"], atol=1e-10)
-        np.testing.assert_allclose(residual_box_semi(frame, q, observed), base["semi"], atol=1e-10)
-        np.testing.assert_allclose(residual_orientation(q, m), base["ori"], atol=1e-10)
-        np.testing.assert_allclose(residual_shape(q, prior), base["shape"], atol=1e-10)
-        np.testing.assert_allclose(residual_size(q, prior), base["size"], atol=1e-10)
-        np.testing.assert_allclose(residual_support(q, plane), base["sup"], atol=1e-10)
+        np.testing.assert_allclose(residual("box-inverse", q, {"box": observed}, frame),
+                                   base["inv"], atol=1e-10)
+        np.testing.assert_allclose(residual("box-semi", q, {"box": observed}, frame),
+                                   base["semi"], atol=1e-10)
+        np.testing.assert_allclose(residual("orientation", q, {"direction": m}),
+                                   base["ori"], atol=1e-10)
+        np.testing.assert_allclose(residual("shape", q, {"prior": prior}), base["shape"], atol=1e-10)
+        np.testing.assert_allclose(residual("size", q, {"prior": prior}), base["size"], atol=1e-10)
+        np.testing.assert_allclose(residual("support", q, {"plane": plane}), base["sup"], atol=1e-10)
 
 
 def test_shape_size_rigid_invariance(rng):
     state = random_rts(rng)
     prior = (2.0, 1.0, 0.5)
-    base_shape = residual_shape(state.dual, prior)
-    base_size = residual_size(state.dual, prior)
+    base_shape = residual("shape", state.dual, {"prior": prior})
+    base_size = residual("size", state.dual, {"prior": prior})
     for _ in range(5):
         moved = RtsState(so3_exp(rng.normal(size=3)) @ state.rotation, rng.normal(size=3), state.scale)
-        np.testing.assert_allclose(residual_shape(moved.dual, prior), base_shape, atol=1e-9)
-        np.testing.assert_allclose(residual_size(moved.dual, prior), base_size, atol=1e-9)
+        np.testing.assert_allclose(residual("shape", moved.dual, {"prior": prior}),
+                                   base_shape, atol=1e-9)
+        np.testing.assert_allclose(residual("size", moved.dual, {"prior": prior}),
+                                   base_size, atol=1e-9)
 
 
 def test_richardson_fd_consistency_all_residuals(rng):
@@ -369,11 +376,26 @@ def test_richardson_fd_consistency_all_residuals(rng):
 def test_factor_validation():
     with pytest.raises(InvalidInputError):
         Factor(0, "nonsense", ("a",), {})
-    with pytest.raises(InvalidInputError):
-        Factor(0, "size", ("a",), {}, variance=0.0)
+    for variance in (0.0, np.nan, np.inf):
+        with pytest.raises(InvalidInputError):
+            Factor(0, "size", ("a",), {}, variance=variance)
     f = Factor(0, "orientation", ("a",), {"direction": np.array([0, 0, 1.0])})
     assert f.variance.shape == (9,)
     assert f.dim == 9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_detections_and_intrinsics_rejected(bad):
+    # A NaN would pass every ordering test and reach the solver as a NaN cost.
+    for edges in ([bad, 1.0, 0.0, 1.0], [0.0, bad, 0.0, 1.0], [0.0, 1.0, bad, 1.0],
+                  [0.0, 1.0, 0.0, bad]):
+        with pytest.raises(InvalidInputError, match="finite"):
+            BoundingBox(*edges)
+    for focal in ({"fx": bad, "fy": 500.0}, {"fx": 500.0, "fy": bad}):
+        with pytest.raises(InvalidInputError, match="focal lengths"):
+            CameraIntrinsics(cx=320.0, cy=240.0, **focal)
+    with pytest.raises(InvalidInputError, match="focal lengths must be positive"):
+        CameraIntrinsics(fx=0.0, fy=500.0, cx=320.0, cy=240.0)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +463,7 @@ def _random_scene(seed, n):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=1, max_value=12))
 def test_batched_box_rows_equal_scalar_formula(seed, n):
-    # Rows of one batch, and the batch-of-one wrappers, give the bits of
+    # Rows of one batch, and a batch of one through factor_residual, give the bits of
     # the one-quadric formula; the scene mixes centers behind the camera,
     # cameras inside ellipsoids and ordinary views.
     frame, duals, _, _ = _random_scene(seed, n)
@@ -455,7 +477,7 @@ def test_batched_box_rows_equal_scalar_formula(seed, n):
             assert isinstance(exc, BehindCameraError) == (code in (BEHIND_CAMERA,
                                                                    CUTS_PRINCIPAL_PLANE))
             with pytest.raises(type(exc)):
-                residual_box_inverse(frame, q, BoundingBox(0.0, 1.0, 0.0, 1.0))
+                residual("box-inverse", q, {"box": BoundingBox(0.0, 1.0, 0.0, 1.0)}, frame)
             continue
         assert code == 0
         assert np.array_equal(box, expected)
@@ -473,8 +495,10 @@ def test_batched_prior_rows_equal_scalar_formula(seed, n):
         expected = _scalar_priors(q, m, prior, plane)
         assert ok[i]
         assert np.array_equal(orient[i], expected[0])
-        got = (residual_orientation(q, m), residual_shape(q, prior), residual_size(q, prior),
-               residual_size(q, prior, "det"), residual_support(q, plane))
+        got = (residual("orientation", q, {"direction": m}), residual("shape", q, {"prior": prior}),
+               residual("size", q, {"prior": prior}),
+               residual("size", q, {"prior": prior, "form": "det"}),
+               residual("support", q, {"plane": plane}))
         for a, b in zip(got, expected):
             assert np.array_equal(a, b)
         r, s = _scalar_rts(q)

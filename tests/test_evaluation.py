@@ -7,7 +7,6 @@ from quadricfit import _kernels
 from quadricfit.evaluation import (
     OrientedBox,
     circumscribed_box,
-    iou_aabb_analytic,
     iou_boxes,
     iou_duals,
     orientation_error,
@@ -19,6 +18,7 @@ from quadricfit.manifold import InvalidInputError, so3_exp
 from quadricfit.quadric import FullState, RtsState, proper_axis_permutations, rts_from_dual
 from quadricfit.sim import TrialResult
 from conftest import random_rts
+from oracles import aabb, iou_aabb_analytic
 
 
 def axis_box(center, half):
@@ -139,8 +139,8 @@ def test_exact_iou_vs_voxel_count(rng):
     for _ in range(5):
         a = OrientedBox(rng.normal(size=3) * 0.4, so3_exp(rng.normal(size=3)), rng.uniform(0.3, 1.2, 3))
         b = OrientedBox(rng.normal(size=3) * 0.4, so3_exp(rng.normal(size=3)), rng.uniform(0.3, 1.2, 3))
-        lo = np.minimum(a.aabb()[0], b.aabb()[0])
-        hi = np.maximum(a.aabb()[1], b.aabb()[1])
+        lo = np.minimum(aabb(a)[0], aabb(b)[0])
+        hi = np.maximum(aabb(a)[1], aabb(b)[1])
         na, nb, both = _kernels.voxel_box_overlap(
             a.rotation, a.center, a.half_extents, b.rotation, b.center, b.half_extents, lo, hi, 64
         )

@@ -14,7 +14,6 @@ from quadricfit.manifold import (
     se3_log,
     so3_exp,
     so3_log,
-    spd_log,
     spd_metric,
     spd_retract,
     spd_retract_normalized,
@@ -23,6 +22,7 @@ from quadricfit.manifold import (
     vec6_to_sym,
 )
 from conftest import random_spd, random_sym
+from oracles import spd_log
 
 
 # ---------------------------------------------------------------------------

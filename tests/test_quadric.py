@@ -14,7 +14,6 @@ from quadricfit.quadric import (
     dual_shape,
     full_from_dual,
     normalize_dual,
-    permuted_rts,
     proper_axis_permutations,
     regularize_full,
     rts_from_dual,
@@ -22,6 +21,7 @@ from quadricfit.quadric import (
     sym4_to_coeffs,
 )
 from conftest import random_rts, random_spd
+from oracles import permuted_rts
 
 
 def unit_sphere():

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from quadricfit import sim
-from quadricfit.costs import residual_box_inverse
 from quadricfit.manifold import se3_log, Pose
 from quadricfit.sim import (
     NOISE_LEVELS,
     CampaignSpec,
+    NoiseSpec,
     SceneSpec,
     generate_scene,
     initial_state,
@@ -20,6 +20,7 @@ from quadricfit.sim import (
     synthetic_graph,
     trial_problem,
 )
+from oracles import residual
 
 
 def test_noise_level_table():
@@ -34,6 +35,15 @@ def test_noise_level_table():
     )
 
 
+@pytest.mark.parametrize("sigma", [-1.0, float("nan")])
+def test_noise_spec_rejects_negative_and_nan_sigmas(sigma):
+    for i in range(4):
+        sigmas = [1.0, 0.1, 0.1, 0.1]
+        sigmas[i] = sigma
+        with pytest.raises(ValueError, match="non-negative"):
+            NoiseSpec("X", *sigmas)
+
+
 def test_generate_scene_deterministic():
     a = generate_scene(SceneSpec(), np.random.default_rng(5))
     b = generate_scene(SceneSpec(), np.random.default_rng(5))
@@ -45,7 +55,7 @@ def test_generate_scene_deterministic():
 def test_generate_scene_boxes_self_consistent():
     scene = generate_scene(SceneSpec(), np.random.default_rng(11))
     for frame, box in zip(scene.frames, scene.boxes):
-        r = residual_box_inverse(frame, scene.landmark.dual, box)
+        r = residual("box-inverse", scene.landmark.dual, {"box": box}, frame)
         np.testing.assert_allclose(r, np.zeros(4), atol=1e-9)
         arr = box.as_array()
         assert 0 <= arr[0] <= arr[1] <= 640 and 0 <= arr[2] <= arr[3] <= 480
@@ -202,7 +212,6 @@ def test_medium_noise_semi_success_rate():
 
 def test_synthetic_graph_valid_and_priors_hold_at_truth():
     from quadricfit import graphio
-    from quadricfit.costs import residual_orientation, residual_shape, residual_size, residual_support
 
     g = synthetic_graph(3)
     graphio.validate_graph(g)
@@ -210,11 +219,13 @@ def test_synthetic_graph_valid_and_priors_hold_at_truth():
     q = truth.dual
     pri = g["priors"]
     np.testing.assert_allclose(
-        residual_orientation(q, np.asarray(pri["orientation"][0]["direction"])), np.zeros(9), atol=1e-8
+        residual("orientation", q, {"direction": np.asarray(pri["orientation"][0]["direction"])}),
+        np.zeros(9), atol=1e-8
     )
-    np.testing.assert_allclose(residual_shape(q, pri["scale"][0]["abc"]), np.zeros(2), atol=1e-8)
-    assert abs(residual_size(q, pri["scale"][0]["abc"])) < 1e-8
-    assert abs(residual_support(q, np.asarray(pri["support"][0]["plane"]))) < 1e-8
+    np.testing.assert_allclose(residual("shape", q, {"prior": pri["scale"][0]["abc"]}),
+                               np.zeros(2), atol=1e-8)
+    assert abs(residual("size", q, {"prior": pri["scale"][0]["abc"]})) < 1e-8
+    assert abs(residual("support", q, {"plane": np.asarray(pri["support"][0]["plane"])})) < 1e-8
 
 
 def test_default_jobs_follow_the_affinity_set(monkeypatch):

@@ -375,6 +375,21 @@ def _oracle_box_table(factor, frame, duals):
     return vals, ok
 
 
+def _safe_dual(value):
+    try:
+        return value.dual
+    except _EVAL_ERRORS:
+        return None
+
+
+def _stack_read(stack, name):
+    """A solver stack's ``values`` or ``duals``, or None when they cannot be formed."""
+    try:
+        return getattr(stack, name)
+    except _EVAL_ERRORS:
+        return None
+
+
 def _oracle_try(f, values):
     try:
         return factor_residual(f, values)
@@ -395,16 +410,17 @@ def _oracle_block(f, values, variants, columns, n):
         jac = np.zeros((f.dim, n))
         if lm_free:
             var = variants[lm_id]
-            if var.duals is None:
+            duals = _stack_read(var, "duals")
+            if duals is None:
                 return None
-            table, ok = _oracle_box_table(f, frame, var.duals)
+            table, ok = _oracle_box_table(f, frame, duals)
             if not ok.all():
                 return None
             res = table[0]
             d = var.dim
             jac[:, columns[lm_id]] = (table[1 : 1 + d] - table[1 + d :]).T / (2.0 * var.h)
         else:
-            q = solver._safe_dual(values[lm_id])
+            q = _safe_dual(values[lm_id])
             if q is None:
                 return None
             table, ok = _oracle_box_table(f, frame, q[None])
@@ -414,12 +430,13 @@ def _oracle_block(f, values, variants, columns, n):
         if pose_free:
             var = variants[pose_id]
             cols = columns[pose_id]
-            qc = variants[lm_id].duals[0] if lm_free else solver._safe_dual(values[lm_id])
+            qc = variants[lm_id].duals[0] if lm_free else _safe_dual(values[lm_id])
+            poses = _stack_read(var, "values")
+            if poses is None:
+                return None
             for j in range(var.dim):
                 pair = []
-                for v in (var.values[1 + j], var.values[1 + var.dim + j]):
-                    if v is None:
-                        return None
+                for v in (poses[1 + j], poses[1 + var.dim + j]):
                     t, ok = _oracle_box_table(f, CameraFrame(f.payload["intrinsics"], v), qc[None])
                     if not ok[0]:
                         return None
@@ -434,11 +451,12 @@ def _oracle_block(f, values, variants, columns, n):
     for t in free_targets:
         var = variants[t]
         cols = columns[t]
+        stack = _stack_read(var, "values")
+        if stack is None:
+            return None
         for j in range(var.dim):
             pair = []
-            for v in (var.values[1 + j], var.values[1 + var.dim + j]):
-                if v is None:
-                    return None
+            for v in (stack[1 + j], stack[1 + var.dim + j]):
                 scratch[t] = v
                 r = _oracle_try(f, scratch)
                 if r is None:
@@ -690,6 +708,38 @@ def test_linearize_skips_prior_whose_variant_is_degenerate():
         factor_residual(f, problem.variables)  # the center itself is evaluable
     lin = _assert_linearize_matches_oracle(problem)
     assert lin.skipped == [0, 1, 2]
+
+
+def test_priors_share_one_decomposition_per_landmark_stack(monkeypatch):
+    # A landmark stack with a prior other than support is decomposed once per
+    # cost evaluation and once per linearization, however many priors read
+    # it; a landmark whose only prior is support is never decomposed.
+    calls = []
+    decompose = solver.rts_from_duals
+
+    def counted(duals):
+        calls.append(len(duals))
+        return decompose(duals)
+
+    monkeypatch.setattr(solver, "rts_from_duals", counted)
+    state = RtsState(so3_exp([0.3, 0.2, 0.1]), np.array([0.0, 0.0, 4.0]), np.array([0.4, 0.3, 0.2]))
+    plane = np.array([0.0, 0.0, 1.0, -3.0])
+    prior = (0.4, 0.3, 0.2)
+    factors = [
+        Factor(0, "orientation", ("a",), {"direction": np.array([0.0, 0.0, 1.0])}),
+        Factor(1, "shape", ("a",), {"prior": prior}),
+        Factor(2, "size", ("a",), {"prior": prior}),
+        Factor(3, "support", ("a",), {"plane": plane}),
+        Factor(4, "support", ("b",), {"plane": plane}),
+        Factor(5, "size", ("c",), {"prior": prior, "form": "det"}),
+    ]
+    variables = {lm: as_parameterization(state, "spd") for lm in ("a", "b", "c")}
+    problem = Problem(variables, factors, set())
+    solver._cost_of(problem.variables, problem.factors)
+    assert calls == [1, 1]
+    calls.clear()
+    linearize(problem)
+    assert calls == [19, 19]  # the value and its 2 x 9 FD variants, for "a" and "c"
 
 
 def test_one_kernel_call_per_box_model_and_evaluation(monkeypatch):
