@@ -109,14 +109,13 @@ def tangency_values(planes, duals):
     """Tangency defects ``pi^T q pi`` of each row's planes and dual quadric.
 
     planes: (n, p, 4) rows, unit-normalized; (p, 4) planes serve every
-    row. duals: (n, 4, 4), canonical scale. Always evaluable: returns
-    (vals (n, p), ok (n,) all-True).
+    row. duals: (n, 4, 4), canonical scale. Always evaluable: returns the
+    values (n, p).
     """
     duals = np.asarray(duals, dtype=float)
     planes = np.asarray(planes, dtype=float)
     planes = np.broadcast_to(planes, (len(duals),) + planes.shape[-2:])
-    vals = np.einsum("npi,nij,npj->np", planes, duals, planes)
-    return vals, np.ones(duals.shape[0], dtype=bool)
+    return np.einsum("npi,nij,npj->np", planes, duals, planes)
 
 
 def voxel_box_overlap(rot_a, cen_a, half_a, rot_b, cen_b, half_b, lo, hi, n):

@@ -2,15 +2,19 @@
 orientation, shape, size, supporting plane and pose prior.
 
 Each factor kind is defined once, in :data:`FACTOR_KINDS`: its residual
-dimension, its default variance and its batched row function. The solver
-evaluates every factor through that table, on stacks of its targets'
-values, and so does :func:`quadricfit.solver.factor_residual` for a single
-factor; there is no second, one-factor implementation of any residual.
+dimension, its default variance, its batched row function and its number
+of targets. The solver evaluates every factor through that table, on
+stacks of its targets' values, and so does
+:func:`quadricfit.solver.factor_residual` for a single factor; there is no
+second, one-factor implementation of any residual.
 
 Every residual is evaluated through the canonical dual quadric, so its
 value does not depend on which landmark parameterization produced the
-quadric. Cameras follow the pinhole convention with the camera looking
-along +z; image u grows right, v grows down.
+quadric. Both box models see a landmark through the same camera per row:
+the camera-from-world [R|t] cached on the pose value
+(:attr:`quadricfit.manifold.Pose.inverse_rt`) and the factor's intrinsics.
+Cameras follow the pinhole convention with the camera looking along +z;
+image u grows right, v grows down.
 """
 
 from __future__ import annotations
@@ -75,13 +79,8 @@ class CameraFrame:
     frame_id: str = ""
 
     def projection_rt(self) -> np.ndarray:
-        """Camera-from-world [R_c | t_c] as a 3x4 matrix."""
-        inv = self.pose.inverse()
-        return np.hstack([inv.rotation, inv.translation[:, None]])
-
-    def projection_matrix(self) -> np.ndarray:
-        """K [R_c | t_c]."""
-        return self.intrinsics.k @ self.projection_rt()
+        """Camera-from-world [R_c | t_c] as a 3x4 matrix, cached on the pose."""
+        return self.pose.inverse_rt
 
 
 @dataclass(frozen=True)
@@ -153,26 +152,21 @@ def conic_bbox(g: np.ndarray) -> BoundingBox:
     return BoundingBox.from_array(boxes[0])
 
 
-def _backproject(m: np.ndarray, line) -> np.ndarray:
-    pi = m.T @ np.asarray(line, dtype=float)
-    norm = np.linalg.norm(pi[:3])
-    if norm < 1e-15:
-        raise InvalidInputError("line backprojects to a degenerate plane")
-    return pi / norm
+def box_edge_planes(intrinsics, rt, boxes) -> np.ndarray:
+    """World planes through each row's camera center and each edge of its
+    box, (n, 4, 4) in edge order (ul, ur, vu, vd).
 
-
-def box_edge_planes(frame: CameraFrame, box: BoundingBox) -> np.ndarray:
-    """World planes through the camera center and each box edge, one per row
-    (ul, ur, vu, vd): ``pi = (K [R_c|t_c])^T l``, unit-normalized, for the
-    lines ``[1, 0, -u]`` (vertical) and ``[0, 1, -v]`` (horizontal)."""
-    m = frame.projection_matrix()
-    lines = [
-        np.array([1.0, 0.0, -box.ul]),
-        np.array([1.0, 0.0, -box.ur]),
-        np.array([0.0, 1.0, -box.vu]),
-        np.array([0.0, 1.0, -box.vd]),
-    ]
-    return np.array([_backproject(m, l) for l in lines])
+    ``intrinsics`` (n, 4) holds each row's fx, fy, cx, cy, ``rt`` (n, 3, 4)
+    its camera-from-world [R|t] and ``boxes`` (n, 4) its box. A plane is
+    ``pi = M^T l`` with ``M = K [R|t]``: ``M_0 - u M_2`` for the vertical
+    line ``[1, 0, -u]`` and ``M_1 - v M_2`` for the horizontal line
+    ``[0, 1, -v]``, unit-normalized. Its normal has the norm of ``K^T l``,
+    at least fx > 0, so it always normalizes.
+    """
+    boxes = np.asarray(boxes, dtype=float)
+    m = _kernels._intrinsic_matrices(*np.asarray(intrinsics, dtype=float).T, len(boxes)) @ rt
+    planes = m[:, [0, 0, 1, 1]] - boxes[:, :, None] * m[:, 2:]
+    return planes / np.sqrt(np.vecdot(planes[..., :3], planes[..., :3]))[..., None]
 
 
 def _evaluable(rows: np.ndarray):
@@ -180,19 +174,20 @@ def _evaluable(rows: np.ndarray):
     return rows, np.zeros(len(rows), dtype=int)
 
 
-def box_inverse_rows(views, duals, intrinsics, observed):
+def box_inverse_rows(rt, duals, intrinsics, observed):
     """Predicted box minus observed box (4 components, px), a row per camera:
-    ``views`` (n, 3, 4) holds each row's [R|t], ``intrinsics`` (n, 4) its
-    fx, fy, cx, cy and ``observed`` (n, 4) its box; statuses as
-    :func:`~quadricfit._kernels.boxes_from_duals` gives them."""
-    fx, fy, cx, cy = intrinsics.T
-    boxes, status = _kernels.boxes_from_duals(fx, fy, cx, cy, views, duals)
+    ``rt`` (n, 3, 4) holds each row's camera-from-world [R|t],
+    ``intrinsics`` (n, 4) its fx, fy, cx, cy and ``observed`` (n, 4) its
+    box; statuses as :func:`~quadricfit._kernels.boxes_from_duals` gives
+    them."""
+    boxes, status = _kernels.boxes_from_duals(*intrinsics.T, rt, duals)
     return boxes - observed, status
 
 
-def box_semi_rows(views, duals, intrinsics, observed):
+def box_semi_rows(rt, duals, intrinsics, observed):
     """Tangency defect of each observed edge plane (4 components), a row
-    per camera; ``views`` (n, 4, 4) holds each row's edge planes.
+    per camera, with the arguments of :func:`box_inverse_rows`; the rows'
+    edge planes are built in one :func:`box_edge_planes` call.
 
     With a unit-normal plane and the canonical quadric scale the defect is
     ``reach^2 - dist^2`` (m^2): the squared support reach of the ellipsoid
@@ -202,7 +197,7 @@ def box_semi_rows(views, duals, intrinsics, observed):
     rather than summed so a per-edge covariance stays meaningful; the
     minimizer is the same under isotropic covariance. Always evaluable.
     """
-    return _evaluable(_kernels.tangency_values(views, duals)[0])
+    return _evaluable(_kernels.tangency_values(box_edge_planes(intrinsics, rt, observed), duals))
 
 
 def unit_direction(m) -> np.ndarray:
@@ -284,23 +279,23 @@ def residual_pose_prior(x: Pose, observed: Pose) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FactorKind:
-    """A factor kind: residual dimension, default per-component variance and
+    """A factor kind: residual dimension, default per-component variance,
     ``rows``, which gives a factor's residual rows (n, dim) over stacked
-    values of its targets and each row's status (n,), 0 where evaluable.
+    values of its targets and each row's status (n,), 0 where evaluable,
+    and the number of targets a factor of the kind takes.
 
     A single-target kind reads ``rows(stack, payload)`` from its variable's
     stack: ``values``, or a landmark's ``duals`` (n, 4, 4) and ``rts``, their
     :func:`~quadricfit.quadric.rts_from_duals` shared by the stack's priors.
-    A camera-landmark kind (targets: pose, landmark) sees each row from
-    ``view(frame, box)`` and has rows as :func:`box_inverse_rows`; a
-    ``shared_view`` ignores the box, so the factors of one pose share it.
+    A camera-landmark kind (two targets: pose, landmark) has rows as
+    :func:`box_inverse_rows`, each row seen through the ``inverse_rt`` of
+    a value of the pose.
     """
 
     dim: int
     variance: float
     rows: Callable
-    view: Callable | None = None
-    shared_view: bool = False
+    targets: int = 1
 
 
 def _decomposed(stack) -> np.ndarray:
@@ -308,13 +303,11 @@ def _decomposed(stack) -> np.ndarray:
     return np.where(stack.rts[2], 0, NOT_DECOMPOSABLE)
 
 
-# The view functions and kernels are looked up at call time, so a tracer
-# or a test that replaces them by name sees every call.
+# The row functions look up box_edge_planes and the kernels at call time,
+# so a tracer or a test that replaces them by name sees every call.
 FACTOR_KINDS = {
-    "box-inverse": FactorKind(4, 5.0**2, box_inverse_rows,
-                              lambda frame, box: frame.projection_rt(), shared_view=True),
-    "box-semi": FactorKind(4, 5.0**2, box_semi_rows,
-                           lambda frame, box: box_edge_planes(frame, box)),
+    "box-inverse": FactorKind(4, 5.0**2, box_inverse_rows, targets=2),
+    "box-semi": FactorKind(4, 5.0**2, box_semi_rows, targets=2),
     "orientation": FactorKind(9, 0.1**2, lambda s, p: (
         orientation_residuals(s.rts[0], unit_direction(p["direction"])), _decomposed(s))),
     "shape": FactorKind(2, 0.5**2, lambda s, p: (
@@ -343,6 +336,9 @@ class Factor:
         if self.kind not in FACTOR_KINDS:
             raise InvalidInputError(f"unknown factor kind: {self.kind!r}")
         kind = FACTOR_KINDS[self.kind]
+        if len(self.targets) != kind.targets:
+            raise InvalidInputError(f"a {self.kind} factor takes {kind.targets} target(s), "
+                                    f"got {len(self.targets)}")
         var = self.variance
         if var is None:
             var = np.full(kind.dim, kind.variance)

@@ -18,6 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -293,6 +294,8 @@ class Pose:
     Implements the variable protocol of the landmark states
     (``tangent_dim`` / ``retract`` / ``fd_scales`` / ``settled``), so the
     solver steps, differentiates and fixes up poses and landmarks alike.
+    As a landmark state caches its ``dual``, a pose caches ``inverse_rt``,
+    the camera every camera-landmark factor sees it through.
     """
 
     rotation: np.ndarray
@@ -322,6 +325,13 @@ class Pose:
     def inverse(self) -> "Pose":
         rt = self.rotation.T
         return Pose(rt, -rt @ self.translation)
+
+    @cached_property
+    def inverse_rt(self) -> np.ndarray:
+        """[R | t] of the inverse transform as a 3x4 matrix: camera-from-world
+        for a world-from-camera pose. Computed once per pose value."""
+        inv = self.inverse()
+        return np.hstack([inv.rotation, inv.translation[:, None]])
 
     def matrix(self) -> np.ndarray:
         m = np.eye(4)

@@ -128,8 +128,9 @@ def rts_from_duals(qs: np.ndarray):
     placeholders.
     """
     w, u = np.linalg.eigh(dual_shape(qs))
-    # NaN passes (not <=): a NaN landmark then gives NaN residuals, which the
-    # solver rejects loudly, not a silently skipped factor.
+    # A NaN shape makes eigh raise LinAlgError, before this test, unless
+    # the NaN stays on the diagonal; such a NaN eigenvalue passes (not <=)
+    # and gives NaN residuals. solver.Problem rejects NaN variables first.
     ok = ~(w[:, 0] <= 1e-12)
     # eigh is ascending; semi-axes are reported descending
     w = w[:, ::-1]

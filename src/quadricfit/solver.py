@@ -14,18 +14,20 @@ one :class:`_Stack` of the values its factors are evaluated at: the value
 alone, or for a free variable in a linearization the value and its FD
 variants. Each factor kind is evaluated by its entry in
 :data:`quadricfit.costs.FACTOR_KINDS`, so the solver has no per-kind code.
-A per-solve plan sorts the factors once, groups camera-landmark factors by
-kind and single-target factors by variable, and caches each camera view
-per pose value. Each evaluation makes one row-function call per
-camera-landmark kind, with a camera per row: every factor's landmark stack
-seen from its camera and the landmark center seen from each of its pose's
-variants. A single-target factor, landmark prior or pose prior alike, is
-evaluated on its variable's stack, and a landmark's priors share the
-stack's one batched eigendecomposition. One block builder, :func:`_blocks`,
-does all of this; the cost calls it with value-only stacks and sums the
-residual rows it returns, so the cost is exactly the residual the Jacobian
-linearizes. Each row has the bits of the batch of one that
-:func:`factor_residual` evaluates, so batching changes no result.
+A per-solve plan sorts the factors once and groups camera-landmark factors
+by kind and single-target factors by variable. Each evaluation makes one
+row-function call per camera-landmark kind, with a camera per row: every
+factor's landmark stack seen from its pose and the landmark center seen
+from each of its pose's variants. Every row's camera is the [R|t] its pose
+value caches (``Pose.inverse_rt``), under both box models, so a pose value
+computes it once however many factors see it. A single-target factor,
+landmark prior or pose prior alike, is evaluated on its variable's stack,
+and a landmark's priors share the stack's one batched eigendecomposition.
+One block builder, :func:`_blocks`, does all of this; the cost calls it
+with value-only stacks and sums the residual rows it returns, so the cost
+is exactly the residual the Jacobian linearizes. Each row has the bits of
+the batch of one that :func:`factor_residual` evaluates, so batching
+changes no result.
 
 Factors that cannot be evaluated at the current state (landmark behind the
 camera, degenerate projection) are dropped for that evaluation with a skip
@@ -41,7 +43,7 @@ from __future__ import annotations
 import logging
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import accumulate
 
@@ -50,12 +52,11 @@ import numpy as np
 from .costs import (
     FACTOR_KINDS,
     BehindCameraError,
-    CameraFrame,
     DegenerateProjectionError,
     Factor,
     evaluation_error,
 )
-from .manifold import InvalidInputError, Pose
+from .manifold import InvalidInputError
 from .quadric import DegenerateLandmarkError, rts_from_duals
 
 _EVAL_ERRORS = (
@@ -89,7 +90,11 @@ def retract_value(value, delta: np.ndarray):
 
 @dataclass
 class Problem:
-    """Variables (id -> Pose or landmark state), factors, fixed-id set."""
+    """Variables (id -> Pose or landmark state), factors, fixed-id set.
+
+    Every variable value must be finite: a NaN state would reach the solver
+    as NaN residuals, whose cost no step can decrease.
+    """
 
     variables: dict
     factors: list
@@ -97,6 +102,9 @@ class Problem:
 
     def __post_init__(self):
         self.fixed = set(self.fixed)
+        for vid, value in self.variables.items():
+            if not all(np.isfinite(getattr(value, f.name)).all() for f in fields(value)):
+                raise ProblemError(f"variable {vid!r} has non-finite values")
         for f in self.factors:
             for t in f.targets:
                 if t not in self.variables:
@@ -169,10 +177,6 @@ class SolveReport:
 # Residual evaluation
 
 
-def _frame_for(factor: Factor, pose: Pose) -> CameraFrame:
-    return CameraFrame(factor.payload["intrinsics"], pose)
-
-
 def factor_residual(factor: Factor, values: dict) -> np.ndarray:
     """Residual vector of one factor at the given variable values.
 
@@ -191,9 +195,7 @@ class _Plan:
 
     Factors are sorted by id; camera-landmark factors are grouped by kind,
     with their intrinsics and observed boxes stacked, and single-target
-    factors by their variable. Each camera view is cached for the latest
-    pose value it was computed at, so a fixed pose computes it once per
-    solve and a free pose once per value it takes.
+    factors by their variable.
     """
 
     def __init__(self, factors: list):
@@ -202,7 +204,7 @@ class _Plan:
         self.boxes = {}
         self.singles = {}  # variable id -> its single-target factors in fid order
         for f in self.factors:
-            if FACTOR_KINDS[f.kind].view is None:
+            if FACTOR_KINDS[f.kind].targets == 1:
                 self.singles.setdefault(f.targets[0], []).append(f)
             else:
                 self.boxes.setdefault(f.kind, []).append(f)
@@ -210,17 +212,6 @@ class _Plan:
             intrinsics = [f.payload["intrinsics"] for f in group]
             self.boxes[kind] = (group, np.array([[i.fx, i.fy, i.cx, i.cy] for i in intrinsics]),
                                 np.array([f.payload["box"].as_array() for f in group]))
-        self._views = {}  # (kind, pose id of a shared view, else fid) -> (pose value, view)
-
-    def view(self, factor: Factor, pose: Pose) -> np.ndarray:
-        """The camera view of a camera-landmark factor at ``pose``, its current value."""
-        kind = FACTOR_KINDS[factor.kind]
-        key = (factor.kind, factor.targets[0] if kind.shared_view else factor.fid)
-        cached = self._views.get(key)
-        if cached is None or cached[0] is not pose:
-            view = kind.view(_frame_for(factor, pose), factor.payload["box"])
-            cached = self._views[key] = (pose, view)
-        return cached[1]
 
 
 class _Stack:
@@ -229,8 +220,8 @@ class _Stack:
     ``values`` holds the value alone for a fixed variable (``fd_step`` None),
     which is every variable in a cost evaluation; for a free variable it
     holds the value, then its plus, then its minus finite-difference
-    variants. Reading the values or duals of a stack that cannot form them
-    raises the evaluation error why, and its factors are skipped.
+    variants. Reading the values, duals or cameras of a stack that cannot
+    form them raises the evaluation error why, and its factors are skipped.
     """
 
     def __init__(self, value, fd_step: float | None = None):
@@ -259,6 +250,11 @@ class _Stack:
         return np.stack([v.dual for v in self.values])
 
     @cached_property
+    def cameras(self) -> np.ndarray:
+        """A pose's cached [R|t] over ``values``, stacked (len(values), 3, 4)."""
+        return np.array([v.inverse_rt for v in self.values])
+
+    @cached_property
     def rts(self):
         """:func:`rts_from_duals` of ``duals``: one batched eigendecomposition
         that every prior of the stack shares, made when the first reads it."""
@@ -278,42 +274,32 @@ def _box_blocks(plan: _Plan, stacks: dict, columns: dict, blocks: dict) -> None:
     """Blocks of every camera-landmark factor, one row-function call per kind.
 
     The call stacks, factor by factor, the landmark's duals seen from the
-    factor's camera and the landmark center seen from each of the pose's
-    variants (none for a fixed pose). Each row carries its own camera view:
-    an [R|t] (box-inverse) or the factor's edge planes (box-semi) at that
-    pose value.
+    pose's value and the landmark center seen from each of the pose's
+    variants (none for a fixed pose), each row with the [R|t] of the pose
+    value it is seen from.
     """
     for name, (group, intrinsics, observed) in plan.boxes.items():
-        kind = FACTOR_KINDS[name]
-        live, sizes, duals = [], [], []
-        views, view_of_row = [], []  # each row's camera, as an index into views
-        first_view = {}  # pose id of a shared view, else fid -> index of its views
+        live, sizes, duals, cameras = [], [], [], []
         for i, f in enumerate(group):
             pose_id, lm_id = f.targets
             try:
                 stack = stacks[lm_id].duals
-                pose, *poses = stacks[pose_id].values
+                rt = stacks[pose_id].cameras
             except _EVAL_ERRORS as exc:
                 blocks[f.fid] = exc
                 continue
-            key = pose_id if kind.shared_view else f.fid
-            c = first_view.get(key)
-            if c is None:
-                c = first_view[key] = len(views)
-                views.append(plan.view(f, pose))
-                views.extend(kind.view(_frame_for(f, v), f.payload["box"]) for v in poses)
             live.append(i)
-            sizes.append(len(stack) + len(poses))
+            sizes.append(len(stack) + len(rt) - 1)
             duals.append(stack)
-            view_of_row += [c] * len(stack)
-            if poses:
-                duals.append(np.broadcast_to(stack[0], (len(poses), 4, 4)))
-                view_of_row += range(c + 1, c + 1 + len(poses))
+            cameras.append(rt[:1].repeat(len(stack), axis=0))
+            if len(rt) > 1:
+                duals.append(stack[:1].repeat(len(rt) - 1, axis=0))
+                cameras.append(rt[1:])
         if not live:
             continue
         owner = np.repeat(live, sizes)
-        rows, status = kind.rows(np.stack(views)[view_of_row], np.concatenate(duals),
-                                 intrinsics[owner], observed[owner])
+        rows, status = FACTOR_KINDS[name].rows(np.concatenate(cameras), np.concatenate(duals),
+                                               intrinsics[owner], observed[owner])
         starts = list(accumulate(sizes[:-1], initial=0))
         worst = np.maximum.reduceat(status, starts)  # a factor's rows are all evaluable iff 0
         for k, i in enumerate(live):

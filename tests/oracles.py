@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from quadricfit.costs import Factor
+from quadricfit.costs import Factor, box_edge_planes
 from quadricfit.evaluation import OrientedBox
 from quadricfit.manifold import _eigh_apply, spd_inv_sqrt, spd_sqrt
 from quadricfit.quadric import RtsState
@@ -27,6 +27,14 @@ def residual(kind: str, q: np.ndarray, payload: dict, frame=None):
         payload = {"intrinsics": frame.intrinsics, **payload}
     r = factor_residual(Factor(0, kind, targets, payload), values)
     return float(r[0]) if r.size == 1 else r
+
+
+def frame_edge_planes(frame, box) -> np.ndarray:
+    """The (4, 4) edge planes of one box seen from one camera frame: a
+    batch of one through :func:`~quadricfit.costs.box_edge_planes`."""
+    i = frame.intrinsics
+    return box_edge_planes([[i.fx, i.fy, i.cx, i.cy]], frame.projection_rt()[None],
+                           box.as_array()[None])[0]
 
 
 def aabb(box: OrientedBox) -> tuple[np.ndarray, np.ndarray]:

@@ -158,7 +158,7 @@ def test_criterion_3_box_sampling_oracle():
         u = rng.normal(size=(100_000, 3))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         pts = (u * np.asarray(state.scale)) @ state.rotation.T + np.asarray(state.translation)
-        ph = np.hstack([pts, np.ones((len(pts), 1))]) @ frame.projection_matrix().T
+        ph = np.hstack([pts, np.ones((len(pts), 1))]) @ (intr.k @ frame.projection_rt()).T
         px = ph[:, :2] / ph[:, 2:3]
         oracle = np.array([px[:, 0].min(), px[:, 0].max(), px[:, 1].min(), px[:, 1].max()])
         worst = max(worst, np.max(np.abs(box - oracle)))

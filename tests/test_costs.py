@@ -12,6 +12,7 @@ from quadricfit.costs import (
     CameraIntrinsics,
     DegenerateProjectionError,
     Factor,
+    box_edge_planes,
     conic_bbox,
     orientation_residuals,
     project_dual,
@@ -63,7 +64,7 @@ def sampled_box(state: RtsState, frame: CameraFrame, n=100_000, seed=0):
     u = rng.normal(size=(n, 3))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     pts = (u * np.asarray(state.scale)) @ state.rotation.T + np.asarray(state.translation)
-    m = frame.projection_matrix()
+    m = frame.intrinsics.k @ frame.projection_rt()
     ph = np.hstack([pts, np.ones((n, 1))]) @ m.T
     px = ph[:, :2] / ph[:, 2:3]
     return np.array([px[:, 0].min(), px[:, 0].max(), px[:, 1].min(), px[:, 1].max()])
@@ -114,7 +115,7 @@ def test_conic_bbox_matches_sampling_oracle(rng):
 def backproject_edge(frame, line):
     """World plane through the camera center containing image line ``line``:
     ``(K [R_c|t_c])^T line``, unit-normalized."""
-    pi = frame.projection_matrix().T @ line
+    pi = (frame.intrinsics.k @ frame.projection_rt()).T @ line
     return pi / np.linalg.norm(pi[:3])
 
 
@@ -125,7 +126,6 @@ def test_backproject_edge_contains_ray(rng):
         center_h = np.append(frame.pose.translation, 1.0)
         assert abs(plane @ center_h) < 1e-9  # optical center on the plane
         # points whose projection lies on the line satisfy the plane equation
-        m = frame.projection_matrix()
         for _ in range(100):
             if line[0] == 1.0:
                 px = np.array([-line[2], rng.uniform(0, 480)])
@@ -135,6 +135,24 @@ def test_backproject_edge_contains_ray(rng):
             cam_pt = depth * np.linalg.solve(INTR.k, np.append(px, 1.0))
             world = frame.pose.rotation @ cam_pt + frame.pose.translation
             assert abs(plane @ np.append(world, 1.0)) < 1e-9 * max(1.0, depth)
+
+
+def test_box_edge_planes_are_backprojected_edges(rng):
+    # Each row's planes are its box edges backprojected through its own camera.
+    frames, boxes = [], []
+    for _ in range(6):
+        state, frame = random_visible_pair(rng)
+        frames.append(frame)
+        boxes.append(conic_bbox(project_dual(state.dual, frame)).as_array())
+    intrinsics = [[f.intrinsics.fx, f.intrinsics.fy, f.intrinsics.cx, f.intrinsics.cy]
+                  for f in frames]
+    planes = box_edge_planes(intrinsics, np.stack([f.projection_rt() for f in frames]),
+                             np.array(boxes))
+    assert planes.shape == (6, 4, 4)
+    for frame, box, got in zip(frames, boxes, planes):
+        lines = [[1.0, 0.0, -box[0]], [1.0, 0.0, -box[1]], [0.0, 1.0, -box[2]], [0.0, 1.0, -box[3]]]
+        expected = [backproject_edge(frame, np.array(line)) for line in lines]
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
 
 
 def test_backproject_center_line_axis_aligned():
@@ -379,6 +397,12 @@ def test_factor_validation():
     for variance in (0.0, np.nan, np.inf):
         with pytest.raises(InvalidInputError):
             Factor(0, "size", ("a",), {}, variance=variance)
+    # A factor takes its kind's number of targets: a box factor a pose and a
+    # landmark, a prior its one variable.
+    with pytest.raises(InvalidInputError, match="takes 2 target"):
+        Factor(0, "box-inverse", ("a",), {})
+    with pytest.raises(InvalidInputError, match="takes 1 target"):
+        Factor(0, "orientation", ("a", "b"), {"direction": np.array([0, 0, 1.0])})
     f = Factor(0, "orientation", ("a",), {"direction": np.array([0, 0, 1.0])})
     assert f.variance.shape == (9,)
     assert f.dim == 9

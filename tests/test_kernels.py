@@ -16,6 +16,7 @@ from quadricfit.costs import (
 from quadricfit.manifold import Pose, so3_exp
 from quadricfit.quadric import RtsState
 from conftest import random_rts
+from oracles import frame_edge_planes
 
 INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
 INTR2 = CameraIntrinsics(fx=420.0, fy=430.0, cx=300.0, cy=250.0)
@@ -67,9 +68,8 @@ def test_tangency_kernel_matches_reference(rng):
     duals[:, 2, 3] -= 8.0
     duals[:, 3, 2] -= 8.0
     box = BoundingBox(100.0, 400.0, 120.0, 320.0)
-    planes = box_edge_planes(frame, box)
-    vals, ok = _kernels.tangency_values(planes, duals)
-    assert ok.all()
+    planes = frame_edge_planes(frame, box)
+    vals = _kernels.tangency_values(planes, duals)
     for i in range(duals.shape[0]):
         ref = np.einsum("pi,ij,pj->p", planes, duals[i], planes)
         np.testing.assert_allclose(vals[i], ref, rtol=1e-10, atol=1e-12)
@@ -100,21 +100,22 @@ def test_stacked_cameras_equal_per_camera_calls(seed, cameras):
     # One call with a camera per row gives every row the bits of a call per
     # camera, in any row order and for every status.
     rng = np.random.default_rng(seed)
-    frames, duals, planes = [], [], []
+    frames, duals, boxes_in, planes = [], [], [], []
     for c in range(cameras):
         frame = CameraFrame((INTR, INTR2)[c % 2], Pose(so3_exp(rng.normal(size=3)), rng.normal(size=3)))
         kinds = list(STATUSES) + list(rng.choice(STATUSES, size=rng.integers(0, 6)))
         frames.append(frame)
         duals.append(np.stack([landmark_for_status(rng, frame, k) for k in rng.permutation(kinds)]))
         box = np.sort(rng.uniform(0.0, 640.0, size=(2, 2)), axis=1).ravel()
-        planes.append(box_edge_planes(frame, BoundingBox.from_array(box)))
+        boxes_in.append(box)
+        planes.append(frame_edge_planes(frame, BoundingBox.from_array(box)))
     boxes, status, vals = [], [], []
     for frame, d, p in zip(frames, duals, planes):
         i = frame.intrinsics
         b, s = _kernels.boxes_from_duals(i.fx, i.fy, i.cx, i.cy, frame.projection_rt(), d)
         boxes.append(b)
         status.append(s)
-        vals.append(_kernels.tangency_values(p, d)[0])
+        vals.append(_kernels.tangency_values(p, d))
     counts = [len(d) for d in duals]
     order = rng.permutation(sum(counts))
     intr = np.repeat([[f.intrinsics.fx, f.intrinsics.fy, f.intrinsics.cx, f.intrinsics.cy]
@@ -125,8 +126,9 @@ def test_stacked_cameras_equal_per_camera_calls(seed, cameras):
     assert set(got_status) == set(STATUSES)
     assert np.array_equal(got_boxes, np.concatenate(boxes)[order])
     assert np.array_equal(got_status, np.concatenate(status)[order])
-    got_vals, ok = _kernels.tangency_values(np.repeat(planes, counts, axis=0)[order], stacked)
-    assert ok.all()
+    got_planes = box_edge_planes(intr, rts, np.repeat(boxes_in, counts, axis=0)[order])
+    assert np.array_equal(got_planes, np.repeat(planes, counts, axis=0)[order])
+    got_vals = _kernels.tangency_values(got_planes, stacked)
     assert np.array_equal(got_vals, np.concatenate(vals)[order])
 
 

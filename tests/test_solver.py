@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadricfit import _kernels, solver
+from quadricfit import _kernels, costs, solver
 from quadricfit.costs import (
     BehindCameraError,
     BoundingBox,
@@ -11,7 +11,6 @@ from quadricfit.costs import (
     CameraIntrinsics,
     DegenerateProjectionError,
     Factor,
-    box_edge_planes,
     conic_bbox,
     project_dual,
 )
@@ -43,6 +42,7 @@ from quadricfit.solver import (
     solve,
     total_cost,
 )
+from oracles import frame_edge_planes
 
 INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
 
@@ -370,9 +370,8 @@ def _oracle_box_table(factor, frame, duals):
             intr.fx, intr.fy, intr.cx, intr.cy, frame.projection_rt(), duals
         )
         return boxes - box.as_array(), status == 0
-    planes = box_edge_planes(frame, box)
-    vals, ok = _kernels.tangency_values(planes, duals)
-    return vals, ok
+    vals = _kernels.tangency_values(frame_edge_planes(frame, box), duals)
+    return vals, np.ones(len(vals), dtype=bool)
 
 
 def _safe_dual(value):
@@ -742,15 +741,22 @@ def test_priors_share_one_decomposition_per_landmark_stack(monkeypatch):
     assert calls == [19, 19]  # the value and its 2 x 9 FD variants, for "a" and "c"
 
 
-def test_one_kernel_call_per_box_model_and_evaluation(monkeypatch):
-    # Every camera's rows, landmark variants and pose variants share one
-    # call per box model, in the cost and in the linearization alike.
+def mixed_box_problem():
+    """A random graph whose box factors alternate between the two models,
+    with cam0 fixed and cam1-cam3 free."""
     problem = random_graph_problem(11, "spd", 3, 4)
     boxes = [f for f in problem.factors if f.kind in ("box-inverse", "box-semi")]
     kinds = {f.fid: ("box-inverse", "box-semi")[k % 2] for k, f in enumerate(boxes)}
     problem.factors = [Factor(f.fid, kinds.get(f.fid, f.kind), f.targets, f.payload, f.variance)
                        for f in problem.factors]
     problem.fixed = {"cam0"}
+    return problem, boxes, kinds
+
+
+def test_one_kernel_call_per_box_model_and_evaluation(monkeypatch):
+    # Every camera's rows, landmark variants and pose variants share one
+    # call per box model, in the cost and in the linearization alike.
+    problem, boxes, kinds = mixed_box_problem()
     calls = {"boxes_from_duals": [], "tangency_values": []}
     for name, rows in calls.items():
         kernel = getattr(_kernels, name)
@@ -770,3 +776,70 @@ def test_one_kernel_call_per_box_model_and_evaluation(monkeypatch):
     # each factor: its landmark's 19 variant rows, and 12 pose-variant rows unless on cam0
     assert calls == {name: [sum(19 + 12 * (f.targets[0] != "cam0") for f in group)]
                      for name, group in groups.items()}
+
+
+def test_one_camera_per_pose_value_and_one_plane_call_per_evaluation(monkeypatch):
+    # Both box models see a pose through the [R|t] its value caches, so each
+    # pose value inverts once however many factors carry it: a fixed pose
+    # once across a whole solve, a free pose's 13 values (the value and its
+    # 12 FD variants) once per linearization. Box-semi builds the edge
+    # planes of all its rows in one call per evaluation.
+    problem, boxes, kinds = mixed_box_problem()
+    # Pose priors invert their observed pose; only the box factors see cameras.
+    problem.factors = [f for f in problem.factors if f.kind != "pose-prior"]
+    semi = [f for f in boxes if kinds[f.fid] == "box-semi"]
+    inverted, plane_calls, evaluations = [], [], []
+    inverse, edge_planes, blocks = Pose.inverse, costs.box_edge_planes, solver._blocks
+
+    def counted_inverse(pose):
+        inverted.append(pose)  # kept alive, so no two poses share an id
+        return inverse(pose)
+
+    def counted_planes(*args):
+        plane_calls.append(args)
+        return edge_planes(*args)
+
+    def counted_blocks(*args):
+        evaluations.append(None)
+        return blocks(*args)
+
+    monkeypatch.setattr(Pose, "inverse", counted_inverse)
+    monkeypatch.setattr(costs, "box_edge_planes", counted_planes)
+    monkeypatch.setattr(solver, "_blocks", counted_blocks)
+
+    def fresh_poses():
+        return {vid: Pose(v.rotation, v.translation) if isinstance(v, Pose) else v
+                for vid, v in problem.variables.items()}
+
+    assert not linearize(Problem(fresh_poses(), problem.factors, problem.fixed)).skipped
+    assert len(plane_calls) == 1
+    assert len(plane_calls[0][2]) == sum(19 + 12 * (f.targets[0] != "cam0") for f in semi)
+    assert len(inverted) == 1 + 3 * 13
+    assert len({id(p) for p in inverted}) == len(inverted)
+
+    inverted.clear()
+    plane_calls.clear()
+    evaluations.clear()
+    fixed = Problem(fresh_poses(), problem.factors, problem.fixed)
+    report = solve(fixed, SolveOptions(max_iterations=3))
+    assert report.iterations > 0
+    assert sum(p is fixed.variables["cam0"] for p in inverted) == 1
+    assert len({id(p) for p in inverted}) == len(inverted)
+    assert len(plane_calls) == len(evaluations)
+
+
+def test_problem_rejects_non_finite_values():
+    # A NaN landmark under a shape and a support prior would otherwise solve
+    # to "diverged" with a cost trace of [nan].
+    state = RtsState(np.eye(3), np.array([np.nan, 0.0, 4.0]), np.array([0.4, 0.3, 0.2]))
+    factors = [Factor(0, "shape", ("lm",), {"prior": (0.4, 0.3, 0.2)}),
+               Factor(1, "support", ("lm",), {"plane": np.array([0.0, 0.0, 1.0, -3.0])})]
+    with pytest.raises(ProblemError, match="'lm'"):
+        Problem({"lm": state}, factors, set())
+    problem = trial_problem(seeded_trial(), "rts", "inverse")
+    cam = next(vid for vid, v in problem.variables.items() if isinstance(v, Pose))
+    rotation = problem.variables[cam].rotation.copy()
+    rotation[0, 1] = np.nan
+    with pytest.raises(ProblemError, match=repr(cam)):
+        Problem({**problem.variables, cam: Pose(rotation, problem.variables[cam].translation)},
+                problem.factors, problem.fixed)
