@@ -1,11 +1,12 @@
 """Vectorized numpy implementations of the hot kernels.
 
-The one conic-box formula (:func:`boxes_from_duals`, built from
+The one camera-matrix builder (:func:`camera_matrices`), the one
+conic-box formula (:func:`boxes_from_duals`, built from
 :func:`project_duals` and :func:`conic_boxes`) and the one box-semi
-tangency formula (:func:`tangency_values`). Each row carries its own
-camera ([R|t] and intrinsics, or edge planes), so one call can cover
-every camera of a problem; rows never mix, and a row's result has the
-same bits in any stack. The box rows of
+tangency formula (:func:`tangency_values`). Every input is per row: each
+row carries its own camera ([R|t] and intrinsics, or edge planes), so one
+call can cover every camera of a problem; rows never mix, and a row's
+result has the same bits in any stack. The box rows of
 :data:`quadricfit.costs.FACTOR_KINDS`, which the solver's cost, its
 Jacobian and any single-factor evaluation all use, evaluate boxes and
 tangency defects through these functions, so each residual has a single
@@ -38,20 +39,22 @@ def backend() -> str:
     return BACKEND
 
 
-def project_duals(qs: np.ndarray, rt: np.ndarray, m: np.ndarray):
+def project_duals(qs: np.ndarray, m: np.ndarray):
     """Dual conics of duals (n, 4, 4) projected into one camera per row.
 
-    ``rt`` (n, 3, 4) holds each row's camera-from-world [R|t] and
-    ``m = K rt`` (n, 3, 4). Returns (conics (n, 3, 3), status (n,)). Where
-    status is 0 the conic is normalized so g[2, 2] = 1 and symmetrised.
-    Otherwise it is BEHIND_CAMERA (the ellipsoid center is not in front of
-    the camera), UNNORMALIZABLE (g[2, 2] is too small to divide by) or
-    CUTS_PRINCIPAL_PLANE. The unnormalized g[2, 2] is ``pi^T q pi`` with
-    ``pi`` the camera's z row; an ellipsoid wholly in front of the camera
-    makes it negative, and when it is not below ``-tol * scale`` the
-    ellipsoid crosses the camera's plane z = 0 and its conic is no ellipse.
+    ``m`` (n, 3, 4) holds each row's camera matrix K [R|t], as
+    :func:`camera_matrices` builds it. Returns (conics (n, 3, 3), status
+    (n,)). Where status is 0 the conic is normalized so g[2, 2] = 1 and
+    symmetrised. Otherwise it is BEHIND_CAMERA (the ellipsoid center is not
+    in front of the camera), UNNORMALIZABLE (g[2, 2] is too small to divide
+    by) or CUTS_PRINCIPAL_PLANE. K's last row is (0, 0, 1), so M's third
+    row is [R|t]'s, the camera's z row ``pi``: it gives the center's depth,
+    and the unnormalized g[2, 2] is ``pi^T q pi``. An ellipsoid wholly in
+    front of the camera makes that negative, and when it is not below
+    ``-tol * scale`` the ellipsoid crosses the camera's plane z = 0 and its
+    conic is no ellipse.
     """
-    z = np.vecdot(-qs[:, :3, 3], rt[:, 2, :3]) + rt[:, 2, 3]
+    z = np.vecdot(-qs[:, :3, 3], m[:, 2, :3]) + m[:, 2, 3]
     g = m @ qs @ np.swapaxes(m, 1, 2)
     corner = g[:, 2, 2]
     # One call covers every row of a problem, so g is large: max |g| and the
@@ -81,26 +84,24 @@ def conic_boxes(conics: np.ndarray):
     return np.stack([g02 - ru, g02 + ru, g12 - rv, g12 + rv], axis=1), ok
 
 
-def _intrinsic_matrices(fx, fy, cx, cy, n: int) -> np.ndarray:
-    """K (n, 3, 3) of intrinsics that are scalars or (n,) arrays."""
-    k = np.zeros((n, 3, 3))
+def camera_matrices(fx, fy, cx, cy, rt: np.ndarray) -> np.ndarray:
+    """Camera matrices M = K [R|t] (n, 3, 4) of each row's camera-from-world
+    ``rt`` (n, 3, 4) and intrinsics, which are scalars or (n,) arrays."""
+    k = np.zeros((len(rt), 3, 3))
     k[:, 0, 0], k[:, 1, 1], k[:, 0, 2], k[:, 1, 2], k[:, 2, 2] = fx, fy, cx, cy, 1.0
-    return k
+    return k @ rt
 
 
 def boxes_from_duals(fx, fy, cx, cy, rt, duals):
     """Closed-form bounding boxes of projected dual quadrics.
 
     duals: (n, 4, 4). Each row has its own camera: rt (n, 3, 4)
-    camera-from-world, and intrinsics that are scalars or (n,) arrays; an
-    rt of (3, 4) is one camera for every row. Returns (boxes (n, 4) as
-    [ul, ur, vu, vd], status (n,)), status 0 where the row is evaluable;
-    see :func:`project_duals`, plus NEGATIVE_DISCRIMINANT where the conic
-    has no real bounding box.
+    camera-from-world, and intrinsics that are scalars or (n,) arrays.
+    Returns (boxes (n, 4) as [ul, ur, vu, vd], status (n,)), status 0 where
+    the row is evaluable; see :func:`project_duals`, plus
+    NEGATIVE_DISCRIMINANT where the conic has no real bounding box.
     """
-    duals = np.asarray(duals, dtype=float)
-    rt = np.broadcast_to(rt, (len(duals), 3, 4))
-    conics, status = project_duals(duals, rt, _intrinsic_matrices(fx, fy, cx, cy, len(duals)) @ rt)
+    conics, status = project_duals(duals, camera_matrices(fx, fy, cx, cy, rt))
     boxes, ok = conic_boxes(conics)
     return boxes, np.where(ok, status, _NO_REAL_BOX[status])
 
@@ -108,13 +109,9 @@ def boxes_from_duals(fx, fy, cx, cy, rt, duals):
 def tangency_values(planes, duals):
     """Tangency defects ``pi^T q pi`` of each row's planes and dual quadric.
 
-    planes: (n, p, 4) rows, unit-normalized; (p, 4) planes serve every
-    row. duals: (n, 4, 4), canonical scale. Always evaluable: returns the
-    values (n, p).
+    planes: (n, p, 4), unit-normalized. duals: (n, 4, 4), canonical scale.
+    Always evaluable: returns the values (n, p).
     """
-    duals = np.asarray(duals, dtype=float)
-    planes = np.asarray(planes, dtype=float)
-    planes = np.broadcast_to(planes, (len(duals),) + planes.shape[-2:])
     return np.einsum("npi,nij,npj->np", planes, duals, planes)
 
 

@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import graphio
-from .costs import CameraIntrinsics
+from .costs import MODELS, CameraIntrinsics
 from .evaluation import render_report, score_estimate
 from .quadric import PARAMETERIZATIONS
-from .sim import MODELS, CampaignSpec, SceneSpec, run_campaign
+from .sim import CampaignSpec, SceneSpec, run_campaign
 from .solver import SolveOptions, cost_breakdown, solve
 
 OUT_ENV = "QUADRICFIT_OUT"

@@ -2,11 +2,13 @@
 orientation, shape, size, supporting plane and pose prior.
 
 Each factor kind is defined once, in :data:`FACTOR_KINDS`: its residual
-dimension, its default variance, its batched row function and its number
-of targets. The solver evaluates every factor through that table, on
-stacks of its targets' values, and so does
-:func:`quadricfit.solver.factor_residual` for a single factor; there is no
-second, one-factor implementation of any residual.
+dimension, its default variance, its batched row function, its payload
+check and its number of targets. :func:`box_factor_kind` names the box
+kind of each measurement model in :data:`MODELS`. The solver evaluates
+every factor through the table, on stacks of its targets' values, and so
+does :func:`quadricfit.solver.factor_residual` for a single factor; there
+is no second, one-factor implementation of any residual, and a payload is
+checked once, when its :class:`Factor` is built.
 
 Every residual is evaluated through the canonical dual quadric, so its
 value does not depend on which landmark parameterization produced the
@@ -30,10 +32,11 @@ from ._kernels import (
     CUTS_PRINCIPAL_PLANE,
     NEGATIVE_DISCRIMINANT,
     UNNORMALIZABLE,
+    camera_matrices,
     conic_boxes,
     project_duals,
 )
-from .manifold import InvalidInputError, Pose, se3_log
+from .manifold import InvalidInputError, Pose, finite_numbers, se3_log
 from .quadric import DegenerateLandmarkError, dual_shape
 
 
@@ -65,9 +68,8 @@ class CameraIntrinsics:
 
     @property
     def k(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
+        """K (3, 3), the first three columns of the camera matrix K [I|0]."""
+        return camera_matrices(self.fx, self.fy, self.cx, self.cy, np.eye(3, 4)[None])[0, :, :3]
 
 
 @dataclass(frozen=True)
@@ -132,9 +134,9 @@ def project_dual(q: np.ndarray, frame: CameraFrame) -> np.ndarray:
     Raises :class:`BehindCameraError` unless the ellipsoid lies wholly in
     front of the camera.
     """
-    rt = frame.projection_rt()
-    g, status = project_duals(np.asarray(q, dtype=float)[None], rt[None],
-                              (frame.intrinsics.k @ rt)[None])
+    i = frame.intrinsics
+    g, status = project_duals(np.asarray(q, dtype=float)[None],
+                              camera_matrices(i.fx, i.fy, i.cx, i.cy, frame.projection_rt()[None]))
     if status[0]:
         raise evaluation_error(status[0])
     return g[0]
@@ -164,7 +166,7 @@ def box_edge_planes(intrinsics, rt, boxes) -> np.ndarray:
     at least fx > 0, so it always normalizes.
     """
     boxes = np.asarray(boxes, dtype=float)
-    m = _kernels._intrinsic_matrices(*np.asarray(intrinsics, dtype=float).T, len(boxes)) @ rt
+    m = camera_matrices(*np.asarray(intrinsics, dtype=float).T, rt)
     planes = m[:, [0, 0, 1, 1]] - boxes[:, :, None] * m[:, 2:]
     return planes / np.sqrt(np.vecdot(planes[..., :3], planes[..., :3]))[..., None]
 
@@ -230,8 +232,6 @@ def shape_residuals(scales: np.ndarray, prior) -> np.ndarray:
     """Axis-ratio defect [s1/s3 - a/c, s2/s3 - b/c] of descending semi-axes
     (n, 3); (n, 2). The prior is sorted a >= b >= c."""
     a, b, c = (float(x) for x in prior)
-    if not (a >= b >= c > 0.0):
-        raise InvalidInputError("shape prior must satisfy a >= b >= c > 0")
     return np.stack([scales[:, 0] / scales[:, 2] - a / c,
                      scales[:, 1] / scales[:, 2] - b / c], axis=1)
 
@@ -245,11 +245,9 @@ def size_residuals(qs: np.ndarray, scales: np.ndarray, prior, form: str = "sqrt"
     determinant (s1*s2*s3)^2 instead, kept selectable for A/B comparison.
     """
     a, b, c = (float(x) for x in prior)
-    if form == "sqrt":
-        return scales[:, 0] * scales[:, 1] * scales[:, 2] - a * b * c
     if form == "det":
         return np.linalg.det(dual_shape(qs)) - a * b * c
-    raise InvalidInputError(f"unknown size residual form: {form!r}")
+    return scales[:, 0] * scales[:, 1] * scales[:, 2] - a * b * c
 
 
 def support_residuals(qs: np.ndarray, plane) -> np.ndarray:
@@ -282,7 +280,8 @@ class FactorKind:
     """A factor kind: residual dimension, default per-component variance,
     ``rows``, which gives a factor's residual rows (n, dim) over stacked
     values of its targets and each row's status (n,), 0 where evaluable,
-    and the number of targets a factor of the kind takes.
+    ``check``, which raises :class:`InvalidInputError` for a payload the
+    rows cannot read, and the number of targets a factor of the kind takes.
 
     A single-target kind reads ``rows(stack, payload)`` from its variable's
     stack: ``values``, or a landmark's ``duals`` (n, 4, 4) and ``rts``, their
@@ -295,6 +294,7 @@ class FactorKind:
     dim: int
     variance: float
     rows: Callable
+    check: Callable
     targets: int = 1
 
 
@@ -303,23 +303,70 @@ def _decomposed(stack) -> np.ndarray:
     return np.where(stack.rts[2], 0, NOT_DECOMPOSABLE)
 
 
+def _get(payload, key: str):
+    """``payload[key]``, or None when the payload has no such entry."""
+    return payload.get(key) if isinstance(payload, dict) else None
+
+
+def _entry(payload, key: str, kind) -> None:
+    """Raise unless ``payload[key]`` is a ``kind``."""
+    if not isinstance(_get(payload, key), kind):
+        raise InvalidInputError(f"payload needs {key} as a {kind.__name__}")
+
+
+def _check_box(payload) -> None:
+    _entry(payload, "intrinsics", CameraIntrinsics)
+    _entry(payload, "box", BoundingBox)
+
+
+def _check_prior(payload) -> None:
+    a, b, c = finite_numbers("prior", _get(payload, "prior"), (3,))
+    if not (a >= b >= c > 0.0):
+        raise InvalidInputError("prior must satisfy a >= b >= c > 0")
+
+
+def _check_size(payload) -> None:
+    _check_prior(payload)
+    if payload.get("form", "sqrt") not in ("sqrt", "det"):
+        raise InvalidInputError(f"unknown size residual form: {payload['form']!r}")
+
+
+def _check_support(payload) -> None:
+    if np.linalg.norm(finite_numbers("plane", _get(payload, "plane"), (4,))[:3]) < 1e-12:
+        raise InvalidInputError("support plane normal must be nonzero")
+
+
 # The row functions look up box_edge_planes and the kernels at call time,
 # so a tracer or a test that replaces them by name sees every call.
 FACTOR_KINDS = {
-    "box-inverse": FactorKind(4, 5.0**2, box_inverse_rows, targets=2),
-    "box-semi": FactorKind(4, 5.0**2, box_semi_rows, targets=2),
+    "box-inverse": FactorKind(4, 5.0**2, box_inverse_rows, _check_box, targets=2),
+    "box-semi": FactorKind(4, 5.0**2, box_semi_rows, _check_box, targets=2),
     "orientation": FactorKind(9, 0.1**2, lambda s, p: (
-        orientation_residuals(s.rts[0], unit_direction(p["direction"])), _decomposed(s))),
+        orientation_residuals(s.rts[0], unit_direction(p["direction"])), _decomposed(s)),
+        lambda p: unit_direction(finite_numbers("direction", _get(p, "direction"), (3,)))),
     "shape": FactorKind(2, 0.5**2, lambda s, p: (
-        shape_residuals(s.rts[1], p["prior"]), _decomposed(s))),
+        shape_residuals(s.rts[1], p["prior"]), _decomposed(s)), _check_prior),
     "size": FactorKind(1, 0.2**2, lambda s, p: (
         size_residuals(s.duals, s.rts[1], p["prior"], p.get("form", "sqrt"))[:, None],
-        _decomposed(s))),
+        _decomposed(s)), _check_size),
     "support": FactorKind(1, 0.05**2, lambda s, p: _evaluable(
-        support_residuals(s.duals, p["plane"])[:, None])),
+        support_residuals(s.duals, p["plane"])[:, None]), _check_support),
     "pose-prior": FactorKind(6, 0.01**2, lambda s, p: _evaluable(
-        np.stack([residual_pose_prior(x, p["observed"]) for x in s.values]))),
+        np.stack([residual_pose_prior(x, p["observed"]) for x in s.values])),
+        lambda p: _entry(p, "observed", Pose)),
 }
+
+# Measurement model -> the box factor kind that implements it.
+_BOX_FACTOR_KINDS = {"inverse": "box-inverse", "semi": "box-semi"}
+MODELS = tuple(_BOX_FACTOR_KINDS)
+
+
+def box_factor_kind(model: str) -> str:
+    """The box factor kind of a measurement model; ValueError if unknown."""
+    try:
+        return _BOX_FACTOR_KINDS[model]
+    except KeyError:
+        raise ValueError(f"unknown model {model!r}, expected one of {list(MODELS)}") from None
 
 
 @dataclass(frozen=True)
@@ -348,6 +395,7 @@ class Factor:
         if not np.all((var > 0.0) & (var < np.inf)):
             raise InvalidInputError("covariance entries must be positive and finite")
         object.__setattr__(self, "variance", var)
+        kind.check(self.payload)
 
     @property
     def dim(self) -> int:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .costs import MODELS
 from .manifold import InvalidInputError
 from .quadric import PARAMETERIZATIONS, DegenerateLandmarkError, proper_axis_permutations, rts_from_dual
 
@@ -286,7 +287,7 @@ def render_report(results: list) -> str:
     F+S+O convention. Pooled entries take their records in key order."""
     noises = sorted({r.noise for r in results}, key="LMH".index)
     arcs = sorted({r.arc_deg for r in results})
-    models = [m for m in ("inverse", "semi") if any(r.model == m for r in results)]
+    models = [m for m in MODELS if any(r.model == m for r in results)]
     combos = [(m, a) for a in arcs for m in models]
     cells = group_cells(results)
 

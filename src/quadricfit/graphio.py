@@ -23,12 +23,13 @@ from .costs import (
     BoundingBox,
     CameraIntrinsics,
     Factor,
+    box_factor_kind,
 )
 from .evaluation import group_cells, summarize
-from .manifold import SPD_EIG_TOL, Pose, quat_to_rot, rot_to_quat
+from .manifold import InvalidInputError, Pose, as_spd, quat_to_rot, rot_to_quat
 from .quadric import (DegenerateLandmarkError, FullState, RtsState, SpdState, as_parameterization,
                       parameterization_tag, rts_from_dual, spd_from_dual)
-from .sim import TrialResult, box_factor_kind
+from .sim import TrialResult
 from .solver import SUCCESS_FACTOR, Problem
 
 GRAPH_VERSION = "1"
@@ -128,9 +129,10 @@ def _landmark_from(d: dict, what: str):
     if param == "spd":
         shape = _numbers(d, "shape", what, (3, 3))
         t = _numbers(d, "t_xyz", what, (3,), "translation")
-        shape = 0.5 * (shape + shape.T)
-        _check(np.linalg.eigvalsh(shape)[0] > SPD_EIG_TOL, f"{what}: shape must be positive definite")
-        return SpdState(shape, t)
+        try:
+            return SpdState(as_spd(shape), t)
+        except InvalidInputError:
+            raise GraphError(f"{what}: shape must be positive definite") from None
     if param == "full":
         state = FullState(_numbers(d, "coefficients", what, (10,)))
         try:
@@ -321,24 +323,18 @@ def estimate_entry(landmark_id: str, state) -> dict:
 # ---------------------------------------------------------------------------
 # Result files
 
-_RECORD_FIELDS = [
-    "noise", "arc_deg", "scene_index", "parameterization", "model",
-    "success", "iou", "orientation_error_deg", "iterations",
-    "iterations_to_success", "attempts", "final_cost", "floor_cost",
-    "termination", "cost_trace",
-]
+# The one TrialResult field that is wall-clock telemetry; records hold every other.
+_TELEMETRY_FIELD = "mean_iter_time_s"
+_RECORD_FIELDS = [f.name for f in dataclasses.fields(TrialResult) if f.name != _TELEMETRY_FIELD]
 
 
 def result_records(results: list) -> list:
     """Deterministic per-trial records (timing telemetry excluded)."""
-    out = []
-    for r in sorted(results, key=lambda r: r.key()):
-        out.append({k: getattr(r, k) for k in _RECORD_FIELDS})
-    return out
+    return [{k: getattr(r, k) for k in _RECORD_FIELDS} for r in sorted(results, key=lambda r: r.key())]
 
 
 def records_to_results(records: list) -> list:
-    return [TrialResult(mean_iter_time_s=0.0, **rec) for rec in records]
+    return [TrialResult(**rec, **{_TELEMETRY_FIELD: 0.0}) for rec in records]
 
 
 def cell_summaries(results: list) -> list:
@@ -352,17 +348,11 @@ def cell_summaries(results: list) -> list:
     return out
 
 
-def config_echo(campaign_spec, extra: dict | None = None) -> dict:
-    """Every default in force, so results are auditable and re-derivable."""
-    cfg = {
-        "master_seed": campaign_spec.master_seed,
-        "noise_levels": list(campaign_spec.noise_levels),
-        "arcs": list(campaign_spec.arcs),
-        "trials_per_cell": campaign_spec.trials_per_cell,
-        "parameterizations": list(campaign_spec.parameterizations),
-        "models": list(campaign_spec.models),
-        "scene": dataclasses.asdict(campaign_spec.scene),
-        "options": dataclasses.asdict(campaign_spec.options),
+def config_echo(campaign_spec) -> dict:
+    """Every field of the campaign spec and every default in force, so
+    results are auditable and re-derivable."""
+    return {
+        **dataclasses.asdict(campaign_spec),
         "default_variances": {name: kind.variance for name, kind in FACTOR_KINDS.items()},
         "success_factor": SUCCESS_FACTOR,
         "iou_protocol": "circumscribed-box exact IoU",
@@ -374,9 +364,6 @@ def config_echo(campaign_spec, extra: dict | None = None) -> dict:
             "radius_sampling": "uniform per frame",
         },
     }
-    if extra:
-        cfg.update(extra)
-    return cfg
 
 
 def write_result(path, config: dict, results: list, timing: dict, table: str) -> None:

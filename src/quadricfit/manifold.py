@@ -40,6 +40,19 @@ def _require_finite(name: str, a: np.ndarray) -> np.ndarray:
     return a
 
 
+def finite_numbers(name: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as a float array of ``shape``: numbers (not strings or
+    bools), all finite. Checks an input from outside the program."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # ragged nesting
+        a = np.asarray(None)
+    if a.dtype.kind not in "iuf" or a.shape != shape or not np.isfinite(a).all():
+        what = f"{' x '.join(map(str, shape))} finite numbers" if shape else "a finite number"
+        raise InvalidInputError(f"{name} must be {what}, got {value!r}")
+    return a.astype(float)
+
+
 # ---------------------------------------------------------------------------
 # SPD(3)
 

@@ -35,6 +35,7 @@ from itertools import permutations
 import numpy as np
 
 from .manifold import (
+    SPD_EIG_TOL,
     InvalidInputError,
     Pose,
     as_spd,
@@ -80,19 +81,12 @@ def dual_shape(q: np.ndarray) -> np.ndarray:
     return 0.5 * (p + np.swapaxes(p, -1, -2))
 
 
-def _pose_matrix(rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
-    t = np.eye(4)
-    t[:3, :3] = rotation
-    t[:3, 3] = translation
-    return t
-
-
 def dual_from_rts(state: "RtsState") -> np.ndarray:
     """Compose the canonical dual quadric of a rotation/translation/scale state."""
     s = np.asarray(state.scale, dtype=float)
     if np.any(np.abs(s) < 1e-8):
         raise DegenerateLandmarkError("semi-axis length is (near) zero")
-    t = _pose_matrix(state.rotation, state.translation)
+    t = Pose(state.rotation, state.translation).matrix()
     core = np.diag(np.concatenate([s * s, [-1.0]]))
     return normalize_dual(t @ core @ t.T)
 
@@ -131,7 +125,7 @@ def rts_from_duals(qs: np.ndarray):
     # A NaN shape makes eigh raise LinAlgError, before this test, unless
     # the NaN stays on the diagonal; such a NaN eigenvalue passes (not <=)
     # and gives NaN residuals. solver.Problem rejects NaN variables first.
-    ok = ~(w[:, 0] <= 1e-12)
+    ok = ~(w[:, 0] <= SPD_EIG_TOL)
     # eigh is ascending; semi-axes are reported descending
     w = w[:, ::-1]
     r = u[:, :, ::-1].copy()

@@ -20,33 +20,29 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .costs import (
+    MODELS,
     BehindCameraError,
     BoundingBox,
     CameraFrame,
     CameraIntrinsics,
     DegenerateProjectionError,
     Factor,
+    box_factor_kind,
     conic_bbox,
     project_dual,
 )
 from .evaluation import score_estimate
-from .manifold import Pose, quat_to_rot, rot_to_quat
+from .manifold import Pose, finite_numbers, quat_to_rot, rot_to_quat
 from .quadric import PARAMETERIZATIONS, RtsState, SpdState, as_parameterization, dual_shape, rts_perturb
-from .solver import SUCCESS_FACTOR, Problem, SolveOptions, declare_success, solve, total_cost
+from .solver import Problem, SolveOptions, iterations_to_success, solve, total_cost
 
 DEFAULT_INTRINSICS = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 
-# Measurement model -> the box factor kind that implements it.
-_BOX_FACTOR_KINDS = {"inverse": "box-inverse", "semi": "box-semi"}
-MODELS = tuple(_BOX_FACTOR_KINDS)
 
-
-def box_factor_kind(model: str) -> str:
-    """The box factor kind of a measurement model; ValueError if unknown."""
-    try:
-        return _BOX_FACTOR_KINDS[model]
-    except KeyError:
-        raise ValueError(f"unknown model {model!r}, expected one of {list(MODELS)}") from None
+def _require_integer(name: str, n, low: int, what: str) -> None:
+    """ValueError unless ``n`` is an integer, not a bool, of at least ``low``."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < low:
+        raise ValueError(f"{name} must be {what}, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -67,8 +63,15 @@ class SceneSpec:
     def __post_init__(self):
         if not (0.0 < self.arc_deg <= 360.0):
             raise ValueError("viewing arc must be in (0, 360] degrees")
-        if self.n_frames < 2:
-            raise ValueError("need at least 2 frames")
+        _require_integer("n_frames", self.n_frames, 2, "an integer of at least 2")
+        if not (finite_numbers("region", self.region, (3,)) > 0.0).all():
+            raise ValueError(f"region must be positive, got {self.region!r}")
+        for name in ("distance", "axis_range"):
+            low, high = finite_numbers(name, getattr(self, name), (2,))
+            if not 0.0 < low <= high:
+                raise ValueError(f"{name} must satisfy 0 < low <= high, got {getattr(self, name)!r}")
+        if not 0.0 <= finite_numbers("elevation_deg", self.elevation_deg, ()) <= 90.0:
+            raise ValueError(f"elevation_deg must be in [0, 90], got {self.elevation_deg!r}")
 
 
 @dataclass(frozen=True)
@@ -270,18 +273,14 @@ def run_trial(trial: Trial, parameterization: str, model: str,
     floor = total_cost(Problem(floor_vars, problem.factors, problem.fixed))
 
     iou, orient = score_estimate(report.variables[LANDMARK_ID], trial.scene.landmark)
-    success = declare_success(report, floor)
-    to_success = None
-    if success:
-        bar = SUCCESS_FACTOR * floor + 1e-6
-        to_success = next(i for i, c in enumerate(report.cost_trace) if c <= bar)
+    to_success = iterations_to_success(report, floor)
     return TrialResult(
         noise=trial.noise,
         arc_deg=trial.arc_deg,
         scene_index=trial.scene_index,
         parameterization=parameterization,
         model=model,
-        success=success,
+        success=to_success is not None,
         iou=iou,
         orientation_error_deg=orient,
         iterations=report.iterations,
@@ -320,9 +319,7 @@ class CampaignSpec:
         if bad:
             raise ValueError(f"arcs must be in (0, 360] degrees, got {bad}")
         for name, low, what in (("master_seed", 0, "non-negative"), ("trials_per_cell", 1, "positive")):
-            n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < low:
-                raise ValueError(f"{name} must be a {what} integer, got {n!r}")
+            _require_integer(name, getattr(self, name), low, f"a {what} integer")
 
 
 def _scene_seed(spec: CampaignSpec, noise: str, arc: float, index: int):

@@ -457,7 +457,7 @@ def linearize(problem: Problem, options: SolveOptions | None = None) -> Lineariz
 _LAMBDA_MAX = 1e12
 
 # A solve succeeds when its final cost is within this factor of the noise
-# floor (see declare_success).
+# floor (see iterations_to_success).
 SUCCESS_FACTOR = 1.5
 
 
@@ -577,15 +577,17 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
     )
 
 
-def declare_success(report: SolveReport, noise_floor_cost: float) -> bool:
-    """Success iff the solve converged onto the noise floor.
+def iterations_to_success(report: SolveReport, noise_floor_cost: float) -> int | None:
+    """The first accepted step whose cost is at or below the success bar,
+    or None when the solve did not succeed.
 
     The floor is the cost of the ground-truth landmark under the same noisy
-    observations; a solve counts as successful when its final cost is within
-    ``SUCCESS_FACTOR`` of that floor (plus a small absolute slack for the
-    noiseless case), it did not diverge, and no factor had to be dropped at
-    the final state.
+    observations, and the bar is ``SUCCESS_FACTOR`` times that floor (plus
+    a small absolute slack for the noiseless case). A solve succeeds when
+    its final cost is at or below the bar, it did not diverge, and no
+    factor had to be dropped at the final state.
     """
-    if report.diverged or report.skipped_final > 0:
-        return False
-    return report.final_cost <= SUCCESS_FACTOR * noise_floor_cost + 1e-6
+    bar = SUCCESS_FACTOR * noise_floor_cost + 1e-6
+    if report.diverged or report.skipped_final > 0 or not report.final_cost <= bar:
+        return None
+    return next(i for i, c in enumerate(report.cost_trace) if c <= bar)

@@ -161,6 +161,15 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     cfg.write_text(json.dumps({**SMALL_CONFIG, "scene": {"intrinsics": intrinsics}}))
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "nan_fx")]) == 1
     assert "focal lengths must be finite" in capsys.readouterr().err
+    # Every scene field is checked before any trial runs, and the message names it.
+    for key, value in (("n_frames", 2.5), ("n_frames", "3"), ("n_frames", True), ("region", [1, 2]),
+                       ("region", [1.0, 0.0, 3.0]), ("distance", [5.0, 2.5]), ("distance", [0, 0]),
+                       ("elevation_deg", float("nan")), ("elevation_deg", 91.0),
+                       ("axis_range", [-1.0, 1.0])):
+        cfg = tmp_path / "scene.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG, "trials_per_cell": 1, "scene": {key: value}}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "scene")]) == 1
+        assert key in capsys.readouterr().err
     # A worker count below 1 is rejected before any trial runs.
     cfg = write_config(tmp_path)
     for jobs in ("0", "-2"):

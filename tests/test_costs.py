@@ -198,7 +198,7 @@ def test_ellipsoid_cutting_principal_plane_raises():
     rt = frame.projection_rt()
     observed = BoundingBox(0.0, 1.0, 0.0, 1.0)
     near = RtsState(np.eye(3), np.array([1.0, 0.3, 0.01]), np.array([0.3, 0.25, 0.2])).dual
-    _, status = _kernels.boxes_from_duals(INTR.fx, INTR.fy, INTR.cx, INTR.cy, rt, near[None])
+    _, status = _kernels.boxes_from_duals(INTR.fx, INTR.fy, INTR.cx, INTR.cy, rt[None], near[None])
     assert status[0] == CUTS_PRINCIPAL_PLANE
     with pytest.raises(BehindCameraError, match="principal plane"):
         residual("box-inverse", near, {"box": observed}, frame)
@@ -408,6 +408,26 @@ def test_factor_validation():
     assert f.dim == 9
 
 
+
+@pytest.mark.parametrize("kind, targets, payload", [
+    ("support", ("obj",), {"plane": [0.0, 0.0, 0.0, 1.0]}),
+    ("support", ("obj",), {"plane": [0.0, 0.0, 1.0]}),
+    ("orientation", ("obj",), {"direction": [0.0, 0.0, 0.0]}),
+    ("orientation", ("obj",), {"direction": [0.0, np.nan, 1.0]}),
+    ("shape", ("obj",), {"prior": (1.0, 2.0, 3.0)}),
+    ("size", ("obj",), {"prior": (3.0, 2.0, 1.0), "form": "cube"}),
+    ("size", ("obj",), {}),
+    ("box-inverse", ("cam", "obj"), {}),
+    ("box-semi", ("cam", "obj"), {"intrinsics": INTR, "box": [0.0, 1.0, 0.0, 1.0]}),
+    ("pose-prior", ("cam",), {"observed": np.eye(4)}),
+    ("pose-prior", ("cam",), None),
+])
+def test_factor_rejects_bad_payload(kind, targets, payload):
+    # A payload its kind's rows cannot read is refused when the factor is
+    # built, not at the first evaluation (or never).
+    with pytest.raises(InvalidInputError):
+        Factor(0, kind, targets, payload)
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_detections_and_intrinsics_rejected(bad):
     # A NaN would pass every ordering test and reach the solver as a NaN cost.
@@ -492,7 +512,8 @@ def test_batched_box_rows_equal_scalar_formula(seed, n):
     # cameras inside ellipsoids and ordinary views.
     frame, duals, _, _ = _random_scene(seed, n)
     rt = frame.projection_rt()
-    boxes, status = _kernels.boxes_from_duals(INTR.fx, INTR.fy, INTR.cx, INTR.cy, rt, duals)
+    boxes, status = _kernels.boxes_from_duals(INTR.fx, INTR.fy, INTR.cx, INTR.cy,
+                                              np.stack([rt] * len(duals)), duals)
     for q, box, code in zip(duals, boxes, status):
         try:
             expected = _scalar_box(q, frame)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from quadricfit import graphio
 from quadricfit.quadric import RtsState, SpdState, rts_from_dual
-from quadricfit.sim import CampaignSpec, run_campaign, synthetic_graph
+from quadricfit.sim import CampaignSpec, TrialResult, run_campaign, synthetic_graph
 from quadricfit.solver import solve
 
 
@@ -177,6 +178,17 @@ def test_config_echo_lists_defaults():
     assert cfg["options"]["max_iterations"] == 100
     assert cfg["options"]["init_lambda"] == 1e-4
 
+
+
+def test_config_echo_and_records_follow_the_dataclasses():
+    # A field added to CampaignSpec is echoed, and one added to TrialResult
+    # recorded, with no edit to graphio; only the timing telemetry is left out.
+    spec, results = _small_results()
+    cfg = graphio.config_echo(spec)
+    assert {f.name for f in dataclasses.fields(CampaignSpec)} <= set(cfg)
+    records = graphio.result_records(results)
+    recorded = {f.name for f in dataclasses.fields(TrialResult)} - {"mean_iter_time_s"}
+    assert all(set(rec) == recorded for rec in records)
 
 def test_traces_and_plot_script(tmp_path):
     _, results = _small_results()

@@ -40,7 +40,8 @@ def test_boxes_kernel_matches_reference(rng):
     duals[:, 3, 2] -= 8.0
     for rotation in (np.eye(3), so3_exp(np.array([0.2, -0.3, 0.15]))):
         frame, rt = frame_and_rt(rng, rotation)
-        boxes, status = _kernels.boxes_from_duals(INTR.fx, INTR.fy, INTR.cx, INTR.cy, rt, duals)
+        boxes, status = _kernels.boxes_from_duals(INTR.fx, INTR.fy, INTR.cx, INTR.cy,
+                                                  np.stack([rt] * len(duals)), duals)
         ok = status == 0
         assert ok.any()
         for i in range(duals.shape[0]):
@@ -58,7 +59,7 @@ def test_boxes_kernel_flags_behind_camera(rng):
     q = random_rts(rng).dual.copy()
     q[2, 3] = 5.0  # center z = -5: behind the camera
     q[3, 2] = 5.0
-    _, status = _kernels.boxes_from_duals(INTR.fx, INTR.fy, INTR.cx, INTR.cy, rt, q[None])
+    _, status = _kernels.boxes_from_duals(INTR.fx, INTR.fy, INTR.cx, INTR.cy, rt[None], q[None])
     assert status[0] == _kernels.BEHIND_CAMERA
 
 
@@ -69,7 +70,7 @@ def test_tangency_kernel_matches_reference(rng):
     duals[:, 3, 2] -= 8.0
     box = BoundingBox(100.0, 400.0, 120.0, 320.0)
     planes = frame_edge_planes(frame, box)
-    vals = _kernels.tangency_values(planes, duals)
+    vals = _kernels.tangency_values(np.stack([planes] * len(duals)), duals)
     for i in range(duals.shape[0]):
         ref = np.einsum("pi,ij,pj->p", planes, duals[i], planes)
         np.testing.assert_allclose(vals[i], ref, rtol=1e-10, atol=1e-12)
@@ -112,10 +113,11 @@ def test_stacked_cameras_equal_per_camera_calls(seed, cameras):
     boxes, status, vals = [], [], []
     for frame, d, p in zip(frames, duals, planes):
         i = frame.intrinsics
-        b, s = _kernels.boxes_from_duals(i.fx, i.fy, i.cx, i.cy, frame.projection_rt(), d)
+        cams = np.stack([frame.projection_rt()] * len(d))
+        b, s = _kernels.boxes_from_duals(i.fx, i.fy, i.cx, i.cy, cams, d)
         boxes.append(b)
         status.append(s)
-        vals.append(_kernels.tangency_values(p, d))
+        vals.append(_kernels.tangency_values(np.stack([p] * len(d)), d))
     counts = [len(d) for d in duals]
     order = rng.permutation(sum(counts))
     intr = np.repeat([[f.intrinsics.fx, f.intrinsics.fy, f.intrinsics.cx, f.intrinsics.cy]

@@ -36,8 +36,8 @@ from quadricfit.solver import (
     ProblemError,
     SolveOptions,
     cost_breakdown,
-    declare_success,
     factor_residual,
+    iterations_to_success,
     linearize,
     solve,
     total_cost,
@@ -275,12 +275,17 @@ def test_declare_success_rules():
     trial = seeded_trial("L", idx=7)
     problem = trial_problem(trial, "rts", "inverse")
     report = solve(problem)
-    assert declare_success(report, 0.0)  # converged noiseless: floor slack
+    # Converged noiseless: the floor's slack admits it, from the first
+    # accepted step at or below the bar on.
+    first = iterations_to_success(report, 0.0)
+    assert first is not None and report.cost_trace[first] <= 1e-6
+    assert all(c > 1e-6 for c in report.cost_trace[:first])
+    assert iterations_to_success(report, report.cost_trace[0]) == 0
     report.termination = "diverged"
-    assert not declare_success(report, 0.0)
+    assert iterations_to_success(report, 0.0) is None
     report.termination = "cost_converged"
     report.skipped_final = 1
-    assert not declare_success(report, 0.0)
+    assert iterations_to_success(report, 0.0) is None
 
 
 def test_cost_breakdown_contains_kinds():
@@ -367,10 +372,10 @@ def _oracle_box_table(factor, frame, duals):
     box = factor.payload["box"]
     if factor.kind == "box-inverse":
         boxes, status = _kernels.boxes_from_duals(
-            intr.fx, intr.fy, intr.cx, intr.cy, frame.projection_rt(), duals
+            intr.fx, intr.fy, intr.cx, intr.cy, np.stack([frame.projection_rt()] * len(duals)), duals
         )
         return boxes - box.as_array(), status == 0
-    vals = _kernels.tangency_values(frame_edge_planes(frame, box), duals)
+    vals = _kernels.tangency_values(np.stack([frame_edge_planes(frame, box)] * len(duals)), duals)
     return vals, np.ones(len(vals), dtype=bool)
 
 
