@@ -72,10 +72,7 @@ def _build_campaign_spec(args) -> CampaignSpec:
             if key in scene_cfg:
                 scene_cfg[key] = tuple(scene_cfg[key])
         # CampaignSpec holds the default of every key the config leaves out.
-        grid = {k: tuple(v) if isinstance(v, list) else v for k, v in cfg.items()
-                if k not in ("scene", "options")}
-        if "arcs" in grid:
-            grid["arcs"] = tuple(float(a) for a in grid["arcs"])
+        grid = {k: v for k, v in cfg.items() if k not in ("scene", "options")}
         if args.seed is not None:
             grid["master_seed"] = args.seed
         spec = CampaignSpec(**grid, scene=SceneSpec(**scene_cfg),
@@ -144,7 +141,7 @@ def cmd_solve(args) -> int:
     for vid in unconstrained:
         problem.fixed.add(vid)
         print(f"warning: variable {vid!r} is unconstrained; holding fixed", file=sys.stderr)
-    report = solve(problem, SolveOptions())
+    report = solve(problem)
 
     out = _out_dir(args.out)
     landmark_ids = [lm["landmark"] for lm in graph.get("initial", [])]
@@ -215,7 +212,9 @@ def make_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run the Monte-Carlo campaign grid")
-    p.add_argument("--config", help="JSON config mirroring the campaign/scene/solver options")
+    p.add_argument("--config", help="JSON object of campaign settings: noise_levels, arcs, "
+                   "parameterizations, models, trials_per_cell, master_seed, scene "
+                   "(SceneSpec fields) and options (max_iterations)")
     p.add_argument("--seed", type=int, default=None, help="master seed override")
     p.add_argument("--jobs", type=_jobs, default=None,
                    help="worker processes (default: the CPUs this process may use)")

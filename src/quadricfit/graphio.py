@@ -17,7 +17,6 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import _kernels
 from .costs import (
     FACTOR_KINDS,
     BoundingBox,
@@ -356,10 +355,7 @@ def config_echo(campaign_spec) -> dict:
         "default_variances": {name: kind.variance for name, kind in FACTOR_KINDS.items()},
         "success_factor": SUCCESS_FACTOR,
         "iou_protocol": "circumscribed-box exact IoU",
-        "kernel_backend": _kernels.backend(),
         "camera_placement": {
-            "radius_m": list(campaign_spec.scene.distance),
-            "elevation_deg": campaign_spec.scene.elevation_deg,
             "azimuth": "uniform within arc, per frame",
             "radius_sampling": "uniform per frame",
         },
@@ -382,11 +378,23 @@ def write_result(path, config: dict, results: list, timing: dict, table: str) ->
 
 
 def load_result(path) -> dict:
+    """A result file's document. GraphError unless it is an object of this
+    version whose records carry exactly the record fields and whose
+    summaries are a list."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise GraphError(f"corrupt result file at byte {exc.pos}: {exc.msg}") from exc
+    _check(isinstance(doc, dict), "result file must be an object")
+    _check(doc.get("version") == RESULT_VERSION, f"unsupported result version {doc.get('version')!r}")
+    for key in ("records", "summaries"):
+        _check(isinstance(_field(doc, key, "result file"), list), f"result file: {key} must be a list")
+    for i, rec in enumerate(doc["records"]):
+        _check(isinstance(rec, dict), f"record {i}: expected an object")
+        odd = sorted(set(rec) ^ set(_RECORD_FIELDS))
+        _check(not odd, f"record {i}: missing or unknown fields {odd}")
+    return doc
 
 
 def write_traces(directory, results: list) -> list:

@@ -17,6 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -51,6 +52,13 @@ def finite_numbers(name: str, value, shape: tuple) -> np.ndarray:
         what = f"{' x '.join(map(str, shape))} finite numbers" if shape else "a finite number"
         raise InvalidInputError(f"{name} must be {what}, got {value!r}")
     return a.astype(float)
+
+
+def require_integer(name: str, n, low: int, what: str) -> None:
+    """InvalidInputError unless ``n`` is an integer, not a bool, of at least
+    ``low``. Checks an input from outside the program."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < low:
+        raise InvalidInputError(f"{name} must be {what}, got {n!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,17 +32,11 @@ from .costs import (
     project_dual,
 )
 from .evaluation import score_estimate
-from .manifold import Pose, finite_numbers, quat_to_rot, rot_to_quat
+from .manifold import Pose, finite_numbers, quat_to_rot, require_integer, rot_to_quat
 from .quadric import PARAMETERIZATIONS, RtsState, SpdState, as_parameterization, dual_shape, rts_perturb
 from .solver import Problem, SolveOptions, iterations_to_success, solve, total_cost
 
 DEFAULT_INTRINSICS = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
-
-
-def _require_integer(name: str, n, low: int, what: str) -> None:
-    """ValueError unless ``n`` is an integer, not a bool, of at least ``low``."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < low:
-        raise ValueError(f"{name} must be {what}, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -52,7 +46,6 @@ class SceneSpec:
     box measurements to pin down depth; with much more distant cameras the
     projection turns weak-perspective and depth/size drift dominates."""
 
-    arc_deg: float = 60.0
     n_frames: int = 10
     region: tuple = (1.0, 2.0, 3.0)
     distance: tuple = (2.5, 5.0)
@@ -61,9 +54,7 @@ class SceneSpec:
     intrinsics: CameraIntrinsics = DEFAULT_INTRINSICS
 
     def __post_init__(self):
-        if not (0.0 < self.arc_deg <= 360.0):
-            raise ValueError("viewing arc must be in (0, 360] degrees")
-        _require_integer("n_frames", self.n_frames, 2, "an integer of at least 2")
+        require_integer("n_frames", self.n_frames, 2, "an integer of at least 2")
         if not (finite_numbers("region", self.region, (3,)) > 0.0).all():
             raise ValueError(f"region must be positive, got {self.region!r}")
         for name in ("distance", "axis_range"):
@@ -157,15 +148,18 @@ def _box_inside(box: BoundingBox, intr: CameraIntrinsics) -> bool:
     return 0.0 <= box.ul and box.ur <= intr.width and 0.0 <= box.vu and box.vd <= intr.height
 
 
-def generate_scene(spec: SceneSpec, rng) -> Scene:
-    """Sample a landmark and a camera arc; rejection-resamples (up to 100
-    attempts) until the landmark projects inside every image."""
+def generate_scene(spec: SceneSpec, arc_deg: float, rng) -> Scene:
+    """Sample a landmark and cameras on an arc of ``arc_deg`` degrees;
+    rejection-resamples (up to 100 attempts) until the landmark projects
+    inside every image."""
+    if not (0.0 < arc_deg <= 360.0):
+        raise ValueError("viewing arc must be in (0, 360] degrees")
+    arc = np.radians(arc_deg)
     region = np.asarray(spec.region, dtype=float)
     for _ in range(100):
         center = rng.uniform(-region / 2.0, region / 2.0)
         axes = rng.uniform(spec.axis_range[0], spec.axis_range[1], size=3)
         landmark = RtsState(_uniform_rotation(rng), center, axes)
-        arc = np.radians(spec.arc_deg)
         elev_max = np.radians(spec.elevation_deg)
         frames = []
         for i in range(spec.n_frames):
@@ -218,13 +212,14 @@ def perturb_boxes(boxes: list, sigma_px: float, rng) -> list:
     return out
 
 
-def make_trial(spec: SceneSpec, noise: NoiseSpec, seed_seq, scene_index: int = 0) -> Trial:
+def make_trial(spec: SceneSpec, arc_deg: float, noise: NoiseSpec, seed_seq,
+               scene_index: int = 0) -> Trial:
     """Scene + noise for one trial; configurations share this object."""
     scene_rng, noise_rng = [np.random.default_rng(s) for s in seed_seq.spawn(2)]
-    scene = generate_scene(spec, scene_rng)
+    scene = generate_scene(spec, arc_deg, scene_rng)
     noisy = perturb_boxes(scene.boxes, noise.sigma_box_px, noise_rng)
     init = perturb_initial(scene.landmark, noise, noise_rng)
-    return Trial(scene, noisy, init, noise.tag, spec.arc_deg, scene_index)
+    return Trial(scene, noisy, init, noise.tag, arc_deg, scene_index)
 
 
 def initial_state(init_rts: RtsState, parameterization: str):
@@ -310,16 +305,32 @@ class CampaignSpec:
     options: SolveOptions = field(default_factory=SolveOptions)
 
     def __post_init__(self):
-        for name, known in (("noise_levels", tuple(NOISE_LEVELS)),
-                            ("parameterizations", PARAMETERIZATIONS), ("models", MODELS)):
-            unknown = [v for v in getattr(self, name) if v not in known]
+        grid = {"noise_levels": tuple(NOISE_LEVELS), "arcs": None,
+                "parameterizations": PARAMETERIZATIONS, "models": MODELS}
+        for name, known in grid.items():
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {values!r}")
+            unknown = [v for v in values if known is not None and v not in known]
             if unknown:
                 raise ValueError(f"unknown {name} {unknown}, expected some of {list(known)}")
+            setattr(self, name, tuple(values))
+        if not all(isinstance(a, numbers.Real) and not isinstance(a, bool) for a in self.arcs):
+            raise ValueError(f"arcs must be numbers, got {list(self.arcs)}")
+        self.arcs = tuple(float(a) for a in self.arcs)
         bad = [a for a in self.arcs if not 0.0 < a <= 360.0]
         if bad:
             raise ValueError(f"arcs must be in (0, 360] degrees, got {bad}")
+        # A repeated value would run one cell twice under one key; a cell's
+        # scenes and trace file are keyed by its arc in whole degrees.
+        for name in grid:
+            values = getattr(self, name)
+            keys = [round(a) for a in values] if name == "arcs" else values
+            if len(set(keys)) != len(keys):
+                what = "distinct in whole degrees" if name == "arcs" else "distinct"
+                raise ValueError(f"{name} must be {what}, got {list(values)}")
         for name, low, what in (("master_seed", 0, "non-negative"), ("trials_per_cell", 1, "positive")):
-            _require_integer(name, getattr(self, name), low, f"a {what} integer")
+            require_integer(name, getattr(self, name), low, f"a {what} integer")
 
 
 def _scene_seed(spec: CampaignSpec, noise: str, arc: float, index: int):
@@ -331,8 +342,7 @@ def _scene_seed(spec: CampaignSpec, noise: str, arc: float, index: int):
 def _run_scene_task(args) -> list:
     """All configurations of one (cell, scene) pair; a unit of parallel work."""
     spec, noise, arc, index = args
-    scene_spec = replace(spec.scene, arc_deg=arc)
-    trial = make_trial(scene_spec, NOISE_LEVELS[noise], _scene_seed(spec, noise, arc, index), index)
+    trial = make_trial(spec.scene, arc, NOISE_LEVELS[noise], _scene_seed(spec, noise, arc, index), index)
     out = []
     for param in spec.parameterizations:
         for model in spec.models:
@@ -393,9 +403,9 @@ def synthetic_graph(seed: int, noise: str = "M", arc_deg: float = 120.0,
     the truth ellipsoid from below, so all priors are exactly satisfied at
     the truth.
     """
-    spec = replace(spec or SceneSpec(), arc_deg=arc_deg)
+    spec = spec or SceneSpec()
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(97,))
-    trial = make_trial(spec, NOISE_LEVELS[noise], seq)
+    trial = make_trial(spec, arc_deg, NOISE_LEVELS[noise], seq)
     truth = trial.scene.landmark
     intr = spec.intrinsics
 

@@ -56,7 +56,7 @@ from .costs import (
     Factor,
     evaluation_error,
 )
-from .manifold import InvalidInputError
+from .manifold import require_integer
 from .quadric import DegenerateLandmarkError, rts_from_duals
 
 _EVAL_ERRORS = (
@@ -122,30 +122,9 @@ class Problem:
 @dataclass
 class SolveOptions:
     max_iterations: int = 100
-    init_lambda: float = 1e-4
-    lambda_up: float = 10.0
-    lambda_down: float = 0.1
-    rel_cost_tol: float = 1e-10
-    grad_tol: float = 1e-12
-    fd_step: float = 1e-6
-    max_inner_retries: int = 10
-    # Trust bound on any single tangent coordinate per step (rad, m, or
-    # log-scale units). Steps beyond it are retried at higher damping;
-    # keeps the quadratic model honest far from the linearization point.
-    max_step: float = 2.0
 
     def __post_init__(self):
-        # Negated comparisons, so NaN is rejected too.
-        for name in ("max_iterations", "init_lambda", "lambda_up", "lambda_down",
-                     "rel_cost_tol", "grad_tol", "fd_step", "max_inner_retries", "max_step"):
-            if not getattr(self, name) > 0:
-                raise InvalidInputError(f"solve option {name} must be positive")
-        # The retries that raise the damping stop only once it reaches its
-        # cap, so it must grow on the way up and shrink on the way down.
-        if not self.lambda_up > 1.0:
-            raise InvalidInputError("solve option lambda_up must exceed 1")
-        if not self.lambda_down < 1.0:
-            raise InvalidInputError("solve option lambda_down must be below 1")
+        require_integer("max_iterations", self.max_iterations, 1, "a positive integer")
 
 
 @dataclass
@@ -162,7 +141,6 @@ class SolveReport:
     skipped_final: int
     skip_events: int
     unconstrained: list
-    options: SolveOptions
 
     @property
     def final_cost(self) -> float:
@@ -398,11 +376,10 @@ class Linearization:
     skipped: list  # factor ids dropped this linearization
 
 
-def _linearize(values: dict, factors: list, free: list, options: SolveOptions,
-               plan: _Plan | None = None) -> Linearization:
+def _linearize(values: dict, factors: list, free: list, plan: _Plan | None = None) -> Linearization:
     plan = plan or _Plan(factors)
     free_set = set(free)
-    stacks = {vid: _Stack(v, options.fd_step if vid in free_set else None)
+    stacks = {vid: _Stack(v, FD_STEP if vid in free_set else None)
               for vid, v in values.items()}
     columns = {}
     offset = 0
@@ -442,19 +419,31 @@ def _linearize(values: dict, factors: list, free: list, options: SolveOptions,
     return Linearization(jacobian, residual, weights, columns, skipped)
 
 
-def linearize(problem: Problem, options: SolveOptions | None = None) -> Linearization:
+def linearize(problem: Problem) -> Linearization:
     """Public linearization of a problem at its current variables."""
-    options = options or SolveOptions()
     unconstrained = set(problem.unconstrained())
     free = [v for v in problem.free_ids() if v not in unconstrained]
-    return _linearize(problem.variables, problem.factors, free, options)
+    return _linearize(problem.variables, problem.factors, free)
 
 
 # ---------------------------------------------------------------------------
 # Levenberg-Marquardt
 
 
+# The LM schedule, the same for every parameterization. A retry that
+# spends no cost evaluation ends only at _LAMBDA_MAX, so LAMBDA_UP > 1.
 _LAMBDA_MAX = 1e12
+INIT_LAMBDA = 1e-4
+LAMBDA_UP = 10.0
+LAMBDA_DOWN = 0.1
+REL_COST_TOL = 1e-10
+GRAD_TOL = 1e-12
+FD_STEP = 1e-6  # central-difference step, scaled per coordinate by fd_scales()
+MAX_INNER_RETRIES = 10
+# Trust bound on any single tangent coordinate per step (rad, m, or
+# log-scale units). Steps beyond it are retried at higher damping;
+# keeps the quadratic model honest far from the linearization point.
+MAX_STEP = 2.0
 
 # A solve succeeds when its final cost is within this factor of the noise
 # floor (see iterations_to_success).
@@ -494,13 +483,13 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
     iter_times: list = []
     attempts = 0
     skip_events = 0
-    lam = options.init_lambda
+    lam = INIT_LAMBDA
     termination = "max_iterations"
 
     for _ in range(options.max_iterations):
         t0 = time.perf_counter()
         try:
-            lin = _linearize(values, factors, free, options, plan)
+            lin = _linearize(values, factors, free, plan)
         except LinearizeError:
             termination = "diverged"
             break
@@ -509,7 +498,7 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
             termination = "diverged"
             break
         grad = lin.jacobian.T @ (lin.weights * lin.residual)
-        if np.max(np.abs(grad)) < options.grad_tol:
+        if np.max(np.abs(grad)) < GRAD_TOL:
             termination = "gradient"
             iter_times.append(time.perf_counter() - t0)
             break
@@ -527,7 +516,7 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
             # A singular system yields no step, and an over-long step is
             # outside the model's trust region: neither spends a cost
             # evaluation. Every rejection raises the damping below.
-            if not solve_failed and np.max(np.abs(delta)) <= options.max_step:
+            if not solve_failed and np.max(np.abs(delta)) <= MAX_STEP:
                 attempts += 1
                 evals += 1
                 candidate = dict(values)
@@ -538,11 +527,11 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
                 except _EVAL_ERRORS:
                     ccost, cnskip = np.inf, nskip + 1
                 accepted = bool(np.isfinite(ccost) and cnskip <= nskip and ccost < cost)
-                if accepted or evals > options.max_inner_retries:
+                if accepted or evals > MAX_INNER_RETRIES:
                     break
             if lam >= _LAMBDA_MAX:
                 break
-            lam = min(lam * options.lambda_up, _LAMBDA_MAX)
+            lam = min(lam * LAMBDA_UP, _LAMBDA_MAX)
 
         iter_times.append(time.perf_counter() - t0)
         if not accepted:
@@ -557,8 +546,8 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
             # acceptance bar stays at the accepted cost so the recorded
             # trace is monotone even when a fixup undoes progress.
             _, nskip, _ = _cost_of(values, factors, plan)
-        lam = max(lam * options.lambda_down, 1e-15)
-        if prev - cost <= options.rel_cost_tol * max(prev, 1e-300):
+        lam = max(lam * LAMBDA_DOWN, 1e-15)
+        if prev - cost <= REL_COST_TOL * max(prev, 1e-300):
             termination = "cost_converged"
             break
 
@@ -573,7 +562,6 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
         skipped_final=nskip,
         skip_events=skip_events,
         unconstrained=unconstrained,
-        options=options,
     )
 
 

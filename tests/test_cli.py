@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
 from quadricfit import graphio
-from quadricfit.cli import main
-from quadricfit.sim import synthetic_graph
+from quadricfit.cli import _build_campaign_spec, main, make_parser
+from quadricfit.sim import CampaignSpec, SceneSpec, synthetic_graph
+from quadricfit.solver import SolveOptions
 
 
 @pytest.fixture
@@ -131,7 +133,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["simulate", "--cells", "nonsense"]) == 1
     assert main(["simulate", "--cells", "bogus=1"]) == 1
     # Unknown grid names are rejected before any trial runs.
-    for cells in ("model=foo", "param=foo", "noise=X", "arc=0", "arc=abc"):
+    for cells in ("model=foo", "param=foo", "noise=X", "arc=0", "arc=abc", "noise=L|L", "arc=60|60.4"):
         assert main(["simulate", "--cells", cells, "--out", str(tmp_path / "cells")]) == 1
     assert main(["nope"]) == 1
     assert main(["solve", "--graph", "/does/not/exist.json", "--param", "rts"]) == 1
@@ -170,6 +172,24 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         cfg.write_text(json.dumps({**SMALL_CONFIG, "trials_per_cell": 1, "scene": {key: value}}))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "scene")]) == 1
         assert key in capsys.readouterr().err
+    # Grid fields are lists of distinct values and arcs differ in whole
+    # degrees; the solver takes only an iteration cap, a positive integer;
+    # the scene has no arc of its own. Each is named before any trial runs.
+    for field, bad in (("noise_levels", {"noise_levels": "LM"}),
+                       ("parameterizations", {"parameterizations": "rts"}),
+                       ("arcs", {"arcs": [True]}),
+                       ("noise_levels", {"noise_levels": ["L", "L"]}),
+                       ("arcs", {"arcs": [60, 60.4]}),
+                       ("max_iterations", {"options": {"max_iterations": 2.5}}),
+                       ("max_iterations", {"options": {"max_iterations": True}}),
+                       ("max_step", {"options": {"max_step": 1e6}}),
+                       ("arc_deg", {"scene": {"arc_deg": 5}})):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG, "trials_per_cell": 1, **bad}))
+        out = tmp_path / "grid"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
     # A worker count below 1 is rejected before any trial runs.
     cfg = write_config(tmp_path)
     for jobs in ("0", "-2"):
@@ -187,6 +207,39 @@ def test_eval_detects_tampered_summaries(tmp_path, capsys):
     (out / "result.json").write_text(json.dumps(doc))
     assert main(["eval", "--result", str(out / "result.json")]) == 2
     assert "do not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: [doc], "must be an object"),
+    (lambda doc: {k: v for k, v in doc.items() if k != "records"}, "missing records"),
+    (lambda doc: {**doc, "summaries": {}}, "summaries must be a list"),
+    (lambda doc: {**doc, "version": "1"}, "unsupported result version '1'"),
+    (lambda doc: {**doc, "records": [{"noise": "L"}]}, "record 0: missing or unknown fields"),
+    (lambda doc: {**doc, "records": [{**doc["records"][0], "extra": 1}]}, "'extra'"),
+])
+def test_eval_rejects_malformed_result_files(tmp_path, capsys, edit, message):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "sim3"
+    assert main(["simulate", "--config", str(cfg), "--jobs", "1", "--out", str(out)]) == 0
+    doc = json.loads((out / "result.json").read_text())
+    (out / "result.json").write_text(json.dumps(edit(doc)))
+    capsys.readouterr()
+    assert main(["eval", "--result", str(out / "result.json")]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_config_echo_round_trips_through_config(tmp_path):
+    # The campaign fields of a result file's config, given back as
+    # --config, build the campaign that wrote it.
+    spec = CampaignSpec(master_seed=3, noise_levels=("H", "L"), arcs=(45.0, 90.5), trials_per_cell=2,
+                        parameterizations=("spd",), models=("semi",),
+                        scene=SceneSpec(n_frames=5, elevation_deg=20.0, distance=(3.0, 4.0)),
+                        options=SolveOptions(max_iterations=7))
+    names = {f.name for f in dataclasses.fields(CampaignSpec)}
+    echo = json.loads(json.dumps(graphio.config_echo(spec)))
+    cfg = tmp_path / "echo.json"
+    cfg.write_text(json.dumps({k: v for k, v in echo.items() if k in names}))
+    assert _build_campaign_spec(make_parser().parse_args(["simulate", "--config", str(cfg)])) == spec
 
 
 def test_env_var_out_dir(tmp_path, graph_path, monkeypatch):

@@ -354,10 +354,13 @@ def test_shape_size_rigid_invariance(rng):
                                    base_size, atol=1e-9)
 
 
-def test_richardson_fd_consistency_all_residuals(rng):
+def test_richardson_fd_consistency_all_residuals(rng, monkeypatch):
     # Numeric Jacobians at step h and h/2 agree to relative 1e-4 for every
     # residual kind, across 50 random configurations.
-    from quadricfit.solver import Problem, SolveOptions, linearize
+    from quadricfit import solver
+    from quadricfit.solver import Problem, linearize
+
+    h = solver.FD_STEP
 
     for _ in range(50):
         state, frame = random_visible_pair(rng)
@@ -381,8 +384,10 @@ def test_richardson_fd_consistency_all_residuals(rng):
             Factor(6, "pose-prior", ("cam",), {"observed": frame.pose}),
         ]
         problem = Problem({"cam": frame.pose, "obj": init}, factors, set())
-        full = linearize(problem, SolveOptions(fd_step=1e-6))
-        half = linearize(problem, SolveOptions(fd_step=5e-7))
+        monkeypatch.setattr(solver, "FD_STEP", h)
+        full = linearize(problem)
+        monkeypatch.setattr(solver, "FD_STEP", 0.5 * h)
+        half = linearize(problem)
         if full.skipped or half.skipped:
             continue  # unprojectable perturbation; not a valid FD comparison
         scale = np.maximum(np.abs(full.jacobian), np.abs(half.jacobian))

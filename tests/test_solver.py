@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,7 +55,7 @@ def tiny_noise():
 
 def seeded_trial(noise="L", arc=60.0, idx=0, entropy=7):
     seq = np.random.SeedSequence(entropy=entropy, spawn_key=(0, int(arc), idx))
-    return make_trial(SceneSpec(arc_deg=arc), NOISE_LEVELS[noise], seq, idx)
+    return make_trial(SceneSpec(), arc, NOISE_LEVELS[noise], seq, idx)
 
 
 def test_total_cost_zero_at_truth():
@@ -104,7 +106,7 @@ def test_linearize_pose_prior_identity_jacobian(rng):
     np.testing.assert_allclose(lin.jacobian, np.eye(6), atol=1e-5)
 
 
-def test_linearize_richardson_consistency():
+def test_linearize_richardson_consistency(monkeypatch):
     # Central differences at step h and h/2 agree to relative 1e-4 across
     # every factor kind.
     trial = seeded_trial("M")
@@ -123,8 +125,9 @@ def test_linearize_richardson_consistency():
         Factor(6, "pose-prior", ("cam",), {"observed": frame.pose}),
     ]
     problem = Problem({"cam": frame.pose, "obj": state}, factors, set())
-    full = linearize(problem, SolveOptions(fd_step=1e-6))
-    half = linearize(problem, SolveOptions(fd_step=5e-7))
+    full = linearize(problem)
+    monkeypatch.setattr(solver, "FD_STEP", 0.5 * solver.FD_STEP)
+    half = linearize(problem)
     scale = np.maximum(np.abs(full.jacobian), np.abs(half.jacobian))
     # mixed criterion: entries far below the block scale are FD noise
     rel = np.abs(full.jacobian - half.jacobian) / (scale + 1e-5 * max(scale.max(), 1.0))
@@ -305,14 +308,23 @@ def test_cost_breakdown_contains_kinds():
     ("max_step", 0.0), ("max_step", -1.0), ("max_step", np.nan),
 ])
 def test_solve_options_reject_values_that_never_end_a_retry(name, value):
-    # With these the damping retries of solve() never reach their cap.
-    with pytest.raises(InvalidInputError, match=name):
+    # With these the damping retries of solve() would never reach their cap.
+    # No option sets them: they are solver constants, which keep clear of them.
+    with pytest.raises(TypeError, match=name):
         SolveOptions(**{name: value})
+    assert solver.LAMBDA_UP > 1.0 > solver.LAMBDA_DOWN > 0.0 and solver.MAX_STEP > 0.0
 
 
-def test_solve_ends_when_trust_bound_rejects_every_step():
+@pytest.mark.parametrize("value", [0, -1, 2.5, True, np.nan, "8"])
+def test_solve_options_require_a_positive_integer_iteration_cap(value):
+    with pytest.raises(InvalidInputError, match="max_iterations must be a positive integer"):
+        SolveOptions(max_iterations=value)
+
+
+def test_solve_ends_when_trust_bound_rejects_every_step(monkeypatch):
     trial = seeded_trial("M", idx=2)
-    report = solve(trial_problem(trial, "rts", "inverse"), SolveOptions(max_step=1e-9))
+    monkeypatch.setattr(solver, "MAX_STEP", 1e-9)
+    report = solve(trial_problem(trial, "rts", "inverse"))
     assert report.termination == "stalled"
     assert report.iterations == 0 and report.attempts == 0
 
@@ -350,14 +362,14 @@ def test_solve_stalls_after_max_inner_retries_rejected_candidates(monkeypatch):
         return (total if len(calls) == 1 else 2.0 * calls[0]), skipped, per_factor
 
     monkeypatch.setattr(solver, "_cost_of", rejecting_cost_of)
-    options = SolveOptions(max_inner_retries=4)
-    report = solve(problem, options)
+    monkeypatch.setattr(solver, "MAX_INNER_RETRIES", 4)
+    report = solve(problem)
     assert report.termination == "stalled"
     assert report.iterations == 0
-    assert report.attempts == options.max_inner_retries + 1
+    assert report.attempts == 4 + 1
     # The initial cost and one evaluation per candidate; the final skip
     # count is the one the loop tracked, not a further evaluation.
-    assert len(calls) == 1 + (options.max_inner_retries + 1)
+    assert len(calls) == 1 + (4 + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +483,10 @@ def _oracle_block(f, values, variants, columns, n):
     return jac, res
 
 
-def _oracle_linearize(problem, options):
+def _oracle_linearize(problem):
     unconstrained = set(problem.unconstrained())
     free = [v for v in problem.free_ids() if v not in unconstrained]
-    variants = {vid: solver._Stack(problem.variables[vid], options.fd_step) for vid in free}
+    variants = {vid: solver._Stack(problem.variables[vid], solver.FD_STEP) for vid in free}
     columns, offset = {}, 0
     for vid in free:
         columns[vid] = slice(offset, offset + variants[vid].dim)
@@ -575,9 +587,9 @@ def random_graph_problem(seed, param, landmarks, poses, near_plane=False):
     return Problem(variables, factors, fixed)
 
 
-def _assert_linearize_matches_oracle(problem, options=SolveOptions()):
-    lin = linearize(problem, options)
-    jac, res, weights, columns, skipped = _oracle_linearize(problem, options)
+def _assert_linearize_matches_oracle(problem):
+    lin = linearize(problem)
+    jac, res, weights, columns, skipped = _oracle_linearize(problem)
     assert lin.columns == columns
     assert lin.skipped == skipped
     assert np.array_equal(lin.jacobian, jac)
@@ -605,8 +617,10 @@ graph_cases = st.tuples(
 @given(graph_cases, st.sampled_from([1e-6, 1e-3]))
 def test_linearize_equals_per_factor_oracle(case, fd_step):
     seed, param, landmarks, poses, near_plane = case
-    _assert_linearize_matches_oracle(random_graph_problem(seed, param, landmarks, poses, near_plane),
-                                     SolveOptions(fd_step=fd_step))
+    # Patched in the body: hypothesis rejects function-scoped fixtures.
+    with mock.patch.object(solver, "FD_STEP", fd_step):
+        _assert_linearize_matches_oracle(random_graph_problem(seed, param, landmarks, poses,
+                                                              near_plane))
 
 
 @settings(max_examples=40, deadline=None)
