@@ -16,13 +16,15 @@ from pathlib import Path
 import numpy as np
 
 from . import graphio
-from .costs import MODELS, CameraIntrinsics
+from .costs import MODELS
 from .evaluation import render_report, score_estimate
 from .quadric import PARAMETERIZATIONS
-from .sim import CampaignSpec, SceneSpec, run_campaign
-from .solver import SolveOptions, cost_breakdown, solve
+from .sim import CampaignSpec, run_campaign
+from .solver import cost_breakdown, solve
 
 OUT_ENV = "QUADRICFIT_OUT"
+# The keys --config accepts: CampaignSpec's fields, each defaulting to the spec's.
+CONFIG_KEYS = [f.name for f in dataclasses.fields(CampaignSpec)]
 
 
 class UsageError(ValueError):
@@ -61,22 +63,13 @@ def _build_campaign_spec(args) -> CampaignSpec:
             raise UsageError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError("invalid config: expected a JSON object")
-    unknown = sorted(set(cfg) - {f.name for f in dataclasses.fields(CampaignSpec)})
+    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
     if unknown:
         raise UsageError(f"invalid config: unknown key {unknown[0]!r}")
+    if args.seed is not None:
+        cfg["master_seed"] = args.seed
     try:
-        scene_cfg = dict(cfg.get("scene", {}))
-        if "intrinsics" in scene_cfg:
-            scene_cfg["intrinsics"] = CameraIntrinsics(**scene_cfg["intrinsics"])
-        for key in ("region", "distance", "axis_range"):
-            if key in scene_cfg:
-                scene_cfg[key] = tuple(scene_cfg[key])
-        # CampaignSpec holds the default of every key the config leaves out.
-        grid = {k: v for k, v in cfg.items() if k not in ("scene", "options")}
-        if args.seed is not None:
-            grid["master_seed"] = args.seed
-        spec = CampaignSpec(**grid, scene=SceneSpec(**scene_cfg),
-                            options=SolveOptions(**cfg.get("options", {})))
+        spec = CampaignSpec(**cfg)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid config: {exc}") from exc
     if args.cells:
@@ -212,9 +205,7 @@ def make_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run the Monte-Carlo campaign grid")
-    p.add_argument("--config", help="JSON object of campaign settings: noise_levels, arcs, "
-                   "parameterizations, models, trials_per_cell, master_seed, scene "
-                   "(SceneSpec fields) and options (max_iterations)")
+    p.add_argument("--config", help="JSON object of campaign settings, any of: " + ", ".join(CONFIG_KEYS))
     p.add_argument("--seed", type=int, default=None, help="master seed override")
     p.add_argument("--jobs", type=_jobs, default=None,
                    help="worker processes (default: the CPUs this process may use)")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from datetime import datetime, timezone
 
 import numpy as np
@@ -322,14 +323,31 @@ def estimate_entry(landmark_id: str, state) -> dict:
 # ---------------------------------------------------------------------------
 # Result files
 
-# The one TrialResult field that is wall-clock telemetry; records hold every other.
+# The one TrialResult field that is wall-clock telemetry; records hold every
+# other, each with the type TrialResult annotates it with.
 _TELEMETRY_FIELD = "mean_iter_time_s"
-_RECORD_FIELDS = [f.name for f in dataclasses.fields(TrialResult) if f.name != _TELEMETRY_FIELD]
+_RECORD_TYPES = {name: hint for name, hint in typing.get_type_hints(TrialResult).items()
+                 if name != _TELEMETRY_FIELD}
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value has a record field's type. A bool is not a
+    number, and an int is a float."""
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
+    if args:  # a union, such as int | None
+        return any(_has_type(value, a) for a in args)
+    return isinstance(value, hint)
 
 
 def result_records(results: list) -> list:
     """Deterministic per-trial records (timing telemetry excluded)."""
-    return [{k: getattr(r, k) for k in _RECORD_FIELDS} for r in sorted(results, key=lambda r: r.key())]
+    return [{k: getattr(r, k) for k in _RECORD_TYPES} for r in sorted(results, key=lambda r: r.key())]
 
 
 def records_to_results(records: list) -> list:
@@ -348,8 +366,10 @@ def cell_summaries(results: list) -> list:
 
 
 def config_echo(campaign_spec) -> dict:
-    """Every field of the campaign spec and every default in force, so
-    results are auditable and re-derivable."""
+    """Every field of the campaign spec plus the factor variances, the
+    success bar and the scoring and camera-placement rules, so results are
+    auditable and re-derivable. The scene and LM constants in `sim` and
+    `solver` are protocol, not settings, and are not echoed."""
     return {
         **dataclasses.asdict(campaign_spec),
         "default_variances": {name: kind.variance for name, kind in FACTOR_KINDS.items()},
@@ -379,8 +399,8 @@ def write_result(path, config: dict, results: list, timing: dict, table: str) ->
 
 def load_result(path) -> dict:
     """A result file's document. GraphError unless it is an object of this
-    version whose records carry exactly the record fields and whose
-    summaries are a list."""
+    version whose records carry exactly the record fields, each of its
+    annotated type, and whose summaries are a list."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -392,8 +412,12 @@ def load_result(path) -> dict:
         _check(isinstance(_field(doc, key, "result file"), list), f"result file: {key} must be a list")
     for i, rec in enumerate(doc["records"]):
         _check(isinstance(rec, dict), f"record {i}: expected an object")
-        odd = sorted(set(rec) ^ set(_RECORD_FIELDS))
+        odd = sorted(set(rec) ^ set(_RECORD_TYPES))
         _check(not odd, f"record {i}: missing or unknown fields {odd}")
+        for name, hint in _RECORD_TYPES.items():
+            if not _has_type(rec[name], hint):
+                want = hint.__name__ if isinstance(hint, type) else str(hint)
+                raise GraphError(f"record {i}: {name} must be {want}, got {rec[name]!r:.40}")
     return doc
 
 

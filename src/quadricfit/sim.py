@@ -7,7 +7,10 @@ projection. Within a campaign cell the same scenes, noisy boxes and
 initial perturbations are shared bit-identically by every
 (parameterization, model) configuration, so comparisons are paired.
 Seeding is hierarchical (master seed -> per-scene seeds), which makes the
-campaign deterministic under any parallelism.
+campaign deterministic under any parallelism. The scene generator's
+settings are module constants and every trial solves under the solver's
+default iteration cap: they are the experiment's protocol, so a campaign
+varies only its grid and seed.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,37 +35,20 @@ from .costs import (
     project_dual,
 )
 from .evaluation import score_estimate
-from .manifold import Pose, finite_numbers, quat_to_rot, require_integer, rot_to_quat
+from .manifold import Pose, quat_to_rot, require_integer, rot_to_quat
 from .quadric import PARAMETERIZATIONS, RtsState, SpdState, as_parameterization, dual_shape, rts_perturb
-from .solver import Problem, SolveOptions, iterations_to_success, solve, total_cost
+from .solver import Problem, iterations_to_success, solve, total_cost
 
-DEFAULT_INTRINSICS = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
-
-
-@dataclass(frozen=True)
-class SceneSpec:
-    """Scene-sampling parameters. The camera ring radius (2.5-5 m for
-    sub-meter landmarks) keeps enough perspective across the arc for the
-    box measurements to pin down depth; with much more distant cameras the
-    projection turns weak-perspective and depth/size drift dominates."""
-
-    n_frames: int = 10
-    region: tuple = (1.0, 2.0, 3.0)
-    distance: tuple = (2.5, 5.0)
-    elevation_deg: float = 15.0
-    axis_range: tuple = (0.2, 1.0)
-    intrinsics: CameraIntrinsics = DEFAULT_INTRINSICS
-
-    def __post_init__(self):
-        require_integer("n_frames", self.n_frames, 2, "an integer of at least 2")
-        if not (finite_numbers("region", self.region, (3,)) > 0.0).all():
-            raise ValueError(f"region must be positive, got {self.region!r}")
-        for name in ("distance", "axis_range"):
-            low, high = finite_numbers(name, getattr(self, name), (2,))
-            if not 0.0 < low <= high:
-                raise ValueError(f"{name} must satisfy 0 < low <= high, got {getattr(self, name)!r}")
-        if not 0.0 <= finite_numbers("elevation_deg", self.elevation_deg, ()) <= 90.0:
-            raise ValueError(f"elevation_deg must be in [0, 90], got {self.elevation_deg!r}")
+# The scene generator's settings. The camera ring radius (2.5-5 m for
+# sub-meter landmarks) keeps enough perspective across the arc for the box
+# measurements to pin down depth; with much more distant cameras the
+# projection turns weak-perspective and depth/size drift dominates.
+INTRINSICS = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
+N_FRAMES = 10
+REGION = (1.0, 2.0, 3.0)  # landmark centers, uniform in this box about the origin (m)
+DISTANCE = (2.5, 5.0)  # camera radius range (m)
+ELEVATION_DEG = 15.0  # camera elevation within +-this
+AXIS_RANGE = (0.2, 1.0)  # semi-axis lengths (m)
 
 
 @dataclass(frozen=True)
@@ -120,7 +106,7 @@ class TrialResult:
     floor_cost: float
     termination: str
     mean_iter_time_s: float
-    cost_trace: list
+    cost_trace: list[float]
 
     def key(self):
         return (self.noise, self.arc_deg, self.scene_index, self.parameterization, self.model)
@@ -148,24 +134,24 @@ def _box_inside(box: BoundingBox, intr: CameraIntrinsics) -> bool:
     return 0.0 <= box.ul and box.ur <= intr.width and 0.0 <= box.vu and box.vd <= intr.height
 
 
-def generate_scene(spec: SceneSpec, arc_deg: float, rng) -> Scene:
+def generate_scene(arc_deg: float, rng) -> Scene:
     """Sample a landmark and cameras on an arc of ``arc_deg`` degrees;
     rejection-resamples (up to 100 attempts) until the landmark projects
     inside every image."""
     if not (0.0 < arc_deg <= 360.0):
         raise ValueError("viewing arc must be in (0, 360] degrees")
     arc = np.radians(arc_deg)
-    region = np.asarray(spec.region, dtype=float)
+    region = np.asarray(REGION, dtype=float)
     for _ in range(100):
         center = rng.uniform(-region / 2.0, region / 2.0)
-        axes = rng.uniform(spec.axis_range[0], spec.axis_range[1], size=3)
+        axes = rng.uniform(AXIS_RANGE[0], AXIS_RANGE[1], size=3)
         landmark = RtsState(_uniform_rotation(rng), center, axes)
-        elev_max = np.radians(spec.elevation_deg)
+        elev_max = np.radians(ELEVATION_DEG)
         frames = []
-        for i in range(spec.n_frames):
+        for i in range(N_FRAMES):
             azimuth = rng.uniform(0.0, arc)
             elevation = rng.uniform(-elev_max, elev_max)
-            radius = rng.uniform(spec.distance[0], spec.distance[1])
+            radius = rng.uniform(DISTANCE[0], DISTANCE[1])
             offset = radius * np.array(
                 [
                     np.cos(elevation) * np.cos(azimuth),
@@ -174,13 +160,13 @@ def generate_scene(spec: SceneSpec, arc_deg: float, rng) -> Scene:
                 ]
             )
             frames.append(
-                CameraFrame(spec.intrinsics, _look_at(center + offset, center), f"cam{i:02d}")
+                CameraFrame(INTRINSICS, _look_at(center + offset, center), f"cam{i:02d}")
             )
         try:
             boxes = [conic_bbox(project_dual(landmark.dual, f)) for f in frames]
         except (BehindCameraError, DegenerateProjectionError):
             continue
-        if all(_box_inside(b, spec.intrinsics) for b in boxes):
+        if all(_box_inside(b, INTRINSICS) for b in boxes):
             return Scene(landmark, frames, boxes)
     raise RuntimeError("failed to sample a fully visible scene in 100 attempts")
 
@@ -212,11 +198,10 @@ def perturb_boxes(boxes: list, sigma_px: float, rng) -> list:
     return out
 
 
-def make_trial(spec: SceneSpec, arc_deg: float, noise: NoiseSpec, seed_seq,
-               scene_index: int = 0) -> Trial:
+def make_trial(arc_deg: float, noise: NoiseSpec, seed_seq, scene_index: int = 0) -> Trial:
     """Scene + noise for one trial; configurations share this object."""
     scene_rng, noise_rng = [np.random.default_rng(s) for s in seed_seq.spawn(2)]
-    scene = generate_scene(spec, arc_deg, scene_rng)
+    scene = generate_scene(arc_deg, scene_rng)
     noisy = perturb_boxes(scene.boxes, noise.sigma_box_px, noise_rng)
     init = perturb_initial(scene.landmark, noise, noise_rng)
     return Trial(scene, noisy, init, noise.tag, arc_deg, scene_index)
@@ -256,12 +241,10 @@ def trial_problem(trial: Trial, parameterization: str, model: str) -> Problem:
     return Problem(variables, factors, fixed)
 
 
-def run_trial(trial: Trial, parameterization: str, model: str,
-              options: SolveOptions | None = None) -> TrialResult:
+def run_trial(trial: Trial, parameterization: str, model: str) -> TrialResult:
     """Solve one configuration of a trial and score it against the truth."""
-    options = options or SolveOptions()
     problem = trial_problem(trial, parameterization, model)
-    report = solve(problem, options)
+    report = solve(problem)
 
     floor_vars = dict(problem.variables)
     floor_vars[LANDMARK_ID] = trial.scene.landmark
@@ -301,8 +284,6 @@ class CampaignSpec:
     trials_per_cell: int = 24
     parameterizations: tuple = PARAMETERIZATIONS
     models: tuple = MODELS
-    scene: SceneSpec = field(default_factory=SceneSpec)
-    options: SolveOptions = field(default_factory=SolveOptions)
 
     def __post_init__(self):
         grid = {"noise_levels": tuple(NOISE_LEVELS), "arcs": None,
@@ -342,11 +323,11 @@ def _scene_seed(spec: CampaignSpec, noise: str, arc: float, index: int):
 def _run_scene_task(args) -> list:
     """All configurations of one (cell, scene) pair; a unit of parallel work."""
     spec, noise, arc, index = args
-    trial = make_trial(spec.scene, arc, NOISE_LEVELS[noise], _scene_seed(spec, noise, arc, index), index)
+    trial = make_trial(arc, NOISE_LEVELS[noise], _scene_seed(spec, noise, arc, index), index)
     out = []
     for param in spec.parameterizations:
         for model in spec.models:
-            out.append(run_trial(trial, param, model, spec.options))
+            out.append(run_trial(trial, param, model))
     return out
 
 
@@ -393,8 +374,7 @@ def run_campaign(spec: CampaignSpec, jobs: int | None = None) -> list:
 # Synthetic multi-constraint graphs
 
 
-def synthetic_graph(seed: int, noise: str = "M", arc_deg: float = 120.0,
-                    spec: SceneSpec | None = None) -> dict:
+def synthetic_graph(seed: int, noise: str = "M", arc_deg: float = 120.0) -> dict:
     """Graph-file dict with box, orientation, scale and support factors.
 
     One landmark, fixed camera poses at truth, noisy detections, a
@@ -403,11 +383,10 @@ def synthetic_graph(seed: int, noise: str = "M", arc_deg: float = 120.0,
     the truth ellipsoid from below, so all priors are exactly satisfied at
     the truth.
     """
-    spec = spec or SceneSpec()
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(97,))
-    trial = make_trial(spec, arc_deg, NOISE_LEVELS[noise], seq)
+    trial = make_trial(arc_deg, NOISE_LEVELS[noise], seq)
     truth = trial.scene.landmark
-    intr = spec.intrinsics
+    intr = INTRINSICS
 
     def pose_entry(pose: Pose) -> dict:
         return {"q_wxyz": rot_to_quat(pose.rotation).tolist(),

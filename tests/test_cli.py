@@ -5,8 +5,7 @@ import pytest
 
 from quadricfit import graphio
 from quadricfit.cli import _build_campaign_spec, main, make_parser
-from quadricfit.sim import CampaignSpec, SceneSpec, synthetic_graph
-from quadricfit.solver import SolveOptions
+from quadricfit.sim import CampaignSpec, synthetic_graph
 
 
 @pytest.fixture
@@ -157,33 +156,18 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert "unknown key 'trial_per_cell'" in capsys.readouterr().err
     cfg.write_text(json.dumps([SMALL_CONFIG]))
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "list")]) == 1
-    # Non-finite intrinsics (json reads NaN) are a config error, not a runtime error.
-    cfg = tmp_path / "nan_fx.json"
-    intrinsics = {"fx": float("nan"), "fy": 500.0, "cx": 320.0, "cy": 240.0}
-    cfg.write_text(json.dumps({**SMALL_CONFIG, "scene": {"intrinsics": intrinsics}}))
-    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "nan_fx")]) == 1
-    assert "focal lengths must be finite" in capsys.readouterr().err
-    # Every scene field is checked before any trial runs, and the message names it.
-    for key, value in (("n_frames", 2.5), ("n_frames", "3"), ("n_frames", True), ("region", [1, 2]),
-                       ("region", [1.0, 0.0, 3.0]), ("distance", [5.0, 2.5]), ("distance", [0, 0]),
-                       ("elevation_deg", float("nan")), ("elevation_deg", 91.0),
-                       ("axis_range", [-1.0, 1.0])):
-        cfg = tmp_path / "scene.json"
-        cfg.write_text(json.dumps({**SMALL_CONFIG, "trials_per_cell": 1, "scene": {key: value}}))
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "scene")]) == 1
-        assert key in capsys.readouterr().err
     # Grid fields are lists of distinct values and arcs differ in whole
-    # degrees; the solver takes only an iteration cap, a positive integer;
-    # the scene has no arc of its own. Each is named before any trial runs.
+    # degrees; the scene and the iteration cap are constants, so neither is
+    # a key. Each is named before any trial runs.
     for field, bad in (("noise_levels", {"noise_levels": "LM"}),
                        ("parameterizations", {"parameterizations": "rts"}),
                        ("arcs", {"arcs": [True]}),
                        ("noise_levels", {"noise_levels": ["L", "L"]}),
                        ("arcs", {"arcs": [60, 60.4]}),
-                       ("max_iterations", {"options": {"max_iterations": 2.5}}),
-                       ("max_iterations", {"options": {"max_iterations": True}}),
-                       ("max_step", {"options": {"max_step": 1e6}}),
-                       ("arc_deg", {"scene": {"arc_deg": 5}})):
+                       ("unknown key 'scene'", {"scene": {"n_frames": 5}}),
+                       ("unknown key 'scene'", {"scene": {"arc_deg": 5}}),
+                       ("unknown key 'options'", {"options": {"max_iterations": 5}}),
+                       ("unknown key 'options'", {"options": {"max_step": 1e6}})):
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps({**SMALL_CONFIG, "trials_per_cell": 1, **bad}))
         out = tmp_path / "grid"
@@ -209,6 +193,10 @@ def test_eval_detects_tampered_summaries(tmp_path, capsys):
     assert "do not match" in capsys.readouterr().err
 
 
+def _first_record_with(field, value):
+    return lambda doc: {**doc, "records": [{**doc["records"][0], field: value}, *doc["records"][1:]]}
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda doc: [doc], "must be an object"),
     (lambda doc: {k: v for k, v in doc.items() if k != "records"}, "missing records"),
@@ -216,6 +204,11 @@ def test_eval_detects_tampered_summaries(tmp_path, capsys):
     (lambda doc: {**doc, "version": "1"}, "unsupported result version '1'"),
     (lambda doc: {**doc, "records": [{"noise": "L"}]}, "record 0: missing or unknown fields"),
     (lambda doc: {**doc, "records": [{**doc["records"][0], "extra": 1}]}, "'extra'"),
+    # Each value must have its TrialResult field's type.
+    (_first_record_with("iou", "high"), "record 0: iou must be float, got 'high'"),
+    (_first_record_with("success", "yes"), "record 0: success must be bool"),
+    (_first_record_with("iterations", None), "record 0: iterations must be int"),
+    (_first_record_with("cost_trace", "x"), "record 0: cost_trace must be list[float]"),
 ])
 def test_eval_rejects_malformed_result_files(tmp_path, capsys, edit, message):
     cfg = write_config(tmp_path)
@@ -232,9 +225,7 @@ def test_config_echo_round_trips_through_config(tmp_path):
     # The campaign fields of a result file's config, given back as
     # --config, build the campaign that wrote it.
     spec = CampaignSpec(master_seed=3, noise_levels=("H", "L"), arcs=(45.0, 90.5), trials_per_cell=2,
-                        parameterizations=("spd",), models=("semi",),
-                        scene=SceneSpec(n_frames=5, elevation_deg=20.0, distance=(3.0, 4.0)),
-                        options=SolveOptions(max_iterations=7))
+                        parameterizations=("spd",), models=("semi",))
     names = {f.name for f in dataclasses.fields(CampaignSpec)}
     echo = json.loads(json.dumps(graphio.config_echo(spec)))
     cfg = tmp_path / "echo.json"

@@ -9,7 +9,6 @@ from quadricfit.sim import (
     NOISE_LEVELS,
     CampaignSpec,
     NoiseSpec,
-    SceneSpec,
     generate_scene,
     initial_state,
     make_trial,
@@ -45,15 +44,15 @@ def test_noise_spec_rejects_negative_and_nan_sigmas(sigma):
 
 
 def test_generate_scene_deterministic():
-    a = generate_scene(SceneSpec(), 60.0, np.random.default_rng(5))
-    b = generate_scene(SceneSpec(), 60.0, np.random.default_rng(5))
+    a = generate_scene(60.0, np.random.default_rng(5))
+    b = generate_scene(60.0, np.random.default_rng(5))
     np.testing.assert_array_equal(a.landmark.scale, b.landmark.scale)
     np.testing.assert_array_equal(a.frames[3].pose.translation, b.frames[3].pose.translation)
     np.testing.assert_array_equal(a.boxes[7].as_array(), b.boxes[7].as_array())
 
 
 def test_generate_scene_boxes_self_consistent():
-    scene = generate_scene(SceneSpec(), 60.0, np.random.default_rng(11))
+    scene = generate_scene(60.0, np.random.default_rng(11))
     for frame, box in zip(scene.frames, scene.boxes):
         r = residual("box-inverse", scene.landmark.dual, {"box": box}, frame)
         np.testing.assert_allclose(r, np.zeros(4), atol=1e-9)
@@ -62,11 +61,11 @@ def test_generate_scene_boxes_self_consistent():
 
 
 def test_generate_scene_samples_within_bounds():
-    spec = SceneSpec()
+    low, high = sim.AXIS_RANGE
     for seed in range(20):
-        scene = generate_scene(spec, 60.0, np.random.default_rng(seed))
-        assert np.all(np.abs(scene.landmark.translation) <= np.array(spec.region) / 2 + 1e-12)
-        assert np.all((0.2 <= scene.landmark.scale) & (scene.landmark.scale <= 1.0))
+        scene = generate_scene(60.0, np.random.default_rng(seed))
+        assert np.all(np.abs(scene.landmark.translation) <= np.array(sim.REGION) / 2 + 1e-12)
+        assert np.all((low <= scene.landmark.scale) & (scene.landmark.scale <= high))
 
 
 def _azimuth_spread(scene):
@@ -82,19 +81,19 @@ def _azimuth_spread(scene):
 def test_arc_spread_statistic():
     wide, narrow = [], []
     for seed in range(100):
-        narrow.append(_azimuth_spread(generate_scene(SceneSpec(), 60.0, np.random.default_rng(seed))))
-        wide.append(_azimuth_spread(generate_scene(SceneSpec(), 120.0, np.random.default_rng(seed))))
+        narrow.append(_azimuth_spread(generate_scene(60.0, np.random.default_rng(seed))))
+        wide.append(_azimuth_spread(generate_scene(120.0, np.random.default_rng(seed))))
     assert np.mean(wide) > np.mean(narrow) * 1.4
 
 
 @pytest.mark.parametrize("arc", [0.0, -10.0, 360.5, float("nan")])
 def test_generate_scene_rejects_arcs_outside_0_360(arc):
     with pytest.raises(ValueError, match="viewing arc"):
-        generate_scene(SceneSpec(), arc, np.random.default_rng(0))
+        generate_scene(arc, np.random.default_rng(0))
 
 
 def test_perturb_initial_zero_noise_identity():
-    scene = generate_scene(SceneSpec(), 60.0, np.random.default_rng(3))
+    scene = generate_scene(60.0, np.random.default_rng(3))
     zero = NOISE_LEVELS["L"].__class__("Z", 0.0, 0.0, 0.0, 0.0)
     out = perturb_initial(scene.landmark, zero, np.random.default_rng(0))
     np.testing.assert_allclose(out.rotation, scene.landmark.rotation, atol=1e-12)
@@ -104,7 +103,7 @@ def test_perturb_initial_zero_noise_identity():
 
 def test_perturb_initial_rotation_statistics():
     # per-axis std of the recovered left-perturbation matches sigma_rot
-    scene = generate_scene(SceneSpec(), 60.0, np.random.default_rng(4))
+    scene = generate_scene(60.0, np.random.default_rng(4))
     level = NOISE_LEVELS["L"]
     rng = np.random.default_rng(99)
     truth_pose = Pose(scene.landmark.rotation, scene.landmark.translation)
@@ -118,7 +117,7 @@ def test_perturb_initial_rotation_statistics():
 
 
 def test_perturb_initial_clamps_axes():
-    scene = generate_scene(SceneSpec(), 60.0, np.random.default_rng(6))
+    scene = generate_scene(60.0, np.random.default_rng(6))
     level = NOISE_LEVELS["H"]
     rng = np.random.default_rng(1)
     for _ in range(500):
@@ -130,14 +129,14 @@ def test_perturb_initial_clamps_axes():
 
 
 def test_perturb_boxes_zero_sigma_identity():
-    scene = generate_scene(SceneSpec(), 60.0, np.random.default_rng(7))
+    scene = generate_scene(60.0, np.random.default_rng(7))
     out = perturb_boxes(scene.boxes, 0.0, np.random.default_rng(0))
     for a, b in zip(out, scene.boxes):
         np.testing.assert_array_equal(a.as_array(), b.as_array())
 
 
 def test_perturb_boxes_statistics_and_ordering():
-    scene = generate_scene(SceneSpec(), 60.0, np.random.default_rng(8))
+    scene = generate_scene(60.0, np.random.default_rng(8))
     rng = np.random.default_rng(2)
     diffs = []
     for _ in range(2500):
@@ -155,7 +154,7 @@ def test_box_noise_variance_chi_square():
     # sample variance of 1e4 draws within the 1% chi-square band
     # (normal approximation: |s^2/sigma^2 - 1| <= 2.576 * sqrt(2/n))
     rng = np.random.default_rng(14)
-    box = generate_scene(SceneSpec(), 60.0, np.random.default_rng(9)).boxes[:1]
+    box = generate_scene(60.0, np.random.default_rng(9)).boxes[:1]
     n = 10_000
     draws = np.array([perturb_boxes(box, 5.0, rng)[0].as_array() for _ in range(n)])
     # use an interior edge difference immune to re-ordering: box center shift
@@ -165,14 +164,14 @@ def test_box_noise_variance_chi_square():
 
 
 def test_initial_state_conversions_share_quadric():
-    trial = make_trial(SceneSpec(), 60.0, NOISE_LEVELS["M"], np.random.SeedSequence(42))
+    trial = make_trial(60.0, NOISE_LEVELS["M"], np.random.SeedSequence(42))
     duals = [initial_state(trial.init_rts, p).dual for p in ("full", "rts", "spd")]
     np.testing.assert_allclose(duals[0], duals[1], atol=1e-12)
     np.testing.assert_allclose(duals[1], duals[2], atol=1e-12)
 
 
 def test_run_trial_deterministic_and_low_noise_success():
-    trial = make_trial(SceneSpec(), 60.0, NOISE_LEVELS["L"], np.random.SeedSequence(21))
+    trial = make_trial(60.0, NOISE_LEVELS["L"], np.random.SeedSequence(21))
     a = run_trial(trial, "spd", "semi")
     b = run_trial(trial, "spd", "semi")
     assert a.cost_trace == b.cost_trace
@@ -254,7 +253,7 @@ def test_default_jobs_follow_the_affinity_set(monkeypatch):
 
 
 def test_trial_problem_rejects_unknown_model():
-    trial = make_trial(SceneSpec(), 60.0, NOISE_LEVELS["L"], np.random.SeedSequence(5))
+    trial = make_trial(60.0, NOISE_LEVELS["L"], np.random.SeedSequence(5))
     with pytest.raises(ValueError, match="unknown model 'foo'"):
         trial_problem(trial, "rts", "foo")
 

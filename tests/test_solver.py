@@ -28,7 +28,6 @@ from quadricfit.quadric import (
 from quadricfit.sim import (
     NOISE_LEVELS,
     NoiseSpec,
-    SceneSpec,
     make_trial,
     run_trial,
     trial_problem,
@@ -55,7 +54,7 @@ def tiny_noise():
 
 def seeded_trial(noise="L", arc=60.0, idx=0, entropy=7):
     seq = np.random.SeedSequence(entropy=entropy, spawn_key=(0, int(arc), idx))
-    return make_trial(SceneSpec(), arc, NOISE_LEVELS[noise], seq, idx)
+    return make_trial(arc, NOISE_LEVELS[noise], seq, idx)
 
 
 def test_total_cost_zero_at_truth():
