@@ -219,13 +219,14 @@ def orientation_residuals(rotations: np.ndarray, m: np.ndarray) -> np.ndarray:
     is parallel or perpendicular to ``m``; stacking all three axes gives a
     9-vector that is zero exactly when ``m`` points along one axis (in
     either direction). Independent of the axis labeling returned by the
-    underlying decomposition.
+    underlying decomposition. The cross products of all three axes are
+    formed from components in one pass, each a multiply then a subtract as
+    in ``np.cross``.
     """
-    out = np.empty((len(rotations), 9))
-    for i in range(3):
-        axis = rotations[:, :, i]
-        out[:, 3 * i : 3 * i + 3] = np.cross(axis, m) * np.vecdot(axis, m)[:, None]
-    return out
+    a0, a1, a2 = rotations[:, 0], rotations[:, 1], rotations[:, 2]  # (n, axis)
+    m0, m1, m2 = m
+    cross = np.stack([a1 * m2 - a2 * m1, a2 * m0 - a0 * m2, a0 * m1 - a1 * m0], axis=-1)
+    return (cross * np.vecdot(np.swapaxes(rotations, 1, 2), m)[..., None]).reshape(-1, 9)
 
 
 def shape_residuals(scales: np.ndarray, prior) -> np.ndarray:
@@ -263,6 +264,7 @@ def support_residuals(qs: np.ndarray, plane) -> np.ndarray:
 
 def residual_pose_prior(x: Pose, observed: Pose) -> np.ndarray:
     """se(3) error ``Log(x observed^{-1})``; zero iff the poses match.
+    (n, 6) for a stack of poses ``x``, in one batched logarithm.
 
     The right-difference order pairs with the left-multiplicative pose
     retraction: an offset ``x = Exp(xi) observed`` maps back to exactly
@@ -284,7 +286,8 @@ class FactorKind:
     rows cannot read, and the number of targets a factor of the kind takes.
 
     A single-target kind reads ``rows(stack, payload)`` from its variable's
-    stack: ``values``, or a landmark's ``duals`` (n, 4, 4) and ``rts``, their
+    stack of n values: a pose's ``rotations`` (n, 3, 3) and ``translations``
+    (n, 3), or a landmark's ``duals`` (n, 4, 4) and ``rts``, their
     :func:`~quadricfit.quadric.rts_from_duals` shared by the stack's priors.
     A camera-landmark kind (two targets: pose, landmark) has rows as
     :func:`box_inverse_rows`, each row seen through the ``inverse_rt`` of
@@ -352,7 +355,7 @@ FACTOR_KINDS = {
     "support": FactorKind(1, 0.05**2, lambda s, p: _evaluable(
         support_residuals(s.duals, p["plane"])[:, None]), _check_support),
     "pose-prior": FactorKind(6, 0.01**2, lambda s, p: _evaluable(
-        np.stack([residual_pose_prior(x, p["observed"]) for x in s.values])),
+        residual_pose_prior(Pose(s.rotations, s.translations), p["observed"])),
         lambda p: _entry(p, "observed", Pose)),
 }
 

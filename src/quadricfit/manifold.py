@@ -13,6 +13,14 @@ Conventions used throughout the package:
   the Frobenius norm of the matrix.
 * Matrix exponentials/logarithms of symmetric matrices are computed by
   eigendecomposition, which is exact for symmetric input.
+* The retractions and the maps they are made of (``so3_exp``, the SO(3)
+  Jacobians, ``so3_log``, ``se3_exp``, ``se3_log``, ``pose_retract``,
+  ``vec6_to_sym``, ``spd_retract_normalized``, and a :class:`Pose`'s
+  ``compose``, ``inverse`` and ``inverse_rt``) take one argument or a
+  stack of them along leading axes, and give each row the bits its single
+  call gives: the single call is the stack of one. Small angles take
+  their series per row, through a mask, and matrix-vector products are
+  ``@`` with a trailing axis (:func:`_apply`).
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import numpy as np
 SPD_EIG_TOL = 1e-12
 
 _SQRT2 = np.sqrt(2.0)
+_EYE3 = np.eye(3)
 
 
 class InvalidInputError(ValueError):
@@ -89,17 +98,33 @@ def sym_to_vec6(x: np.ndarray) -> np.ndarray:
 
 
 def vec6_to_sym(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`sym_to_vec6`."""
+    """Inverse of :func:`sym_to_vec6`; (..., 6) to (..., 3, 3)."""
     v = np.asarray(v, dtype=float)
-    o01, o02, o12 = v[3] / _SQRT2, v[4] / _SQRT2, v[5] / _SQRT2
-    return np.array([[v[0], o01, o02], [o01, v[1], o12], [o02, o12, v[2]]])
+    o01, o02, o12 = v[..., 3] / _SQRT2, v[..., 4] / _SQRT2, v[..., 5] / _SQRT2
+    rows = (v[..., 0], o01, o02, o01, v[..., 1], o12, o02, o12, v[..., 2])
+    return np.stack(rows, axis=-1).reshape(v.shape[:-1] + (3, 3))
+
+
+def _mt(a: np.ndarray) -> np.ndarray:
+    """The transpose of a matrix, or of each in a stack."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``m @ x`` per row for matrices (..., i, j) and vectors (..., j).
+
+    Through ``@`` with a trailing axis, which gives each row the bits of
+    its own ``m @ x``; ``np.einsum`` does not.
+    """
+    return (m @ x[..., None])[..., 0]
 
 
 def _eigh_apply(p: np.ndarray, fn) -> np.ndarray:
-    """Apply a scalar function to the eigenvalues of a symmetric matrix."""
-    w, u = np.linalg.eigh(0.5 * (p + p.T))
-    out = (u * fn(w)) @ u.T
-    return 0.5 * (out + out.T)
+    """Apply a scalar function to the eigenvalues of a symmetric matrix,
+    or of each in a stack."""
+    w, u = np.linalg.eigh(0.5 * (p + _mt(p)))
+    out = (u * fn(w)[..., None, :]) @ _mt(u)
+    return 0.5 * (out + _mt(out))
 
 
 def spd_sqrt(p: np.ndarray) -> np.ndarray:
@@ -126,15 +151,18 @@ _SPD_REL_FLOOR = 1e-15
 
 
 def _spd_exp_congruence(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``s Exp(x) s`` with the clamped exponent and the eigenvalue floor."""
+    """``s Exp(x) s`` for a stack of steps ``x`` (n, 3, 3), with the
+    clamped exponent and, on the rows that need it, the eigenvalue floor."""
     expd = _eigh_apply(x, lambda w: np.exp(np.clip(w, -_SPD_EXP_CLAMP, _SPD_EXP_CLAMP)))
     out = s @ expd @ s
-    out = 0.5 * (out + out.T)
+    out = 0.5 * (out + _mt(out))
     w, u = np.linalg.eigh(out)
-    floor = max(w[-1], 1.0) * _SPD_REL_FLOOR
-    if w[0] < floor:
-        out = (u * np.maximum(w, floor)) @ u.T
-        out = 0.5 * (out + out.T)
+    floor = np.maximum(w[:, -1], 1.0) * _SPD_REL_FLOOR
+    low = w[:, 0] < floor
+    if low.any():
+        u = u[low]
+        lifted = (u * np.maximum(w[low], floor[low, None])[:, None, :]) @ _mt(u)
+        out[low] = 0.5 * (lifted + _mt(lifted))
     return out
 
 
@@ -149,7 +177,7 @@ def spd_retract(p: np.ndarray, xi: np.ndarray) -> np.ndarray:
     if not np.any(xi):
         return p
     s_inv = spd_inv_sqrt(p)
-    return _spd_exp_congruence(spd_sqrt(p), s_inv @ xi @ s_inv)
+    return spd_retract_normalized(p, s_inv @ xi @ s_inv)
 
 
 def spd_retract_normalized(p: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -160,11 +188,18 @@ def spd_retract_normalized(p: np.ndarray, z: np.ndarray) -> np.ndarray:
     metric length of the step, so damping and trust bounds expressed on
     ``z`` act in the manifold's own geometry regardless of how
     ill-conditioned ``p`` is.
+
+    ``z`` is one step (3, 3) or a stack of them (..., 3, 3); ``p^{1/2}`` is
+    computed once for the stack, and a row whose step is zero is ``p``
+    unchanged.
     """
     z = _require_finite("spd tangent", z)
-    if not np.any(z):
-        return p
-    return _spd_exp_congruence(spd_sqrt(p), z)
+    steps = z.reshape(-1, 3, 3)
+    moved = steps.any(axis=(1, 2))
+    out = np.repeat(np.asarray(p, dtype=float)[None], len(steps), axis=0)
+    if moved.any():
+        out[moved] = _spd_exp_congruence(spd_sqrt(p), steps[moved])
+    return out.reshape(z.shape)
 
 
 def spd_metric(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -184,70 +219,86 @@ def spd_metric(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
 
 
 def so3_hat(omega: np.ndarray) -> np.ndarray:
-    """Skew-symmetric matrix of a 3-vector."""
-    x, y, z = omega
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Skew-symmetric matrix of a 3-vector; (..., 3) to (..., 3, 3)."""
+    omega = np.asarray(omega, dtype=float)
+    x, y, z = omega[..., 0], omega[..., 1], omega[..., 2]
+    w = np.zeros(omega.shape + (3,))
+    w[..., 0, 1], w[..., 0, 2], w[..., 1, 2] = -z, y, -x
+    w[..., 1, 0], w[..., 2, 0], w[..., 2, 1] = z, -y, x
+    return w
+
+
+def _so3_series(omega: np.ndarray, small_below: float, small, general) -> np.ndarray:
+    """``I + a w + b w^2`` for ``w = hat(omega)`` over (..., 3) vectors.
+
+    ``general(theta)`` gives (a, b) at a rotation angle theta; a row whose
+    angle is below ``small_below`` takes ``small(w, w2)`` instead.
+    """
+    theta = np.sqrt(np.vecdot(omega, omega))[..., None, None]
+    w = so3_hat(omega)
+    w2 = w @ w
+    tiny = theta < small_below
+    if tiny.all():
+        return small(w, w2)
+    a, b = general(np.where(tiny, 1.0, theta))
+    out = _EYE3 + a * w + b * w2
+    return np.where(tiny, small(w, w2), out) if tiny.any() else out
 
 
 def so3_exp(omega: np.ndarray) -> np.ndarray:
-    """Rodrigues formula: rotation matrix of an axis-angle 3-vector."""
-    omega = _require_finite("omega", omega)
-    theta = float(np.linalg.norm(omega))
-    w = so3_hat(omega)
-    w2 = w @ w
-    if theta < 1e-8:
-        return np.eye(3) + w + 0.5 * w2
-    a = np.sin(theta) / theta
-    b = (1.0 - np.cos(theta)) / (theta * theta)
-    return np.eye(3) + a * w + b * w2
+    """Rodrigues formula: rotation matrix of an axis-angle 3-vector, or of
+    each in a stack (..., 3)."""
+    return _so3_series(
+        _require_finite("omega", omega), 1e-8,
+        lambda w, w2: _EYE3 + w + 0.5 * w2,
+        lambda t: (np.sin(t) / t, (1.0 - np.cos(t)) / (t * t)))
+
+
+def _so3_log_near_pi(r: np.ndarray, theta: float, v: np.ndarray) -> np.ndarray:
+    # Near pi the antisymmetric part vanishes; recover the axis from the
+    # well-conditioned symmetric part: (R + R^T)/2 - I = (cos(theta)-1)(I - aa^T).
+    s = 0.5 * (r + r.T)
+    aa = np.eye(3) + (s - np.eye(3)) / (1.0 - np.cos(theta))
+    a = np.sqrt(np.clip(np.diag(aa), 0.0, None))
+    k = int(np.argmax(a))
+    for i in range(3):
+        if i != k:
+            a[i] = aa[k, i] / a[k]
+    a /= np.linalg.norm(a)
+    if np.dot(a, v) < 0.0:
+        a = -a
+    return theta * a
 
 
 def so3_log(r: np.ndarray) -> np.ndarray:
-    """Axis-angle 3-vector of a rotation matrix; stable near pi."""
+    """Axis-angle 3-vector of a rotation matrix, or of each in a stack
+    (..., 3, 3); stable near pi, where a row takes its own formula."""
     r = np.asarray(r, dtype=float)
-    tr = np.clip(0.5 * (np.trace(r) - 1.0), -1.0, 1.0)
-    theta = float(np.arccos(tr))
-    v = 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    if theta < 1e-7:
-        return v * (1.0 + theta * theta / 6.0)
-    if theta > np.pi - 1e-6:
-        # Near pi the antisymmetric part vanishes; recover the axis from the
-        # well-conditioned symmetric part: (R + R^T)/2 - I = (cos(theta)-1)(I - aa^T).
-        s = 0.5 * (r + r.T)
-        aa = np.eye(3) + (s - np.eye(3)) / (1.0 - np.cos(theta))
-        a = np.sqrt(np.clip(np.diag(aa), 0.0, None))
-        k = int(np.argmax(a))
-        for i in range(3):
-            if i != k:
-                a[i] = aa[k, i] / a[k]
-        a /= np.linalg.norm(a)
-        if np.dot(a, v) < 0.0:
-            a = -a
-        return theta * a
-    return v * (theta / np.sin(theta))
+    rows = r.reshape(-1, 3, 3)
+    trace = rows[:, 0, 0] + rows[:, 1, 1] + rows[:, 2, 2]  # np.trace's order
+    theta = np.arccos(np.minimum(np.maximum(0.5 * (trace - 1.0), -1.0), 1.0))
+    v = 0.5 * np.stack([rows[:, 2, 1] - rows[:, 1, 2], rows[:, 0, 2] - rows[:, 2, 0],
+                        rows[:, 1, 0] - rows[:, 0, 1]], axis=1)
+    tiny = theta < 1e-7
+    near_pi = theta > np.pi - 1e-6
+    factor = np.where(tiny, 1.0 + theta * theta / 6.0,
+                      theta / np.sin(np.where(tiny | near_pi, 1.0, theta)))
+    out = v * factor[:, None]
+    for i in np.flatnonzero(near_pi):
+        out[i] = _so3_log_near_pi(rows[i], float(theta[i]), v[i])
+    return out.reshape(r.shape[:-1])
 
 
 def _so3_left_jacobian(omega: np.ndarray) -> np.ndarray:
-    theta = float(np.linalg.norm(omega))
-    w = so3_hat(omega)
-    w2 = w @ w
-    if theta < 1e-6:
-        return np.eye(3) + 0.5 * w + w2 / 6.0
-    t2 = theta * theta
-    a = (1.0 - np.cos(theta)) / t2
-    b = (theta - np.sin(theta)) / (t2 * theta)
-    return np.eye(3) + a * w + b * w2
+    return _so3_series(
+        omega, 1e-6, lambda w, w2: _EYE3 + 0.5 * w + w2 / 6.0,
+        lambda t: ((1.0 - np.cos(t)) / (t * t), (t - np.sin(t)) / (t * t * t)))
 
 
 def _so3_left_jacobian_inv(omega: np.ndarray) -> np.ndarray:
-    theta = float(np.linalg.norm(omega))
-    w = so3_hat(omega)
-    w2 = w @ w
-    if theta < 1e-6:
-        return np.eye(3) - 0.5 * w + w2 / 12.0
-    t2 = theta * theta
-    b = 1.0 / t2 - (1.0 + np.cos(theta)) / (2.0 * theta * np.sin(theta))
-    return np.eye(3) - 0.5 * w + b * w2
+    return _so3_series(
+        omega, 1e-6, lambda w, w2: _EYE3 - 0.5 * w + w2 / 12.0,
+        lambda t: (-0.5, 1.0 / (t * t) - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t))))
 
 
 def orthonormalize(r: np.ndarray) -> np.ndarray:
@@ -317,6 +368,11 @@ class Pose:
     solver steps, differentiates and fixes up poses and landmarks alike.
     As a landmark state caches its ``dual``, a pose caches ``inverse_rt``,
     the camera every camera-landmark factor sees it through.
+
+    A Pose may also hold a stack of n poses, rotations (n, 3, 3) and
+    translations (n, 3): ``retract`` with steps (n, 6) gives one, and
+    ``compose``, ``inverse``, ``inverse_rt`` and ``matrix`` work row by
+    row on it.
     """
 
     rotation: np.ndarray
@@ -340,41 +396,44 @@ class Pose:
     def compose(self, other: "Pose") -> "Pose":
         return Pose(
             self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
+            _apply(self.rotation, other.translation) + self.translation,
         )
 
     def inverse(self) -> "Pose":
-        rt = self.rotation.T
-        return Pose(rt, -rt @ self.translation)
+        rt = _mt(self.rotation)
+        return Pose(rt, _apply(-rt, self.translation))
 
     @cached_property
     def inverse_rt(self) -> np.ndarray:
-        """[R | t] of the inverse transform as a 3x4 matrix: camera-from-world
-        for a world-from-camera pose. Computed once per pose value."""
+        """[R | t] of the inverse transform as a 3x4 matrix, (n, 3, 4) for a
+        stack: camera-from-world for a world-from-camera pose. Computed once
+        per pose value."""
         inv = self.inverse()
-        return np.hstack([inv.rotation, inv.translation[:, None]])
+        return np.concatenate([inv.rotation, inv.translation[..., None]], axis=-1)
 
     def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
+        m = np.zeros(np.shape(self.translation)[:-1] + (4, 4))
+        m[..., :3, :3] = self.rotation
+        m[..., :3, 3] = self.translation
+        m[..., 3, 3] = 1.0
         return m
 
 
 def se3_exp(xi: np.ndarray) -> Pose:
-    """Exponential map of se(3); ``xi = (omega, rho)``."""
+    """Exponential map of se(3); ``xi = (omega, rho)``, or a stack (n, 6)."""
     xi = _require_finite("xi", xi)
-    omega, rho = xi[:3], xi[3:]
-    return Pose(so3_exp(omega), _so3_left_jacobian(omega) @ rho)
+    omega, rho = xi[..., :3], xi[..., 3:]
+    return Pose(so3_exp(omega), _apply(_so3_left_jacobian(omega), rho))
 
 
 def se3_log(t: Pose) -> np.ndarray:
-    """Logarithm of a pose, inverse of :func:`se3_exp`."""
+    """Logarithm of a pose, inverse of :func:`se3_exp`; (n, 6) for a stack."""
     omega = so3_log(t.rotation)
-    rho = _so3_left_jacobian_inv(omega) @ t.translation
-    return np.concatenate([omega, rho])
+    rho = _apply(_so3_left_jacobian_inv(omega), t.translation)
+    return np.concatenate([omega, rho], axis=-1)
 
 
 def pose_retract(t: Pose, xi: np.ndarray) -> Pose:
-    """Left-multiplicative pose update ``Exp(xi) * t``."""
+    """Left-multiplicative pose update ``Exp(xi) * t``; a stack of steps
+    (n, 6) gives the stack of updated poses."""
     return se3_exp(xi).compose(t)

@@ -22,7 +22,11 @@ All states implement ``tangent_dim`` / ``retract`` / ``fd_scales`` /
 differentiates every variable and fixes it up after an accepted step;
 camera poses (:class:`quadricfit.manifold.Pose`) implement it too.
 Landmark states add ``dual``, the quadric every landmark factor is
-evaluated on. :data:`PARAMETERIZATIONS` holds the classes' tags, which
+evaluated on. ``retract`` is batched: steps (n, tangent_dim) give one
+state holding n values along a leading axis of each field, whose ``dual``
+is the stack (n, 4, 4), each row with the bits of its own single retract,
+which is the batch of one. So the solver builds all the finite-difference
+variants of a variable in one numpy pass. :data:`PARAMETERIZATIONS` holds the classes' tags, which
 :func:`as_parameterization` and :func:`parameterization_tag` map to states.
 """
 
@@ -56,13 +60,14 @@ class DegenerateLandmarkError(ValueError):
 
 
 def normalize_dual(q: np.ndarray) -> np.ndarray:
-    """Rescale a dual quadric to the canonical ``q[3, 3] = -1`` representative."""
+    """Rescale a dual quadric to the canonical ``q[3, 3] = -1`` representative,
+    or each of a stack (n, 4, 4); raises if any has a vanishing corner."""
     q = np.asarray(q, dtype=float)
-    q = 0.5 * (q + q.T)
-    corner = q[3, 3]
-    if abs(corner) < 1e-12 * max(1.0, float(np.max(np.abs(q)))):
+    q = 0.5 * (q + np.swapaxes(q, -1, -2))
+    corner = q[..., 3, 3]
+    if np.any(np.abs(corner) < 1e-12 * np.fmax(1.0, np.max(np.abs(q), axis=(-2, -1)))):
         raise DegenerateLandmarkError("dual quadric has vanishing homogeneous corner")
-    return q / -corner
+    return q / -corner[..., None, None]
 
 
 def dual_center(q: np.ndarray) -> np.ndarray:
@@ -82,24 +87,28 @@ def dual_shape(q: np.ndarray) -> np.ndarray:
 
 
 def dual_from_rts(state: "RtsState") -> np.ndarray:
-    """Compose the canonical dual quadric of a rotation/translation/scale state."""
+    """Compose the canonical dual quadric of a rotation/translation/scale
+    state, (n, 4, 4) for a stack."""
     s = np.asarray(state.scale, dtype=float)
     if np.any(np.abs(s) < 1e-8):
         raise DegenerateLandmarkError("semi-axis length is (near) zero")
     t = Pose(state.rotation, state.translation).matrix()
-    core = np.diag(np.concatenate([s * s, [-1.0]]))
-    return normalize_dual(t @ core @ t.T)
+    core = np.zeros(t.shape)
+    core[..., [0, 1, 2], [0, 1, 2]] = s * s
+    core[..., 3, 3] = -1.0
+    return normalize_dual(t @ core @ np.swapaxes(t, -1, -2))
 
 
 def dual_from_spd(state: "SpdState") -> np.ndarray:
-    """Compose the canonical dual quadric of an SPD-shape + translation state."""
+    """Compose the canonical dual quadric of an SPD-shape + translation
+    state, (n, 4, 4) for a stack."""
     c = np.asarray(state.translation, dtype=float)
-    q = np.empty((4, 4))
-    q[:3, :3] = state.shape - np.outer(c, c)
-    q[:3, 3] = -c
-    q[3, :3] = -c
-    q[3, 3] = -1.0
-    return 0.5 * (q + q.T)
+    q = np.empty(c.shape[:-1] + (4, 4))
+    q[..., :3, :3] = state.shape - c[..., :, None] * c[..., None, :]
+    q[..., :3, 3] = -c
+    q[..., 3, :3] = -c
+    q[..., 3, 3] = -1.0
+    return 0.5 * (q + np.swapaxes(q, -1, -2))
 
 
 def spd_from_dual(q: np.ndarray) -> "SpdState":
@@ -169,9 +178,9 @@ class RtsState:
     def retract(self, delta: np.ndarray) -> "RtsState":
         delta = np.asarray(delta, dtype=float)
         return RtsState(
-            so3_exp(delta[:3]) @ self.rotation,
-            self.translation + delta[3:6],
-            self.scale + delta[6:9],
+            so3_exp(delta[..., :3]) @ self.rotation,
+            self.translation + delta[..., 3:6],
+            self.scale + delta[..., 6:9],
         )
 
     def fd_scales(self) -> np.ndarray:
@@ -207,8 +216,8 @@ class SpdState:
     def retract(self, delta: np.ndarray) -> "SpdState":
         delta = np.asarray(delta, dtype=float)
         return SpdState(
-            spd_retract_normalized(self.shape, vec6_to_sym(delta[:6])),
-            self.translation + delta[6:9],
+            spd_retract_normalized(self.shape, vec6_to_sym(delta[..., :6])),
+            self.translation + delta[..., 6:9],
         )
 
     def fd_scales(self) -> np.ndarray:
@@ -260,20 +269,17 @@ class FullState:
 LandmarkState = RtsState | SpdState | FullState
 
 
+# Coefficient index of each entry of the symmetric 4x4 matrix.
+_SYM4_LAYOUT = np.array([[0, 3, 5, 6], [3, 1, 4, 7], [5, 4, 2, 8], [6, 7, 8, 9]])
+
+
 def coeffs_to_sym4(v: np.ndarray) -> np.ndarray:
-    """Assemble the symmetric 4x4 matrix from a 10-coefficient vector."""
+    """Assemble the symmetric 4x4 matrix from a 10-coefficient vector, or
+    each from a stack (n, 10)."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (10,):
+    if v.shape[-1:] != (10,):
         raise InvalidInputError(f"expected 10 coefficients, got shape {v.shape}")
-    a, b, c, d, e, f, g, h, i, j = v
-    return np.array(
-        [
-            [a, d, f, g],
-            [d, b, e, h],
-            [f, e, c, i],
-            [g, h, i, j],
-        ]
-    )
+    return np.take(v, _SYM4_LAYOUT, axis=-1)
 
 
 def sym4_to_coeffs(m: np.ndarray) -> np.ndarray:

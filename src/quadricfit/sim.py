@@ -353,11 +353,11 @@ def run_campaign(spec: CampaignSpec, jobs: int | None = None) -> list:
 
     Returns the flat list of TrialResult records sorted by trial key.
     Individual trial failures are recorded in the results, never raised.
-    ``jobs`` defaults to :func:`usable_cpus`.
+    ``jobs`` defaults to :func:`usable_cpus`; no more workers start than
+    there are scene tasks, and a single one runs in this process.
     """
     tasks = campaign_tasks(spec)
-    if jobs is None:
-        jobs = usable_cpus()
+    jobs = min(usable_cpus() if jobs is None else jobs, len(tasks))
     results: list = []
     if jobs <= 1:
         for t in tasks:

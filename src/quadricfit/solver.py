@@ -10,10 +10,13 @@ accepted step. Identical solver settings therefore compare
 parameterizations fairly; only the retraction and its fixup differ.
 
 Finite differences are batched over the whole problem. Every variable has
-one :class:`_Stack` of the values its factors are evaluated at: the value
-alone, or for a free variable in a linearization the value and its FD
-variants. Each factor kind is evaluated by its entry in
-:data:`quadricfit.costs.FACTOR_KINDS`, so the solver has no per-kind code.
+one :class:`_Stack` of the values its factors are evaluated at, held as
+arrays: the value alone, or for a free variable in a linearization the
+value and its FD variants, which one batched ``retract`` of the value
+makes in a single numpy pass (duals for a landmark; rotations,
+translations and cameras for a pose). Each factor kind is evaluated by
+its entry in :data:`quadricfit.costs.FACTOR_KINDS`, so the solver has no
+per-kind code.
 A per-solve plan sorts the factors once and groups camera-landmark factors
 by kind and single-target factors by variable. Each evaluation makes one
 row-function call per camera-landmark kind, with a camera per row: every
@@ -193,17 +196,22 @@ class _Plan:
 
 
 class _Stack:
-    """The values one variable's factors are evaluated at.
+    """The values one variable's factors are evaluated at, as arrays.
 
-    ``values`` holds the value alone for a fixed variable (``fd_step`` None),
-    which is every variable in a cost evaluation; for a free variable it
-    holds the value, then its plus, then its minus finite-difference
-    variants. Reading the values, duals or cameras of a stack that cannot
-    form them raises the evaluation error why, and its factors are skipped.
+    Row 0 is the value itself, the only row of a fixed variable
+    (``fd_step`` None), which is every variable in a cost evaluation. A
+    free variable in a linearization adds its plus, then its minus
+    finite-difference variants, all made by one batched ``retract`` of the
+    value, so no variant is an object of its own. A landmark's stack reads
+    ``duals`` and ``rts``, a pose's ``rotations``, ``translations`` and
+    ``cameras``; the value's row is the one it caches. Reading an array
+    that a row cannot form raises the evaluation error of the first such
+    row, and the factors that read it are skipped.
     """
 
     def __init__(self, value, fd_step: float | None = None):
-        self._values = [value]
+        self._value = value
+        self._variants = None
         self._error = None
         self.dim = 0
         if fd_step is None:
@@ -212,25 +220,39 @@ class _Stack:
         self.h = fd_step * value.fd_scales()
         steps = np.diag(self.h)
         try:
-            self._values += [retract_value(value, s) for s in (*steps, *-steps)]
+            self._variants = value.retract(np.concatenate([steps, -steps]))
         except _EVAL_ERRORS as exc:
             self._error = exc
 
-    @property
-    def values(self) -> list:
+    def _rows(self, name: str) -> np.ndarray:
+        """The value's field ``name`` above its variants', (n, ...), in C
+        order as the kernels take it."""
         if self._error is not None:
             raise self._error
-        return self._values
+        rows = getattr(self._value, name)[None]
+        if self._variants is not None:
+            rows = np.concatenate([rows, getattr(self._variants, name)])
+        return np.ascontiguousarray(rows)
 
     @cached_property
     def duals(self) -> np.ndarray:
-        """A landmark's duals over ``values``, stacked (len(values), 4, 4)."""
-        return np.stack([v.dual for v in self.values])
+        """A landmark's duals (n, 4, 4)."""
+        return self._rows("dual")
+
+    @cached_property
+    def rotations(self) -> np.ndarray:
+        """A pose's rotations (n, 3, 3)."""
+        return self._rows("rotation")
+
+    @cached_property
+    def translations(self) -> np.ndarray:
+        """A pose's translations (n, 3)."""
+        return self._rows("translation")
 
     @cached_property
     def cameras(self) -> np.ndarray:
-        """A pose's cached [R|t] over ``values``, stacked (len(values), 3, 4)."""
-        return np.array([v.inverse_rt for v in self.values])
+        """A pose's camera-from-world [R|t] (n, 3, 4)."""
+        return self._rows("inverse_rt")
 
     @cached_property
     def rts(self):
@@ -287,7 +309,7 @@ def _box_blocks(plan: _Plan, stacks: dict, columns: dict, blocks: dict) -> None:
                 continue
             pose_id, lm_id = f.targets
             table = rows[starts[k] : starts[k] + sizes[k]]
-            n = len(stacks[lm_id].values)
+            n = len(stacks[lm_id].duals)
             blocks[f.fid] = (table[0], stacks[lm_id].pieces(columns, lm_id, table[1:n])
                              + stacks[pose_id].pieces(columns, pose_id, table[n:]))
 

@@ -19,7 +19,7 @@ from quadricfit.costs import (
     residual_pose_prior,
     unit_direction,
 )
-from quadricfit.manifold import InvalidInputError, Pose, se3_exp, so3_exp
+from quadricfit.manifold import InvalidInputError, Pose, se3_exp, se3_log, so3_exp
 from quadricfit.quadric import (
     DegenerateLandmarkError,
     RtsState,
@@ -30,7 +30,7 @@ from quadricfit.quadric import (
     rts_from_duals,
 )
 from conftest import random_rts
-from oracles import permuted_rts, residual
+from oracles import permuted_rts, residual, scalar_se3_log
 
 INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
 
@@ -298,6 +298,28 @@ def test_residual_support_examples():
     q2 = RtsState(np.eye(3), np.array([0.0, 0.0, 1.0]), np.full(3, 2.0)).dual
     val = residual("support", q2, {"plane": np.array([0.0, 0.0, 1.0, 0.0])})
     assert abs(val - 3.0) < 1e-12  # reach^2 - dist^2 = 4 - 1
+
+
+def test_pose_prior_rows_equal_per_row_logs(rng):
+    # One batched logarithm over a stack of poses gives each row the bits of
+    # its own se3_log, across the small-angle, general and near-pi branches.
+    observed = Pose(so3_exp(rng.normal(size=3)), rng.normal(size=3))
+    axes = rng.normal(size=(10, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    angles = [0.0, 1e-9, 5e-8, 3e-7, 1e-3, 0.7, 2.5, 3.0, np.pi - 1e-7, np.pi - 3e-9]
+    poses = [se3_exp(np.concatenate([a * axis, rng.normal(size=3)])).compose(observed)
+             for a, axis in zip(angles, axes)]
+    rows = residual_pose_prior(Pose(np.stack([x.rotation for x in poses]),
+                                    np.stack([x.translation for x in poses])), observed)
+    thetas = []
+    for x, row in zip(poses, rows):
+        rel = x.compose(observed.inverse())
+        assert np.array_equal(row, se3_log(rel))
+        assert np.array_equal(row, scalar_se3_log(rel.rotation, rel.translation))
+        thetas.append(np.arccos(np.clip(0.5 * (np.trace(rel.rotation) - 1.0), -1.0, 1.0)))
+    thetas = np.array(thetas)
+    assert (thetas < 1e-7).sum() >= 2 and (thetas > np.pi - 1e-6).sum() == 2
+    assert ((thetas >= 1e-7) & (thetas <= np.pi - 1e-6)).sum() >= 5
 
 
 def test_residual_pose_prior(rng):

@@ -252,6 +252,35 @@ def test_default_jobs_follow_the_affinity_set(monkeypatch):
     assert sim.usable_cpus() == 64
 
 
+def test_run_campaign_starts_no_more_workers_than_tasks(monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        """Records the worker count asked for and runs the tasks in-process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+    one = CampaignSpec(master_seed=1, noise_levels=("L",), arcs=(60.0,), trials_per_cell=1,
+                       parameterizations=("rts",), models=("inverse",))
+    assert len(run_campaign(one, jobs=4)) == 1
+    assert pools == []
+    two = CampaignSpec(master_seed=1, noise_levels=("L",), arcs=(60.0,), trials_per_cell=2,
+                       parameterizations=("rts",), models=("inverse",))
+    assert len(run_campaign(two, jobs=8)) == 2
+    assert pools == [2]
+
+
 def test_trial_problem_rejects_unknown_model():
     trial = make_trial(60.0, NOISE_LEVELS["L"], np.random.SeedSequence(5))
     with pytest.raises(ValueError, match="unknown model 'foo'"):

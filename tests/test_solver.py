@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadricfit import _kernels, costs, solver
@@ -20,6 +20,7 @@ from quadricfit.manifold import InvalidInputError, Pose, se3_exp, so3_exp
 from quadricfit.quadric import (
     DegenerateLandmarkError,
     RtsState,
+    SpdState,
     as_parameterization,
     dual_center,
     dual_shape,
@@ -43,7 +44,13 @@ from quadricfit.solver import (
     solve,
     total_cost,
 )
-from oracles import frame_edge_planes
+from oracles import (
+    frame_edge_planes,
+    scalar_dual,
+    scalar_inverse_rt,
+    scalar_landmark_retract,
+    scalar_pose_retract,
+)
 
 INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
 
@@ -397,8 +404,23 @@ def _safe_dual(value):
         return None
 
 
+class _OracleVariants:
+    """A free variable's value and its plus, then its minus FD variants,
+    each made by its own scalar ``retract``."""
+
+    def __init__(self, value):
+        self.dim = value.tangent_dim
+        self.h = solver.FD_STEP * value.fd_scales()
+        steps = np.diag(self.h)
+        self.values = [value] + [value.retract(s) for s in (*steps, *-steps)]
+
+    @property
+    def duals(self):
+        return np.stack([v.dual for v in self.values])
+
+
 def _stack_read(stack, name):
-    """A solver stack's ``values`` or ``duals``, or None when they cannot be formed."""
+    """The variants' ``values`` or ``duals``, or None when they cannot be formed."""
     try:
         return getattr(stack, name)
     except _EVAL_ERRORS:
@@ -485,7 +507,7 @@ def _oracle_block(f, values, variants, columns, n):
 def _oracle_linearize(problem):
     unconstrained = set(problem.unconstrained())
     free = [v for v in problem.free_ids() if v not in unconstrained]
-    variants = {vid: solver._Stack(problem.variables[vid], solver.FD_STEP) for vid in free}
+    variants = {vid: _OracleVariants(problem.variables[vid]) for vid in free}
     columns, offset = {}, 0
     for vid in free:
         columns[vid] = slice(offset, offset + variants[vid].dim)
@@ -799,9 +821,10 @@ def test_one_kernel_call_per_box_model_and_evaluation(monkeypatch):
 def test_one_camera_per_pose_value_and_one_plane_call_per_evaluation(monkeypatch):
     # Both box models see a pose through the [R|t] its value caches, so each
     # pose value inverts once however many factors carry it: a fixed pose
-    # once across a whole solve, a free pose's 13 values (the value and its
-    # 12 FD variants) once per linearization. Box-semi builds the edge
-    # planes of all its rows in one call per evaluation.
+    # once across a whole solve, a free pose's 13 values once per
+    # linearization, the value alone and its 12 FD variants in one stacked
+    # call. Box-semi builds the edge planes of all its rows in one call per
+    # evaluation.
     problem, boxes, kinds = mixed_box_problem()
     # Pose priors invert their observed pose; only the box factors see cameras.
     problem.factors = [f for f in problem.factors if f.kind != "pose-prior"]
@@ -832,7 +855,7 @@ def test_one_camera_per_pose_value_and_one_plane_call_per_evaluation(monkeypatch
     assert not linearize(Problem(fresh_poses(), problem.factors, problem.fixed)).skipped
     assert len(plane_calls) == 1
     assert len(plane_calls[0][2]) == sum(19 + 12 * (f.targets[0] != "cam0") for f in semi)
-    assert len(inverted) == 1 + 3 * 13
+    assert sorted(len(np.reshape(p.translation, (-1, 3))) for p in inverted) == [1] * 4 + [12] * 3
     assert len({id(p) for p in inverted}) == len(inverted)
 
     inverted.clear()
@@ -844,6 +867,115 @@ def test_one_camera_per_pose_value_and_one_plane_call_per_evaluation(monkeypatch
     assert sum(p is fixed.variables["cam0"] for p in inverted) == 1
     assert len({id(p) for p in inverted}) == len(inverted)
     assert len(plane_calls) == len(evaluations)
+
+
+def _stack_value(kind, seed, fd_step, edge):
+    """A pose or landmark value; with ``edge``, an RtsState whose third
+    semi-axis minus its FD step is about zero, or an SpdState whose
+    smallest eigenvalue sits at the retraction's relative floor
+    (1e-15 x 1e3), which some of its variants then take."""
+    rng = np.random.default_rng(seed)
+    rotation, translation = so3_exp(rng.normal(size=3)), rng.normal(scale=2.0, size=3)
+    if kind == "pose":
+        return Pose(rotation, translation)
+    if kind == "spd" and edge:
+        return SpdState(np.diag([1e3, 1e-2, 1.0001e-12]), translation)
+    scale = rng.uniform(0.2, 2.0, size=3)
+    if kind == "rts" and edge:
+        scale[2] = fd_step / (1.0 - fd_step)  # equals its FD step, fd_step * (1 + scale)
+    return as_parameterization(RtsState(rotation, translation, scale), kind)
+
+
+def _outcome(make):
+    """``make()``, or the repr of the DegenerateLandmarkError it raises."""
+    try:
+        return make()
+    except DegenerateLandmarkError as exc:
+        return repr(exc)
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return np.array_equal(a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["pose", "rts", "spd", "full"]), st.integers(0, 2**31 - 1),
+       st.sampled_from([1e-9, 1e-7, 1e-6, 1e-3, 0.5]), st.booleans())
+@example("pose", 0, 1e-9, False)
+@example("pose", 0, 1e-7, False)
+@example("rts", 0, 1e-9, False)
+@example("rts", 0, 1e-6, True)
+@example("spd", 0, 1e-3, True)
+@example("spd", 0, 0.5, True)
+def test_fd_stack_rows_equal_scalar_retractions(kind, seed, fd_step, edge):
+    # Each row of a variable's batched FD stack has the bits of its own
+    # scalar retract (a batch of one) and of the one-value-at-a-time
+    # formulas, value first, then the plus and the minus steps. Steps of
+    # 1e-9 and 1e-7 rad fall below the small-angle thresholds; a stack
+    # with an underivable row raises that row's error, as the scalar does.
+    # A batched retract over random steps of mixed sizes, rotation and
+    # translation together, matches the formulas too.
+    value = _stack_value(kind, seed, fd_step, edge)
+    with mock.patch.object(solver, "FD_STEP", fd_step):
+        variants = _OracleVariants(value)
+    stack = solver._Stack(value, fd_step)
+    steps = np.diag(variants.h)
+    mixed = np.random.default_rng(seed).normal(size=(6, value.tangent_dim))
+    steps = np.concatenate([steps, -steps, mixed * np.array([0, 1e-9, 1e-7, 1e-5, 1e-2, 1])[:, None]])
+    batch = value.retract(steps)
+    if kind == "pose":
+        oracle = np.stack([scalar_pose_retract(value.rotation, value.translation, s) for s in steps])
+        assert np.array_equal(batch.rotation, oracle[:, :, :3])
+        assert np.array_equal(batch.translation, oracle[:, :, 3])
+        rt = np.stack([np.column_stack([v.rotation, v.translation]) for v in variants.values])
+        assert np.array_equal(rt[1:], oracle[:len(rt) - 1])
+        assert np.array_equal(stack.rotations, rt[:, :, :3])
+        assert np.array_equal(stack.translations, rt[:, :, 3])
+        cameras = np.stack([scalar_inverse_rt(m[:, :3], m[:, 3]) for m in rt])
+        assert np.array_equal(stack.cameras, cameras)
+        assert np.array_equal(np.stack([v.inverse_rt for v in variants.values]), cameras)
+        return
+    oracle = [scalar_landmark_retract(value, s) for s in steps]
+    for name in batch.__dataclass_fields__:
+        assert np.array_equal(getattr(batch, name), np.stack([getattr(o, name) for o in oracle]))
+    oracle = oracle[:len(variants.values) - 1]
+    got = _outcome(lambda: stack.duals)
+    expected = _outcome(lambda: variants.duals)
+    assert _same(got, expected)
+    assert _same(expected, _outcome(lambda: np.stack([scalar_dual(v) for v in [value] + oracle])))
+    if kind == "rts" and edge:
+        assert got == repr(DegenerateLandmarkError("semi-axis length is (near) zero"))
+
+
+def _free_pose_problem():
+    """A random graph with every pose free and a pose prior on each."""
+    problem = random_graph_problem(4, "rts", 2, 3)
+    problem.fixed = set()
+    assert {f.targets[0] for f in problem.factors if f.kind == "pose-prior"} == {"cam0", "cam1", "cam2"}
+    return problem
+
+
+def test_linearize_makes_no_scalar_retractions(monkeypatch):
+    # The FD variants come from one batched retract per variable; only the
+    # LM candidate step retracts through retract_value, once per free
+    # variable per attempt.
+    calls = []
+    retract = solver.retract_value
+
+    def counted(value, delta):
+        calls.append(value)
+        return retract(value, delta)
+
+    monkeypatch.setattr(solver, "retract_value", counted)
+    for problem in (mixed_box_problem()[0], _free_pose_problem()):
+        assert not linearize(problem).skipped
+        assert calls == []
+        report = solve(problem, SolveOptions(max_iterations=3))
+        assert report.attempts > 0
+        assert len(calls) == report.attempts * len(problem.free_ids())
+        calls.clear()
 
 
 def test_problem_rejects_non_finite_values():
