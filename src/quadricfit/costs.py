@@ -2,13 +2,15 @@
 orientation, shape, size, supporting plane and pose prior.
 
 Each factor kind is defined once, in :data:`FACTOR_KINDS`: its residual
-dimension, its default variance, its batched row function, its payload
-check and its number of targets. :func:`box_factor_kind` names the box
-kind of each measurement model in :data:`MODELS`. The solver evaluates
-every factor through the table, on stacks of its targets' values, and so
-does :func:`quadricfit.solver.factor_residual` for a single factor; there
-is no second, one-factor implementation of any residual, and a payload is
-checked once, when its :class:`Factor` is built.
+dimension, its default variance, its batched row functions, its payload
+check and packing, and the roles of its targets. :func:`box_factor_kind`
+names the box kind of each measurement model in :data:`MODELS`. The
+solver evaluates all the factors of a kind in one call through the table,
+on rows gathered from its targets' stacked values with each row's packed
+payload, and so does :func:`quadricfit.solver.factor_residual` for a
+single factor; there is no second, one-factor implementation of any
+residual, and a payload is checked once, when its :class:`Factor` is
+built.
 
 Every residual is evaluated through the canonical dual quadric, so its
 value does not depend on which landmark parameterization produced the
@@ -176,7 +178,7 @@ def _evaluable(rows: np.ndarray):
     return rows, np.zeros(len(rows), dtype=int)
 
 
-def box_inverse_rows(rt, duals, intrinsics, observed):
+def box_inverse_rows(duals, rt, intrinsics, observed):
     """Predicted box minus observed box (4 components, px), a row per camera:
     ``rt`` (n, 3, 4) holds each row's camera-from-world [R|t],
     ``intrinsics`` (n, 4) its fx, fy, cx, cy and ``observed`` (n, 4) its
@@ -186,10 +188,10 @@ def box_inverse_rows(rt, duals, intrinsics, observed):
     return boxes - observed, status
 
 
-def box_semi_rows(rt, duals, intrinsics, observed):
+def box_semi_rows(duals, planes):
     """Tangency defect of each observed edge plane (4 components), a row
-    per camera, with the arguments of :func:`box_inverse_rows`; the rows'
-    edge planes are built in one :func:`box_edge_planes` call.
+    per camera: ``planes`` (n, 4, 4) holds each row's edge planes, as
+    :func:`box_edge_planes` builds them.
 
     With a unit-normal plane and the canonical quadric scale the defect is
     ``reach^2 - dist^2`` (m^2): the squared support reach of the ellipsoid
@@ -199,7 +201,7 @@ def box_semi_rows(rt, duals, intrinsics, observed):
     rather than summed so a per-edge covariance stays meaningful; the
     minimizer is the same under isotropic covariance. Always evaluable.
     """
-    return _evaluable(_kernels.tangency_values(box_edge_planes(intrinsics, rt, observed), duals))
+    return _evaluable(_kernels.tangency_values(planes, duals))
 
 
 def unit_direction(m) -> np.ndarray:
@@ -212,8 +214,8 @@ def unit_direction(m) -> np.ndarray:
 
 
 def orientation_residuals(rotations: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Alignment defect of each landmark axis against unit direction ``m``,
-    for rotations (n, 3, 3); (n, 9).
+    """Alignment defect of each landmark axis against unit direction ``m``
+    (3,), or a direction per row (n, 3), for rotations (n, 3, 3); (n, 9).
 
     For axis column n: ``(n x m) * (n . m)``, which vanishes when the axis
     is parallel or perpendicular to ``m``; stacking all three axes gives a
@@ -224,53 +226,67 @@ def orientation_residuals(rotations: np.ndarray, m: np.ndarray) -> np.ndarray:
     in ``np.cross``.
     """
     a0, a1, a2 = rotations[:, 0], rotations[:, 1], rotations[:, 2]  # (n, axis)
-    m0, m1, m2 = m
+    m = np.asarray(m)[..., None, :]
+    m0, m1, m2 = m[..., 0], m[..., 1], m[..., 2]
     cross = np.stack([a1 * m2 - a2 * m1, a2 * m0 - a0 * m2, a0 * m1 - a1 * m0], axis=-1)
     return (cross * np.vecdot(np.swapaxes(rotations, 1, 2), m)[..., None]).reshape(-1, 9)
 
 
+def _abc(prior):
+    """The semi-axes a, b, c of a prior (3,), or of a prior per row (n, 3)."""
+    prior = np.asarray(prior, dtype=float)
+    return prior[..., 0], prior[..., 1], prior[..., 2]
+
+
 def shape_residuals(scales: np.ndarray, prior) -> np.ndarray:
     """Axis-ratio defect [s1/s3 - a/c, s2/s3 - b/c] of descending semi-axes
-    (n, 3); (n, 2). The prior is sorted a >= b >= c."""
-    a, b, c = (float(x) for x in prior)
+    (n, 3); (n, 2). The prior (3,), or a prior per row (n, 3), is sorted
+    a >= b >= c."""
+    a, b, c = _abc(prior)
     return np.stack([scales[:, 0] / scales[:, 2] - a / c,
                      scales[:, 1] / scales[:, 2] - b / c], axis=1)
 
 
 def size_residuals(qs: np.ndarray, scales: np.ndarray, prior, form: str = "sqrt") -> np.ndarray:
     """Volume-scale defect against the prior product a*b*c, for duals
-    (n, 4, 4) and their semi-axes (n, 3); (n,).
+    (n, 4, 4), their semi-axes (n, 3) and a prior (3,) or a prior per row
+    (n, 3); (n,).
 
     form='sqrt' (default) compares the semi-axis product s1*s2*s3, which has
     the same units as a*b*c. form='det' compares the raw shape-block
     determinant (s1*s2*s3)^2 instead, kept selectable for A/B comparison.
     """
-    a, b, c = (float(x) for x in prior)
+    a, b, c = _abc(prior)
     if form == "det":
         return np.linalg.det(dual_shape(qs)) - a * b * c
     return scales[:, 0] * scales[:, 1] * scales[:, 2] - a * b * c
 
 
-def support_residuals(qs: np.ndarray, plane) -> np.ndarray:
-    """Tangency defect of a supporting plane for duals (n, 4, 4), zero when
-    tangent; (n,). Same ``reach^2 - dist^2`` form as the box-semi residual;
-    the plane is scaled to a unit normal first."""
+def unit_plane(plane) -> np.ndarray:
+    """A supporting plane scaled to a unit normal, unless its normal's norm
+    is within 1e-9 of 1."""
     plane = np.asarray(plane, dtype=float)
     n = np.linalg.norm(plane[:3])
-    if abs(n - 1.0) > 1e-9:
-        plane = plane / n
-    return np.vecdot(plane @ qs, plane)
+    return plane / n if abs(n - 1.0) > 1e-9 else plane
 
 
-def residual_pose_prior(x: Pose, observed: Pose) -> np.ndarray:
+def support_residuals(qs: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """Tangency defect of a unit-normal supporting plane per row (n, 4) for
+    duals (n, 4, 4), zero when tangent; (n,). Same ``reach^2 - dist^2``
+    form as the box-semi residual."""
+    return np.vecdot((planes[:, None, :] @ qs)[:, 0], planes)
+
+
+def residual_pose_prior(x: Pose, observed_inverse: Pose) -> np.ndarray:
     """se(3) error ``Log(x observed^{-1})``; zero iff the poses match.
-    (n, 6) for a stack of poses ``x``, in one batched logarithm.
+    (n, 6) for a stack of poses ``x``, in one batched logarithm, with the
+    observed pose's inverse, one or a stack of n.
 
     The right-difference order pairs with the left-multiplicative pose
     retraction: an offset ``x = Exp(xi) observed`` maps back to exactly
     ``xi``, and the tangent Jacobian at the prior is the identity.
     """
-    return se3_log(x.compose(observed.inverse()))
+    return se3_log(x.compose(observed_inverse))
 
 
 # ---------------------------------------------------------------------------
@@ -280,30 +296,83 @@ def residual_pose_prior(x: Pose, observed: Pose) -> np.ndarray:
 @dataclass(frozen=True)
 class FactorKind:
     """A factor kind: residual dimension, default per-component variance,
-    ``rows``, which gives a factor's residual rows (n, dim) over stacked
-    values of its targets and each row's status (n,), 0 where evaluable,
-    ``check``, which raises :class:`InvalidInputError` for a payload the
-    rows cannot read, and the number of targets a factor of the kind takes.
+    ``rows``, which gives residual rows (n, dim) and each row's status (n,),
+    0 where evaluable, ``check``, which raises :class:`InvalidInputError`
+    for a payload the rows cannot read, ``pack``, which stacks the payloads
+    of a list of factors into a tuple of arrays with a leading axis over the
+    factors, and the role of each target, "pose" or "landmark".
 
-    A single-target kind reads ``rows(stack, payload)`` from its variable's
-    stack of n values: a pose's ``rotations`` (n, 3, 3) and ``translations``
-    (n, 3), or a landmark's ``duals`` (n, 4, 4) and ``rts``, their
-    :func:`~quadricfit.quadric.rts_from_duals` shared by the stack's priors.
-    A camera-landmark kind (two targets: pose, landmark) has rows as
-    :func:`box_inverse_rows`, each row seen through the ``inverse_rt`` of
-    a value of the pose.
+    A single-target kind reads ``rows(stack, *payload)``: n rows of its
+    variables' values, a pose's ``rotations`` (n, 3, 3) and
+    ``translations`` (n, 3), or a landmark's ``duals`` (n, 4, 4) and, for a
+    ``decomposed`` kind, ``rts``, their
+    :func:`~quadricfit.quadric.rts_from_duals`, which every decomposed row
+    of an evaluation shares; ``payload`` holds each row's packed payload.
+
+    A camera-landmark kind (targets pose, landmark) gives
+    ``rows(rt, duals, intrinsics, observed)``, each row seen through the
+    camera-from-world [R|t] of a value of the pose, as two steps: ``view``
+    takes the rt, intrinsics and observed box of each (pose value, factor)
+    pair to the pair's camera data, and ``seen(duals, *view)`` gives the
+    rows of duals seen through it. So the solver builds a fixed pose's
+    camera data once per solve, and a free pose's once per value.
     """
 
     dim: int
     variance: float
     rows: Callable
     check: Callable
-    targets: int = 1
+    pack: Callable
+    roles: tuple = ("landmark",)
+    decomposed: bool = False
+    view: Callable | None = None
+    seen: Callable | None = None
+
+    @property
+    def targets(self) -> int:
+        return len(self.roles)
+
+
+def _camera_kind(view: Callable, seen: Callable) -> FactorKind:
+    """The camera-landmark kind whose rows are ``seen(duals, *view(rt,
+    intrinsics, observed))``."""
+    return FactorKind(4, 5.0**2, lambda rt, duals, intrinsics, observed: seen(
+        duals, *view(rt, intrinsics, observed)), _check_box, _pack_box, ("pose", "landmark"),
+        view=view, seen=seen)
 
 
 def _decomposed(stack) -> np.ndarray:
-    """Row statuses of a prior read from the stack's shared decomposition."""
+    """Row statuses of a prior read from the shared decomposition."""
     return np.where(stack.rts[2], 0, NOT_DECOMPOSABLE)
+
+
+def _size_rows(stack, prior, det):
+    """Size-prior rows, in the det form where ``det`` (n,) is set."""
+    out = size_residuals(stack.duals, stack.rts[1], prior)
+    if det.any():
+        out[det] = size_residuals(stack.duals[det], None, prior[det], "det")
+    return out[:, None], _decomposed(stack)
+
+
+def _pack_box(payloads) -> tuple:
+    """Each factor's intrinsics (k, 4) as fx, fy, cx, cy and box (k, 4)."""
+    intrinsics = [p["intrinsics"] for p in payloads]
+    return (np.array([[i.fx, i.fy, i.cx, i.cy] for i in intrinsics]),
+            np.array([p["box"].as_array() for p in payloads]))
+
+
+def _pack(key: str, read: Callable = np.asarray) -> Callable:
+    """Packs ``read(payload[key])`` of each factor."""
+    return lambda payloads: (np.array([read(p[key]) for p in payloads], dtype=float),)
+
+
+def _pack_inverse(payloads) -> tuple:
+    """Each factor's observed pose inverted, as rotations (k, 3, 3) and
+    translations (k, 3), in one batched inverse."""
+    observed = [p["observed"] for p in payloads]
+    inverse = Pose(np.stack([o.rotation for o in observed]),
+                   np.stack([o.translation for o in observed])).inverse()
+    return inverse.rotation, inverse.translation
 
 
 def _get(payload, key: str):
@@ -342,21 +411,25 @@ def _check_support(payload) -> None:
 # The row functions look up box_edge_planes and the kernels at call time,
 # so a tracer or a test that replaces them by name sees every call.
 FACTOR_KINDS = {
-    "box-inverse": FactorKind(4, 5.0**2, box_inverse_rows, _check_box, targets=2),
-    "box-semi": FactorKind(4, 5.0**2, box_semi_rows, _check_box, targets=2),
-    "orientation": FactorKind(9, 0.1**2, lambda s, p: (
-        orientation_residuals(s.rts[0], unit_direction(p["direction"])), _decomposed(s)),
-        lambda p: unit_direction(finite_numbers("direction", _get(p, "direction"), (3,)))),
-    "shape": FactorKind(2, 0.5**2, lambda s, p: (
-        shape_residuals(s.rts[1], p["prior"]), _decomposed(s)), _check_prior),
-    "size": FactorKind(1, 0.2**2, lambda s, p: (
-        size_residuals(s.duals, s.rts[1], p["prior"], p.get("form", "sqrt"))[:, None],
-        _decomposed(s)), _check_size),
-    "support": FactorKind(1, 0.05**2, lambda s, p: _evaluable(
-        support_residuals(s.duals, p["plane"])[:, None]), _check_support),
-    "pose-prior": FactorKind(6, 0.01**2, lambda s, p: _evaluable(
-        residual_pose_prior(Pose(s.rotations, s.translations), p["observed"])),
-        lambda p: _entry(p, "observed", Pose)),
+    "box-inverse": _camera_kind(lambda rt, intrinsics, observed: (rt, intrinsics, observed),
+                                box_inverse_rows),
+    "box-semi": _camera_kind(lambda rt, intrinsics, observed: (
+        box_edge_planes(intrinsics, rt, observed),), box_semi_rows),
+    "orientation": FactorKind(9, 0.1**2, lambda s, m: (
+        orientation_residuals(s.rts[0], m), _decomposed(s)),
+        lambda p: unit_direction(finite_numbers("direction", _get(p, "direction"), (3,))),
+        _pack("direction", unit_direction), decomposed=True),
+    "shape": FactorKind(2, 0.5**2, lambda s, prior: (
+        shape_residuals(s.rts[1], prior), _decomposed(s)), _check_prior, _pack("prior"),
+        decomposed=True),
+    "size": FactorKind(1, 0.2**2, _size_rows, _check_size, lambda payloads: (
+        *_pack("prior")(payloads), np.array([p.get("form", "sqrt") == "det" for p in payloads])),
+        decomposed=True),
+    "support": FactorKind(1, 0.05**2, lambda s, plane: _evaluable(
+        support_residuals(s.duals, plane)[:, None]), _check_support, _pack("plane", unit_plane)),
+    "pose-prior": FactorKind(6, 0.01**2, lambda s, rotation, translation: _evaluable(
+        residual_pose_prior(Pose(s.rotations, s.translations), Pose(rotation, translation))),
+        lambda p: _entry(p, "observed", Pose), _pack_inverse, ("pose",)),
 }
 
 # Measurement model -> the box factor kind that implements it.

@@ -89,16 +89,9 @@ def as_spd(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def sym_to_vec6(x: np.ndarray) -> np.ndarray:
-    """Coordinates of a symmetric 3x3 matrix: diagonal, then scaled off-diagonal."""
-    x = np.asarray(x, dtype=float)
-    return np.array(
-        [x[0, 0], x[1, 1], x[2, 2], _SQRT2 * x[0, 1], _SQRT2 * x[0, 2], _SQRT2 * x[1, 2]]
-    )
-
-
 def vec6_to_sym(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`sym_to_vec6`; (..., 6) to (..., 3, 3)."""
+    """The symmetric 3x3 matrix of 6 coordinates, diagonal then scaled
+    off-diagonal; (..., 6) to (..., 3, 3)."""
     v = np.asarray(v, dtype=float)
     o01, o02, o12 = v[..., 3] / _SQRT2, v[..., 4] / _SQRT2, v[..., 5] / _SQRT2
     rows = (v[..., 0], o01, o02, o01, v[..., 1], o12, o02, o12, v[..., 2])
@@ -136,11 +129,6 @@ def spd_sqrt(p: np.ndarray) -> np.ndarray:
     return _eigh_apply(p, np.sqrt)
 
 
-def spd_inv_sqrt(p: np.ndarray) -> np.ndarray:
-    """Inverse SPD square root."""
-    return _eigh_apply(p, lambda w: 1.0 / np.sqrt(w))
-
-
 # Numerical guards for the SPD retraction. The exponent clamp keeps
 # absurdly long trial steps (which an optimizer rejects anyway) finite;
 # the relative eigenvalue floor absorbs the roundoff of the sandwich
@@ -166,52 +154,30 @@ def _spd_exp_congruence(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def spd_retract(p: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Exponential retraction on SPD(3).
-
-    ``p [+] xi = p^{1/2} Exp(p^{-1/2} xi p^{-1/2}) p^{1/2}``.  The result is
-    symmetric positive-definite for every finite symmetric ``xi``, and
-    ``spd_retract(p, 0)`` returns ``p`` unchanged.
-    """
-    xi = _require_finite("spd tangent", xi)
-    if not np.any(xi):
-        return p
-    s_inv = spd_inv_sqrt(p)
-    return spd_retract_normalized(p, s_inv @ xi @ s_inv)
-
-
 def spd_retract_normalized(p: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Exponential retraction in metric-orthonormal tangent coordinates.
 
-    ``p^{1/2} Exp(z) p^{1/2}``, which equals ``spd_retract(p, p^{1/2} z
-    p^{1/2})``.  The Frobenius norm of ``z`` is exactly the affine-invariant
-    metric length of the step, so damping and trust bounds expressed on
-    ``z`` act in the manifold's own geometry regardless of how
+    ``p^{1/2} Exp(z) p^{1/2}``: the exponential retraction
+    ``p^{1/2} Exp(p^{-1/2} xi p^{-1/2}) p^{1/2}`` of the step
+    ``xi = p^{1/2} z p^{1/2}``.  The Frobenius norm of ``z`` is exactly the
+    affine-invariant metric length of the step, so damping and trust bounds
+    expressed on ``z`` act in the manifold's own geometry regardless of how
     ill-conditioned ``p`` is.
 
-    ``z`` is one step (3, 3) or a stack of them (..., 3, 3); ``p^{1/2}`` is
-    computed once for the stack, and a row whose step is zero is ``p``
-    unchanged.
+    ``z`` is one step (3, 3) or a stack of them (..., 3, 3), and ``p`` one
+    base, whose ``p^{1/2}`` serves every step, or a base per step; a row
+    whose step is zero is its base unchanged.
     """
     z = _require_finite("spd tangent", z)
+    p = np.asarray(p, dtype=float)
     steps = z.reshape(-1, 3, 3)
     moved = steps.any(axis=(1, 2))
-    out = np.repeat(np.asarray(p, dtype=float)[None], len(steps), axis=0)
+    out = np.broadcast_to(p, z.shape).reshape(-1, 3, 3).copy()
     if moved.any():
-        out[moved] = _spd_exp_congruence(spd_sqrt(p), steps[moved])
+        s = spd_sqrt(p)
+        out[moved] = _spd_exp_congruence(s if s.ndim == 2 else s.reshape(-1, 3, 3)[moved],
+                                         steps[moved])
     return out.reshape(z.shape)
-
-
-def spd_metric(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Affine-invariant inner product ``tr(p^{-1} a p^{-1} b)`` at ``p``.
-
-    Invariant under congruence: ``spd_metric(g p g^T, g a g^T, g b g^T)``
-    equals ``spd_metric(p, a, b)`` for any invertible ``g``.  Evaluated via
-    linear solves rather than an explicit inverse.
-    """
-    x = np.linalg.solve(p, a)
-    y = np.linalg.solve(p, b)
-    return float(np.trace(x @ y))
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +336,9 @@ class Pose:
     the camera every camera-landmark factor sees it through.
 
     A Pose may also hold a stack of n poses, rotations (n, 3, 3) and
-    translations (n, 3): ``retract`` with steps (n, 6) gives one, and
-    ``compose``, ``inverse``, ``inverse_rt`` and ``matrix`` work row by
-    row on it.
+    translations (n, 3): ``retract`` with steps (n, 6) gives one, from one
+    pose or from a stack of n, and ``fd_scales``, ``compose``, ``inverse``,
+    ``inverse_rt`` and ``matrix`` work row by row on it.
     """
 
     rotation: np.ndarray
@@ -384,7 +350,8 @@ class Pose:
         return pose_retract(self, xi)
 
     def fd_scales(self) -> np.ndarray:
-        return np.concatenate([np.ones(3), 1.0 + np.abs(self.translation)])
+        return np.concatenate([np.ones_like(self.translation), 1.0 + np.abs(self.translation)],
+                              axis=-1)
 
     def settled(self) -> "Pose":
         return settle_rotation(self)

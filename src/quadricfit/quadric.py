@@ -22,12 +22,15 @@ All states implement ``tangent_dim`` / ``retract`` / ``fd_scales`` /
 differentiates every variable and fixes it up after an accepted step;
 camera poses (:class:`quadricfit.manifold.Pose`) implement it too.
 Landmark states add ``dual``, the quadric every landmark factor is
-evaluated on. ``retract`` is batched: steps (n, tangent_dim) give one
-state holding n values along a leading axis of each field, whose ``dual``
-is the stack (n, 4, 4), each row with the bits of its own single retract,
-which is the batch of one. So the solver builds all the finite-difference
-variants of a variable in one numpy pass. :data:`PARAMETERIZATIONS` holds the classes' tags, which
-:func:`as_parameterization` and :func:`parameterization_tag` map to states.
+evaluated on. ``retract`` is batched: steps (n, tangent_dim), from one
+state or from a state holding n values along a leading axis of each field,
+give a state holding n values, whose ``dual`` is the stack (n, 4, 4) and
+whose ``fd_scales`` are (n, tangent_dim), each row with the bits of its
+own single call, which is the batch of one. So the solver steps all the
+landmarks of a parameterization, and makes all their finite-difference
+variants, in one numpy pass each. :data:`PARAMETERIZATIONS` holds the
+classes' tags, which :func:`as_parameterization` and
+:func:`parameterization_tag` map to states.
 """
 
 from __future__ import annotations
@@ -184,9 +187,8 @@ class RtsState:
         )
 
     def fd_scales(self) -> np.ndarray:
-        return np.concatenate(
-            [np.ones(3), 1.0 + np.abs(self.translation), 1.0 + np.abs(self.scale)]
-        )
+        t = np.asarray(self.translation, dtype=float)
+        return np.concatenate([np.ones_like(t), 1.0 + np.abs(t), 1.0 + np.abs(self.scale)], axis=-1)
 
     def settled(self) -> "RtsState":
         return settle_rotation(self)
@@ -221,7 +223,8 @@ class SpdState:
         )
 
     def fd_scales(self) -> np.ndarray:
-        return np.concatenate([np.ones(6), 1.0 + np.abs(self.translation)])
+        t = np.asarray(self.translation, dtype=float)
+        return np.concatenate([np.ones(t.shape[:-1] + (6,)), 1.0 + np.abs(t)], axis=-1)
 
     def settled(self) -> "SpdState":
         return self  # every retraction stays on SPD(3)

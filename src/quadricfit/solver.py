@@ -9,28 +9,18 @@ and replaces each free variable by its ``settled()`` fixup after every
 accepted step. Identical solver settings therefore compare
 parameterizations fairly; only the retraction and its fixup differ.
 
-Finite differences are batched over the whole problem. Every variable has
-one :class:`_Stack` of the values its factors are evaluated at, held as
-arrays: the value alone, or for a free variable in a linearization the
-value and its FD variants, which one batched ``retract`` of the value
-makes in a single numpy pass (duals for a landmark; rotations,
-translations and cameras for a pose). Each factor kind is evaluated by
-its entry in :data:`quadricfit.costs.FACTOR_KINDS`, so the solver has no
-per-kind code.
-A per-solve plan sorts the factors once and groups camera-landmark factors
-by kind and single-target factors by variable. Each evaluation makes one
-row-function call per camera-landmark kind, with a camera per row: every
-factor's landmark stack seen from its pose and the landmark center seen
-from each of its pose's variants. Every row's camera is the [R|t] its pose
-value caches (``Pose.inverse_rt``), under both box models, so a pose value
-computes it once however many factors see it. A single-target factor,
-landmark prior or pose prior alike, is evaluated on its variable's stack,
-and a landmark's priors share the stack's one batched eigendecomposition.
-One block builder, :func:`_blocks`, does all of this; the cost calls it
-with value-only stacks and sums the residual rows it returns, so the cost
-is exactly the residual the Jacobian linearizes. Each row has the bits of
-the batch of one that :func:`factor_residual` evaluates, so batching
-changes no result.
+Evaluations are array passes, one per variable kind and one per factor
+kind. The free variables are held as one stacked value per kind (their
+class: poses, and each parameterization's landmarks), so the LM candidate
+step is one ``retract`` per kind, as are a linearization's FD variants. A
+per-solve :class:`_Plan` holds what only the fixed variables and the
+payloads decide, and the index arrays by which :func:`_evaluate` gathers
+each factor kind's inputs from a :class:`_Stack` per role and scatters
+its residual rows and central differences. A factor kind is one row call
+through :data:`quadricfit.costs.FACTOR_KINDS`, so the solver has no
+per-kind code. The cost sums, in factor-id order, exactly the residual
+rows the Jacobian linearizes, and each row has the bits of the batch of
+one that :func:`factor_residual` evaluates, so batching changes no result.
 
 Factors that cannot be evaluated at the current state (landmark behind the
 camera, degenerate projection) are dropped for that evaluation with a skip
@@ -48,26 +38,16 @@ import time
 import warnings
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import accumulate
+from types import SimpleNamespace
 
 import numpy as np
 
-from .costs import (
-    FACTOR_KINDS,
-    BehindCameraError,
-    DegenerateProjectionError,
-    Factor,
-    evaluation_error,
-)
+from .costs import FACTOR_KINDS, BehindCameraError, DegenerateProjectionError, Factor, evaluation_error
 from .manifold import require_integer
 from .quadric import DegenerateLandmarkError, rts_from_duals
 
-_EVAL_ERRORS = (
-    BehindCameraError,
-    DegenerateProjectionError,
-    DegenerateLandmarkError,
-    np.linalg.LinAlgError,
-)
+_EVAL_ERRORS = (BehindCameraError, DegenerateProjectionError, DegenerateLandmarkError,
+                np.linalg.LinAlgError)
 
 logger = logging.getLogger("quadricfit.solver")
 
@@ -83,7 +63,7 @@ class ProblemError(ValueError):
 def retract_value(value, delta: np.ndarray):
     """``value`` moved by the tangent step ``delta``: every variable, pose or
     landmark, carries its own retraction (see :class:`quadricfit.manifold.Pose`
-    and :mod:`quadricfit.quadric`)."""
+    and :mod:`quadricfit.quadric`), which also moves a kind's stacked values."""
     return value.retract(delta)
 
 
@@ -157,6 +137,21 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 # Residual evaluation
 
+# The fields a single-target kind reads per role, and the shape of a row of each stack field.
+_READS = {"pose": ("rotation", "translation"), "landmark": ("dual",)}
+_SHAPES = {"dual": (4, 4), "rotation": (3, 3), "translation": (3,), "inverse_rt": (3, 4)}
+
+
+def _stacked(values: list):
+    """One value holding ``values``, all of one class, along a leading axis."""
+    return type(values[0])(*(np.stack([getattr(v, f.name) for v in values])
+                             for f in fields(values[0])))
+
+
+def _take(value, rows):
+    """Rows (an index array) or one row (an int) of a stacked value."""
+    return type(value)(*(getattr(value, f.name)[rows] for f in fields(value)))
+
 
 def factor_residual(factor: Factor, values: dict) -> np.ndarray:
     """Residual vector of one factor at the given variable values.
@@ -165,209 +160,242 @@ def factor_residual(factor: Factor, values: dict) -> np.ndarray:
     evaluates it. Raises the evaluation errors (behind camera, degenerate
     projection or landmark) that the solver treats as per-iteration skips.
     """
-    block = _blocks(_Plan([factor]), {t: _Stack(values[t]) for t in factor.targets}, {})[factor.fid]
-    if isinstance(block, Exception):
-        raise block
-    return block[0]
+    residual, _, errors = _evaluate(_Plan([factor], values), [], None)
+    if errors:
+        raise errors[0]
+    return residual
 
 
 class _Plan:
-    """The factors of one solve, laid out once.
+    """What the evaluations of one solve share, laid out once: the factors
+    by id and by kind, with each kind's payloads packed; each variable's
+    role, pose or landmark; the variables by kind (class), the fixed kinds
+    stacked here and the free kinds in column order; the camera data of the
+    box factors on fixed poses (``views``); and :meth:`layout`."""
 
-    Factors are sorted by id; camera-landmark factors are grouped by kind,
-    with their intrinsics and observed boxes stacked, and single-target
-    factors by their variable.
-    """
-
-    def __init__(self, factors: list):
+    def __init__(self, factors: list, values: dict, free=()):
         self.factors = sorted(factors, key=lambda f: f.fid)
-        # kind -> (factors in fid order, intrinsics (k, 4) as fx, fy, cx, cy, boxes (k, 4))
-        self.boxes = {}
-        self.singles = {}  # variable id -> its single-target factors in fid order
-        for f in self.factors:
-            if FACTOR_KINDS[f.kind].targets == 1:
-                self.singles.setdefault(f.targets[0], []).append(f)
-            else:
-                self.boxes.setdefault(f.kind, []).append(f)
-        for kind, group in self.boxes.items():
-            intrinsics = [f.payload["intrinsics"] for f in group]
-            self.boxes[kind] = (group, np.array([[i.fx, i.fy, i.cx, i.cy] for i in intrinsics]),
-                                np.array([f.payload["box"].as_array() for f in group]))
+        self.role = {t: r for f in self.factors for t, r in zip(f.targets, FACTOR_KINDS[f.kind].roles)}
+        self.columns, fixed, kinds, offset = {}, {}, {}, 0
+        for vid in free:
+            self.columns[vid] = slice(offset, offset + values[vid].tangent_dim)
+            offset = self.columns[vid].stop
+            kinds.setdefault(type(values[vid]), []).append(vid)
+        for vid in (vid for vid in self.role if vid not in self.columns):
+            fixed.setdefault(type(values[vid]), []).append(vid)
+        self.n, self.kinds = offset, list(kinds.values())
+        self.kind_columns = [np.r_[tuple(self.columns[vid] for vid in vids)] for vids in self.kinds]
+        self.fixed = [(vids, _stacked([values[vid] for vid in vids])) for vids in fixed.values()]
+        self.groups, self.views, self._layouts = {}, {}, {}
+        for i, f in enumerate(self.factors):
+            self.groups.setdefault(f.kind, []).append(i)
+        self.packed = {name: FACTOR_KINDS[name].pack([self.factors[i].payload for i in members])
+                       for name, members in self.groups.items()}
+        dims = [f.dim for f in self.factors]
+        self.starts = np.cumsum([0] + dims)
+        self.m, self.owner = int(self.starts[-1]), np.repeat(np.arange(len(dims)), dims)
+        self.variance = np.concatenate([f.variance for f in self.factors] or [np.empty(0)])
+
+    def stack(self, values: dict) -> list:
+        """Each free kind's values, stacked."""
+        return [_stacked([values[vid] for vid in vids]) for vids in self.kinds]
+
+    def split(self, stacked: list) -> dict:
+        """Each free variable's value, from its kind's stacked values."""
+        return {vid: _take(value, i) for vids, value in zip(self.kinds, stacked)
+                for i, vid in enumerate(vids)}
+
+    def layout(self, fd: bool):
+        """(groups, decomposed rows) of an evaluation, with FD variants if ``fd``.
+
+        A factor kind's group gives its factors' kernel rows, each factor's
+        contiguous from ``starts``: value, landmark variants, pose variants,
+        each by the :class:`_Stack` row it reads (``targets``) and, for a box
+        row, by its camera data (``pairs``: the ``fixed`` poses', a stack row
+        and a factor each, then the free poses' ``cameras``). ``payload`` is
+        packed per single row or free pair; ``res`` places the value rows in
+        the residual; a Jacobian entry is its ``plus`` minus its ``minus``
+        row over twice the step of column ``jcols``, at residual rows ``jrows``.
+        """
+        if fd in self._layouts:
+            return self._layouts[fd]
+        rows, size = {}, dict.fromkeys(_READS, 0)
+        widths = [(vids, 0) for vids, _ in self.fixed]
+        for vids, width in widths + [(vids, len(c)) for vids, c in zip(self.kinds, self.kind_columns)]:
+            role, k = self.role[vids[0]], len(vids)
+            d = width // k if fd else 0
+            for i, vid in enumerate(vids):
+                start = size[role] + k + 2 * d * i
+                rows[vid] = [size[role] + i, *range(start, start + 2 * d)]
+            size[role] += k * (1 + 2 * d)
+        groups = {}
+        for name, members in self.groups.items():
+            kind = FACTOR_KINDS[name]
+            g = SimpleNamespace(targets=[], starts=[], pairs=[], fixed=[], cameras=[], owner=[],
+                                plus=[], minus=[], jrows=[], jcols=[])
+            on_fixed = sum(self.factors[i].targets[0] not in self.columns for i in members)
+            for j, i in enumerate(members):
+                targets = self.factors[i].targets
+                own, views = rows[targets[-1]], rows[targets[0]]
+                g.starts.append(len(g.targets))
+                g.targets += own
+                if kind.view is None:
+                    g.owner += [j] * len(own)
+                elif targets[0] in self.columns:
+                    first = on_fixed + len(g.cameras)
+                    g.targets += own[:1] * (len(views) - 1)
+                    g.pairs += [first] * len(own) + list(range(first + 1, first + len(views)))
+                    g.cameras += views
+                    g.owner += [j] * len(views)
+                else:
+                    g.pairs += [len(g.fixed)] * len(own)
+                    g.fixed.append((views[0], j))
+                at = g.starts[-1] + 1
+                for t in reversed(targets):
+                    d = (len(rows[t]) - 1) // 2
+                    g.plus += range(at, at + d)
+                    g.minus += range(at + d, at + 2 * d)
+                    g.jcols += range(self.columns[t].start, self.columns[t].start + d) if d else ()
+                    g.jrows += [self.starts[i]] * d
+                    at += 2 * d
+            vars(g).update({key: np.array(v, dtype=int) for key, v in vars(g).items()})
+            g.factors, g.payload = np.array(members), tuple(a[g.owner] for a in self.packed[name])
+            g.jrows, g.jcols = g.jrows[:, None] + np.arange(kind.dim), g.jcols[:, None]
+            g.res = self.starts[members][:, None] + np.arange(kind.dim)
+            groups[name] = g
+        decomposed = {name for name in groups if FACTOR_KINDS[name].decomposed}
+        read = np.zeros(size["landmark"], dtype=bool)  # np.unique would import numpy.ma
+        read[np.concatenate([groups[name].targets for name in decomposed] or [np.zeros(0, int)])] = True
+        dec_rows = np.flatnonzero(read)
+        for name, g in groups.items():
+            g.rts = np.searchsorted(dec_rows, g.targets) if name in decomposed else None
+        self._layouts[fd] = groups, dec_rows
+        return self._layouts[fd]
 
 
 class _Stack:
-    """The values one variable's factors are evaluated at, as arrays.
-
-    Row 0 is the value itself, the only row of a fixed variable
-    (``fd_step`` None), which is every variable in a cost evaluation. A
-    free variable in a linearization adds its plus, then its minus
-    finite-difference variants, all made by one batched ``retract`` of the
-    value, so no variant is an object of its own. A landmark's stack reads
-    ``duals`` and ``rts``, a pose's ``rotations``, ``translations`` and
-    ``cameras``; the value's row is the one it caches. Reading an array
-    that a row cannot form raises the evaluation error of the first such
-    row, and the factors that read it are skipped.
+    """The rows one evaluation reads for one role, poses or landmarks: the
+    fixed kinds', then each free kind's k values and, with FD steps ``hs``
+    (k, dim) per kind, their variants from one batched ``retract``,
+    variable by variable, plus then minus steps. :meth:`field` reads one
+    field in one pass per kind. A variable whose rows cannot form a field,
+    or whose variants cannot be made, gets zero rows and its error in
+    ``errors``, and the factors reading it are skipped.
     """
 
-    def __init__(self, value, fd_step: float | None = None):
-        self._value = value
-        self._variants = None
-        self._error = None
-        self.dim = 0
-        if fd_step is None:
-            return
-        self.dim = value.tangent_dim
-        self.h = fd_step * value.fd_scales()
-        steps = np.diag(self.h)
+    def __init__(self, plan: _Plan, role: str, values: list, hs: list, dec_rows: np.ndarray):
+        self.role, self.dec_rows, self.errors, self._fields = role, dec_rows, {}, {}
+        self._kinds = [(vids, value) for vids, value in plan.fixed if plan.role[vids[0]] == role]
+        for vids, value, h in zip(plan.kinds, values, hs):
+            if plan.role[vids[0]] != role:
+                continue
+            if h is not None:
+                k, d = h.shape
+                steps = h[:, None, :] * np.eye(d)
+                base = _take(value, np.repeat(np.arange(k), 2 * d))
+                try:
+                    variants = base.retract(np.concatenate([steps, -steps], axis=1).reshape(-1, d))
+                except _EVAL_ERRORS as exc:
+                    self.errors.update(dict.fromkeys(vids, exc))
+                    variants = base
+                value = type(value)(*(np.concatenate([getattr(value, f.name), getattr(variants, f.name)])
+                                      for f in fields(value)))
+            self._kinds.append((vids, value))
+
+    def field(self, name: str) -> np.ndarray:
+        """Field ``name`` of every row, (n, ...)."""
+        if name not in self._fields:
+            parts = [self._read(vids, rows, name) for vids, rows in self._kinds]
+            self._fields[name] = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        return self._fields[name]
+
+    def _read(self, vids: list, rows, name: str) -> np.ndarray:
+        """Field ``name`` of one kind's rows; on an evaluation error, of each
+        variable's rows alone, so only the variables that raise are lost."""
         try:
-            self._variants = value.retract(np.concatenate([steps, -steps]))
-        except _EVAL_ERRORS as exc:
-            self._error = exc
+            return getattr(rows, name)
+        except _EVAL_ERRORS:
+            pass
+        k, n = len(vids), len(getattr(rows, fields(rows)[0].name))
+        out, per = np.zeros((n,) + _SHAPES[name]), n // k - 1  # variants per variable
+        for i, vid in enumerate(vids):
+            sel = np.r_[i, k + per * i : k + per * (i + 1)]
+            try:
+                out[sel] = getattr(_take(rows, sel), name)
+            except _EVAL_ERRORS as exc:
+                self.errors.setdefault(vid, exc)
+        return out
 
-    def _rows(self, name: str) -> np.ndarray:
-        """The value's field ``name`` above its variants', (n, ...), in C
-        order as the kernels take it."""
-        if self._error is not None:
-            raise self._error
-        rows = getattr(self._value, name)[None]
-        if self._variants is not None:
-            rows = np.concatenate([rows, getattr(self._variants, name)])
-        return np.ascontiguousarray(rows)
-
-    @cached_property
-    def duals(self) -> np.ndarray:
-        """A landmark's duals (n, 4, 4)."""
-        return self._rows("dual")
-
-    @cached_property
-    def rotations(self) -> np.ndarray:
-        """A pose's rotations (n, 3, 3)."""
-        return self._rows("rotation")
-
-    @cached_property
-    def translations(self) -> np.ndarray:
-        """A pose's translations (n, 3)."""
-        return self._rows("translation")
-
-    @cached_property
-    def cameras(self) -> np.ndarray:
-        """A pose's camera-from-world [R|t] (n, 3, 4)."""
-        return self._rows("inverse_rt")
+    def rows(self, rows: np.ndarray, rts_rows: np.ndarray | None) -> SimpleNamespace:
+        """Rows as a single-target kind reads them: ``duals`` and ``rts``, or
+        ``rotations`` and ``translations``."""
+        out = SimpleNamespace(**{name + "s": self.field(name)[rows] for name in _READS[self.role]})
+        out.rts = None if rts_rows is None else tuple(a[rts_rows] for a in self.rts)
+        return out
 
     @cached_property
     def rts(self):
-        """:func:`rts_from_duals` of ``duals``: one batched eigendecomposition
-        that every prior of the stack shares, made when the first reads it."""
-        return rts_from_duals(self.duals)
-
-    def pieces(self, columns: dict, vid, table: np.ndarray) -> list:
-        """[(columns, Jacobian block (dim_r, dim))] from a residual table
-        (2 dim, dim_r) over the plus, then the minus variants; [] for a
-        fixed variable."""
-        if self.dim == 0:
-            return []
-        d = self.dim
-        return [(columns[vid], (table[:d] - table[d:]).T / (2.0 * self.h))]
+        """One :func:`rts_from_duals` of every row a decomposed prior reads."""
+        return rts_from_duals(self.field("dual")[self.dec_rows])
 
 
-def _box_blocks(plan: _Plan, stacks: dict, columns: dict, blocks: dict) -> None:
-    """Blocks of every camera-landmark factor, one row-function call per kind.
-
-    The call stacks, factor by factor, the landmark's duals seen from the
-    pose's value and the landmark center seen from each of the pose's
-    variants (none for a fixed pose), each row with the [R|t] of the pose
-    value it is seen from.
+def _evaluate(plan: _Plan, values: list, fd_step: float | None):
+    """Residual rows of every factor, and their Jacobian for an ``fd_step``,
+    at ``values``, each free kind's stacked value: (residual (m,) in
+    factor-id order, Jacobian (m, n) or None, {factor position: evaluation
+    error} of the factors to skip, whose rows mean nothing).
     """
-    for name, (group, intrinsics, observed) in plan.boxes.items():
-        live, sizes, duals, cameras = [], [], [], []
-        for i, f in enumerate(group):
-            pose_id, lm_id = f.targets
-            try:
-                stack = stacks[lm_id].duals
-                rt = stacks[pose_id].cameras
-            except _EVAL_ERRORS as exc:
-                blocks[f.fid] = exc
-                continue
-            live.append(i)
-            sizes.append(len(stack) + len(rt) - 1)
-            duals.append(stack)
-            cameras.append(rt[:1].repeat(len(stack), axis=0))
-            if len(rt) > 1:
-                duals.append(stack[:1].repeat(len(rt) - 1, axis=0))
-                cameras.append(rt[1:])
-        if not live:
-            continue
-        owner = np.repeat(live, sizes)
-        rows, status = FACTOR_KINDS[name].rows(np.concatenate(cameras), np.concatenate(duals),
-                                               intrinsics[owner], observed[owner])
-        starts = list(accumulate(sizes[:-1], initial=0))
-        worst = np.maximum.reduceat(status, starts)  # a factor's rows are all evaluable iff 0
-        for k, i in enumerate(live):
-            f = group[i]
-            if worst[k]:
-                blocks[f.fid] = evaluation_error(worst[k])
-                continue
-            pose_id, lm_id = f.targets
-            table = rows[starts[k] : starts[k] + sizes[k]]
-            n = len(stacks[lm_id].duals)
-            blocks[f.fid] = (table[0], stacks[lm_id].pieces(columns, lm_id, table[1:n])
-                             + stacks[pose_id].pieces(columns, pose_id, table[n:]))
+    fd = fd_step is not None
+    groups, dec_rows = plan.layout(fd)
+    hs = [fd_step * value.fd_scales() if fd else None for value in values]
+    stacks = {role: _Stack(plan, role, values, hs, dec_rows) for role in _READS}
+    residual, h = np.empty(plan.m), np.empty(plan.n)
+    jacobian = np.zeros((plan.m, plan.n)) if fd else None
+    for columns, steps in zip(plan.kind_columns, hs if fd else ()):
+        h[columns] = steps.ravel()
+    worst = {}
+    for name, g in groups.items():
+        kind = FACTOR_KINDS[name]
+        if kind.view is None:
+            table, status = kind.rows(stacks[kind.roles[0]].rows(g.targets, g.rts), *g.payload)
+        else:
+            cameras = stacks["pose"].field("inverse_rt")
+            if name not in plan.views and len(g.fixed):
+                plan.views[name] = kind.view(cameras[g.fixed[:, 0]],
+                                             *(a[g.fixed[:, 1]] for a in plan.packed[name]))
+            views = [plan.views[name]] if len(g.fixed) else []
+            views += [kind.view(cameras[g.cameras], *g.payload)] if len(g.cameras) else []
+            view = views[0] if len(views) == 1 else tuple(map(np.concatenate, zip(*views)))
+            table, status = kind.seen(stacks["landmark"].field("dual")[g.targets],
+                                      *(a[g.pairs] for a in view))
+        bad = np.maximum.reduceat(status, g.starts)  # a factor's rows are all evaluable iff 0
+        worst.update((int(g.factors[k]), int(bad[k])) for k in np.flatnonzero(bad))
+        residual[g.res] = table[g.starts]
+        if len(g.plus):
+            jacobian[g.jrows, g.jcols] = (table[g.plus] - table[g.minus]) / (2.0 * h[g.jcols])
+    failed = {**stacks["pose"].errors, **stacks["landmark"].errors}
+    errors = {i: failed[t] for i, f in enumerate(plan.factors if failed else ())  # a box: its landmark's
+              for t in f.targets if t in failed}
+    errors.update((i, evaluation_error(status)) for i, status in worst.items() if i not in errors)
+    return residual, jacobian, errors
 
 
-def _single_blocks(plan: _Plan, stacks: dict, columns: dict, blocks: dict) -> None:
-    """Blocks of every single-target factor: its kind's rows over the stack
-    of its variable, so a landmark's priors share one decomposition. Rows
-    that raise an evaluation error, or a row with a nonzero status, skip
-    the factor."""
-    for vid, group in plan.singles.items():
-        stack = stacks[vid]
-        for f in group:
-            try:
-                table, status = FACTOR_KINDS[f.kind].rows(stack, f.payload)
-            except _EVAL_ERRORS as exc:
-                blocks[f.fid] = exc
-                continue
-            worst = status.max()
-            blocks[f.fid] = (evaluation_error(worst) if worst
-                             else (table[0], stack.pieces(columns, vid, table[1:])))
-
-
-def _blocks(plan: _Plan, stacks: dict, columns: dict) -> dict:
-    """Residual and Jacobian blocks of every factor of ``plan``.
-
-    Maps each fid to (residual at the variables' values, [(columns,
-    jacobian block)]), or to the evaluation error for which the factor is
-    skipped. ``stacks`` holds every target's :class:`_Stack`, ``columns``
-    the tangent columns of the free ones; with no free stack, the blocks
-    carry residuals only, which is what the cost uses.
-    """
-    blocks = {}
-    _box_blocks(plan, stacks, columns, blocks)
-    _single_blocks(plan, stacks, columns, blocks)
-    return blocks
-
-
-def _cost_of(values: dict, factors: list, plan: _Plan | None = None):
-    """(total Mahalanobis cost, skipped-factor count, per-factor costs).
-
-    The residuals are the center rows of :func:`_blocks`, the builder the
-    Jacobian uses; the sum runs in factor-id order.
-    """
-    plan = plan or _Plan(factors)
-    blocks = _blocks(plan, {vid: _Stack(v) for vid, v in values.items()}, {})
-    total = 0.0
-    skipped = 0
-    per_factor = {}
-    for f in plan.factors:
-        block = blocks[f.fid]
-        if isinstance(block, Exception):
-            skipped += 1
-            continue
-        r = block[0]
-        c = float(np.dot(r, r / f.variance))
-        per_factor[f.fid] = c
-        total += c
-    return total, skipped, per_factor
+def _cost_of(values, factors: list, plan: _Plan | None = None):
+    """(total Mahalanobis cost, skipped-factor count, per-factor costs) at
+    ``values``: each free kind's stacked value under ``plan``, else every
+    variable's value by id, all held fixed. A factor's cost has the bits of
+    ``np.dot``; the total sums them in factor-id order."""
+    if plan is None:
+        plan, values = _Plan(factors, values), []
+    residual, _, errors = _evaluate(plan, values, None)
+    cost, scaled = np.empty(len(plan.factors)), residual / plan.variance
+    for g in plan.layout(False)[0].values():
+        cost[g.factors] = np.vecdot(residual[g.res], scaled[g.res])
+    kept = np.ones(len(cost), dtype=bool)
+    kept[list(errors)] = False
+    total = float(np.cumsum(cost[kept])[-1]) if kept.any() else 0.0
+    return total, len(errors), dict(zip([plan.factors[i].fid for i in np.flatnonzero(kept)],
+                                        cost[kept].tolist()))
 
 
 def total_cost(problem: Problem) -> float:
@@ -398,47 +426,25 @@ class Linearization:
     skipped: list  # factor ids dropped this linearization
 
 
-def _linearize(values: dict, factors: list, free: list, plan: _Plan | None = None) -> Linearization:
-    plan = plan or _Plan(factors)
-    free_set = set(free)
-    stacks = {vid: _Stack(v, FD_STEP if vid in free_set else None)
-              for vid, v in values.items()}
-    columns = {}
-    offset = 0
-    for vid in free:
-        d = stacks[vid].dim
-        columns[vid] = slice(offset, offset + d)
-        offset += d
-    n = offset
-
-    blocks = _blocks(plan, stacks, columns)
-    kept, skipped = [], []
-    for f in plan.factors:
-        if isinstance(blocks[f.fid], Exception):
-            logger.debug("factor %s (%s) dropped: %s", f.fid, f.kind, blocks[f.fid])
-            skipped.append(f.fid)
-        else:
-            kept.append(f)
-    m = sum(f.dim for f in kept)
-    jacobian = np.zeros((m, n))
-    residual = np.empty(m)
-    weights = np.empty(m)
-    owner = np.empty(m, dtype=int)
-    row = 0
-    for k, f in enumerate(kept):
-        rows = slice(row, row + f.dim)
-        res, pieces = blocks[f.fid]
-        for cols, p in pieces:
-            jacobian[rows, cols] = p
-        residual[rows] = res
-        weights[rows] = 1.0 / f.variance
-        owner[rows] = k
-        row = rows.stop
+def _linearize(values, factors: list, free: list, plan: _Plan | None = None) -> Linearization:
+    """The linearization in the ``free`` variables at ``values``, as for
+    :func:`_cost_of`."""
+    if plan is None:
+        plan = _Plan(factors, values, free)
+        values = plan.stack(values)
+    residual, jacobian, errors = _evaluate(plan, values, FD_STEP)
+    for i in sorted(errors):
+        logger.debug("factor %s (%s) dropped: %s", plan.factors[i].fid, plan.factors[i].kind, errors[i])
+    weights, owner = 1.0 / plan.variance, plan.owner
+    if errors:
+        kept = ~np.isin(owner, list(errors))
+        jacobian, residual, weights, owner = jacobian[kept], residual[kept], weights[kept], owner[kept]
     finite = np.isfinite(jacobian).all(axis=1) & np.isfinite(residual)
     if not finite.all():
-        bad = kept[owner[np.argmin(finite)]]
+        bad = plan.factors[owner[np.argmin(finite)]]
         raise LinearizeError(f"non-finite residual or Jacobian in factor {bad.fid}")
-    return Linearization(jacobian, residual, weights, columns, skipped)
+    return Linearization(jacobian, residual, weights, plan.columns,
+                         [plan.factors[i].fid for i in sorted(errors)])
 
 
 def linearize(problem: Problem) -> Linearization:
@@ -499,8 +505,9 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
 
     values = dict(problem.variables)
     factors = list(problem.factors)
-    plan = _Plan(factors)
-    cost, nskip, _ = _cost_of(values, factors, plan)
+    plan = _Plan(factors, values, free)
+    stacked = plan.stack(values)
+    cost, nskip, _ = _cost_of(stacked, factors, plan)
     trace = [cost]
     iter_times: list = []
     attempts = 0
@@ -511,7 +518,7 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
     for _ in range(options.max_iterations):
         t0 = time.perf_counter()
         try:
-            lin = _linearize(values, factors, free, plan)
+            lin = _linearize(stacked, factors, free, plan)
         except LinearizeError:
             termination = "diverged"
             break
@@ -541,10 +548,9 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
             if not solve_failed and np.max(np.abs(delta)) <= MAX_STEP:
                 attempts += 1
                 evals += 1
-                candidate = dict(values)
                 try:
-                    for vid in free:
-                        candidate[vid] = retract_value(values[vid], delta[lin.columns[vid]])
+                    candidate = [retract_value(value, delta[columns].reshape(-1, value.tangent_dim))
+                                 for value, columns in zip(stacked, plan.kind_columns)]
                     ccost, cnskip, _ = _cost_of(candidate, factors, plan)
                 except _EVAL_ERRORS:
                     ccost, cnskip = np.inf, nskip + 1
@@ -559,7 +565,8 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
         if not accepted:
             termination = "diverged" if solve_failed else "stalled"
             break
-        values = candidate
+        stacked = candidate
+        values.update(plan.split(stacked))
         prev = cost
         cost, nskip = ccost, cnskip
         trace.append(cost)
@@ -567,24 +574,17 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
             # The settled state is the next linearization point, but the
             # acceptance bar stays at the accepted cost so the recorded
             # trace is monotone even when a fixup undoes progress.
-            _, nskip, _ = _cost_of(values, factors, plan)
+            stacked = plan.stack(values)
+            _, nskip, _ = _cost_of(stacked, factors, plan)
         lam = max(lam * LAMBDA_DOWN, 1e-15)
         if prev - cost <= REL_COST_TOL * max(prev, 1e-300):
             termination = "cost_converged"
             break
 
-    return SolveReport(
-        cost_trace=trace,
-        variables=values,
-        iterations=len(trace) - 1,
-        attempts=attempts,
-        termination=termination,
-        iter_times=iter_times,
-        lambda_final=lam,
-        skipped_final=nskip,
-        skip_events=skip_events,
-        unconstrained=unconstrained,
-    )
+    return SolveReport(cost_trace=trace, variables=values, iterations=len(trace) - 1,
+                       attempts=attempts, termination=termination, iter_times=iter_times,
+                       lambda_final=lam, skipped_final=nskip, skip_events=skip_events,
+                       unconstrained=unconstrained)
 
 
 def iterations_to_success(report: SolveReport, noise_floor_cost: float) -> int | None:

@@ -4,22 +4,35 @@ Each is an independent formula that a package function is checked
 against, or a way to build a test case; none is part of the package.
 """
 
-from types import SimpleNamespace
+from dataclasses import dataclass
 
 import numpy as np
 
 from quadricfit.costs import Factor, box_edge_planes
 from quadricfit.evaluation import OrientedBox
-from quadricfit.manifold import _eigh_apply, _so3_log_near_pi, spd_inv_sqrt, spd_sqrt
+from quadricfit.manifold import (
+    _eigh_apply,
+    _require_finite,
+    _so3_log_near_pi,
+    spd_retract_normalized,
+    spd_sqrt,
+)
 from quadricfit.quadric import DegenerateLandmarkError, FullState, RtsState, SpdState
 from quadricfit.solver import factor_residual
+
+
+@dataclass(frozen=True)
+class _Dual:
+    """A landmark given by its dual alone."""
+
+    dual: np.ndarray
 
 
 def residual(kind: str, q: np.ndarray, payload: dict, frame=None):
     """The residual of one ``kind`` factor on a landmark with dual ``q``,
     seen from camera ``frame`` for a box kind, as the solver evaluates it;
     a float for a one-component kind."""
-    values = {"obj": SimpleNamespace(dual=np.asarray(q, dtype=float))}
+    values = {"obj": _Dual(np.asarray(q, dtype=float))}
     targets = ("obj",)
     if frame is not None:
         values["cam"] = frame.pose
@@ -63,6 +76,53 @@ def permuted_rts(state: RtsState, perm: np.ndarray) -> RtsState:
         state.translation,
         np.abs(perm).T @ np.asarray(state.scale, dtype=float),
     )
+
+
+# ---------------------------------------------------------------------------
+# SPD(3) maps that no solver path uses: the Euclidean-tangent retraction,
+# its inverse square root, the affine-invariant metric and the coordinates
+# of a symmetric matrix.
+
+_SQRT2 = np.sqrt(2.0)
+
+
+def sym_to_vec6(x: np.ndarray) -> np.ndarray:
+    """Coordinates of a symmetric 3x3 matrix: diagonal, then scaled off-diagonal."""
+    x = np.asarray(x, dtype=float)
+    return np.array(
+        [x[0, 0], x[1, 1], x[2, 2], _SQRT2 * x[0, 1], _SQRT2 * x[0, 2], _SQRT2 * x[1, 2]]
+    )
+
+
+def spd_inv_sqrt(p: np.ndarray) -> np.ndarray:
+    """Inverse SPD square root."""
+    return _eigh_apply(p, lambda w: 1.0 / np.sqrt(w))
+
+
+def spd_retract(p: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Exponential retraction on SPD(3).
+
+    ``p [+] xi = p^{1/2} Exp(p^{-1/2} xi p^{-1/2}) p^{1/2}``.  The result is
+    symmetric positive-definite for every finite symmetric ``xi``, and
+    ``spd_retract(p, 0)`` returns ``p`` unchanged.
+    """
+    xi = _require_finite("spd tangent", xi)
+    if not np.any(xi):
+        return p
+    s_inv = spd_inv_sqrt(p)
+    return spd_retract_normalized(p, s_inv @ xi @ s_inv)
+
+
+def spd_metric(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """Affine-invariant inner product ``tr(p^{-1} a p^{-1} b)`` at ``p``.
+
+    Invariant under congruence: ``spd_metric(g p g^T, g a g^T, g b g^T)``
+    equals ``spd_metric(p, a, b)`` for any invertible ``g``.  Evaluated via
+    linear solves rather than an explicit inverse.
+    """
+    x = np.linalg.solve(p, a)
+    y = np.linalg.solve(p, b)
+    return float(np.trace(x @ y))
 
 
 def sym_logm(p: np.ndarray) -> np.ndarray:

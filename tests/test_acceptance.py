@@ -20,7 +20,7 @@ from quadricfit.evaluation import (
     orientation_error,
     score_estimate,
 )
-from quadricfit.manifold import so3_exp, spd_metric, spd_retract, spd_sqrt
+from quadricfit.manifold import so3_exp, spd_sqrt
 from quadricfit.quadric import (
     RtsState,
     proper_axis_permutations,
@@ -28,7 +28,7 @@ from quadricfit.quadric import (
 from quadricfit.sim import CampaignSpec, run_campaign, synthetic_graph
 from quadricfit.solver import SolveOptions, solve
 from conftest import random_rts, random_spd, random_sym
-from oracles import iou_aabb_analytic, permuted_rts, spd_log
+from oracles import iou_aabb_analytic, permuted_rts, spd_log, spd_metric, spd_retract
 
 JOBS = 4
 MASTER_SEEDS = (0, 1, 2, 3, 4)

@@ -310,7 +310,7 @@ def test_pose_prior_rows_equal_per_row_logs(rng):
     poses = [se3_exp(np.concatenate([a * axis, rng.normal(size=3)])).compose(observed)
              for a, axis in zip(angles, axes)]
     rows = residual_pose_prior(Pose(np.stack([x.rotation for x in poses]),
-                                    np.stack([x.translation for x in poses])), observed)
+                                    np.stack([x.translation for x in poses])), observed.inverse())
     thetas = []
     for x, row in zip(poses, rows):
         rel = x.compose(observed.inverse())
@@ -324,13 +324,13 @@ def test_pose_prior_rows_equal_per_row_logs(rng):
 
 def test_residual_pose_prior(rng):
     obs = se3_exp(rng.normal(size=6) * 0.5)
-    np.testing.assert_allclose(residual_pose_prior(obs, obs), np.zeros(6), atol=1e-12)
+    np.testing.assert_allclose(residual_pose_prior(obs, obs.inverse()), np.zeros(6), atol=1e-12)
     xi = rng.normal(size=6) * 1e-3
     x = se3_exp(xi).compose(obs)
-    np.testing.assert_allclose(residual_pose_prior(x, obs), xi, atol=1e-9)
+    np.testing.assert_allclose(residual_pose_prior(x, obs.inverse()), xi, atol=1e-9)
     xi2 = rng.normal(size=6) * 0.4
     x2 = se3_exp(xi2).compose(obs)
-    np.testing.assert_allclose(residual_pose_prior(x2, obs), xi2, atol=1e-9)
+    np.testing.assert_allclose(residual_pose_prior(x2, obs.inverse()), xi2, atol=1e-9)
 
 
 def test_parameterization_independence_under_relabeling(rng):

@@ -14,15 +14,12 @@ from quadricfit.manifold import (
     se3_log,
     so3_exp,
     so3_log,
-    spd_metric,
-    spd_retract,
     spd_retract_normalized,
     spd_sqrt,
-    sym_to_vec6,
     vec6_to_sym,
 )
 from conftest import random_spd, random_sym
-from oracles import spd_log
+from oracles import spd_log, spd_metric, spd_retract, sym_to_vec6
 
 
 # ---------------------------------------------------------------------------

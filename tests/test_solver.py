@@ -670,6 +670,102 @@ def test_linearization_residual_is_the_costed_residual(case):
     assert offset == lin.residual.size
 
 
+def _scalar_retract(value, delta):
+    """One variable moved by the one-value-at-a-time formulas."""
+    if isinstance(value, Pose):
+        rt = scalar_pose_retract(value.rotation, value.translation, delta)
+        return Pose(rt[:, :3], rt[:, 3])
+    return scalar_landmark_retract(value, delta)
+
+
+def _reference_solve(problem, max_iterations):
+    """solve()'s LM loop on the oracles: a scalar retract per variable,
+    _oracle_linearize and _oracle_cost, with the solver's constants and
+    _settle. (cost trace, attempts, termination, skip events, skips at
+    the final variables, final variables)."""
+    unconstrained = set(problem.unconstrained())
+    free = [v for v in problem.free_ids() if v not in unconstrained]
+    values = dict(problem.variables)
+    cost, nskip, _ = _oracle_cost(values, problem.factors)
+    trace, attempts, skip_events, lam = [cost], 0, 0, solver.INIT_LAMBDA
+    termination = "max_iterations"
+    for _ in range(max_iterations):
+        jac, res, weights, columns, skipped = _oracle_linearize(
+            Problem(values, problem.factors, problem.fixed))
+        if not (np.isfinite(jac).all() and np.isfinite(res).all()):
+            termination = "diverged"
+            break
+        skip_events += len(skipped)
+        if res.size == 0:
+            termination = "diverged"
+            break
+        grad = jac.T @ (weights * res)
+        if np.max(np.abs(grad)) < solver.GRAD_TOL:
+            termination = "gradient"
+            break
+        hess = jac.T @ (weights[:, None] * jac)
+        accepted, evals = False, 0
+        while True:
+            try:
+                delta = np.linalg.solve(hess + lam * np.eye(len(hess)), -grad)
+                solve_failed = not np.all(np.isfinite(delta))
+            except np.linalg.LinAlgError:
+                solve_failed = True
+            if not solve_failed and np.max(np.abs(delta)) <= solver.MAX_STEP:
+                attempts += 1
+                evals += 1
+                candidate = dict(values)
+                try:
+                    for vid in free:
+                        candidate[vid] = _scalar_retract(values[vid], delta[columns[vid]])
+                    ccost, cnskip, _ = _oracle_cost(candidate, problem.factors)
+                except _EVAL_ERRORS:
+                    ccost, cnskip = np.inf, nskip + 1
+                accepted = bool(np.isfinite(ccost) and cnskip <= nskip and ccost < cost)
+                if accepted or evals > solver.MAX_INNER_RETRIES:
+                    break
+            if lam >= solver._LAMBDA_MAX:
+                break
+            lam = min(lam * solver.LAMBDA_UP, solver._LAMBDA_MAX)
+        if not accepted:
+            termination = "diverged" if solve_failed else "stalled"
+            break
+        values, prev, cost, nskip = candidate, cost, ccost, cnskip
+        trace.append(cost)
+        if solver._settle(values, free):
+            _, nskip, _ = _oracle_cost(values, problem.factors)
+        lam = max(lam * solver.LAMBDA_DOWN, 1e-15)
+        if prev - cost <= solver.REL_COST_TOL * max(prev, 1e-300):
+            termination = "cost_converged"
+            break
+    return trace, attempts, termination, skip_events, nskip, values
+
+
+@settings(max_examples=25, deadline=None)
+@given(graph_cases)
+@example((6, "rts", 2, 3, True))
+@example((6, "spd", 2, 3, True))
+@example((6, "full", 2, 3, True))
+@example((2, "spd", 3, 2, True))
+@example((3, "full", 3, 4, False))
+def test_solve_equals_reference_lm(case):
+    # The batched solver (one retract per variable kind, plan-gathered
+    # blocks) takes bit for bit the steps of the LM loop over the
+    # per-factor oracles, skips and fixups included.
+    problem = random_graph_problem(*case)
+    report = solve(problem, SolveOptions(max_iterations=5))
+    trace, attempts, termination, skip_events, skipped_final, variables = _reference_solve(problem, 5)
+    assert [c.hex() for c in report.cost_trace] == [c.hex() for c in trace]
+    assert (report.attempts, report.termination) == (attempts, termination)
+    assert (report.skip_events, report.skipped_final) == (skip_events, skipped_final)
+    assert list(report.variables) == list(variables)
+    for vid, value in variables.items():
+        got = report.variables[vid]
+        assert type(got) is type(value)
+        for name in value.__dataclass_fields__:
+            assert np.array_equal(getattr(got, name), getattr(value, name))
+
+
 @pytest.mark.parametrize("param", ["rts", "spd", "full"])
 @pytest.mark.parametrize("fixed", [{"side", "obj"}, {"cam", "side"}, {"side"}],
                          ids=["pose-variant", "landmark-variant", "both"])
@@ -750,9 +846,10 @@ def test_linearize_skips_prior_whose_variant_is_degenerate():
 
 
 def test_priors_share_one_decomposition_per_landmark_stack(monkeypatch):
-    # A landmark stack with a prior other than support is decomposed once per
-    # cost evaluation and once per linearization, however many priors read
-    # it; a landmark whose only prior is support is never decomposed.
+    # Every decomposed landmark row of an evaluation, the value and FD
+    # variants of each landmark with a prior other than support, shares one
+    # decomposition, however many priors read it; a landmark whose only
+    # prior is support is never decomposed.
     calls = []
     decompose = solver.rts_from_duals
 
@@ -775,10 +872,10 @@ def test_priors_share_one_decomposition_per_landmark_stack(monkeypatch):
     variables = {lm: as_parameterization(state, "spd") for lm in ("a", "b", "c")}
     problem = Problem(variables, factors, set())
     solver._cost_of(problem.variables, problem.factors)
-    assert calls == [1, 1]
+    assert calls == [2]  # the values of "a" and "c"
     calls.clear()
     linearize(problem)
-    assert calls == [19, 19]  # the value and its 2 x 9 FD variants, for "a" and "c"
+    assert calls == [38]  # the values and their 2 x 9 FD variants, of "a" and "c"
 
 
 def mixed_box_problem():
@@ -819,44 +916,48 @@ def test_one_kernel_call_per_box_model_and_evaluation(monkeypatch):
 
 
 def test_one_camera_per_pose_value_and_one_plane_call_per_evaluation(monkeypatch):
-    # Both box models see a pose through the [R|t] its value caches, so each
-    # pose value inverts once however many factors carry it: a fixed pose
-    # once across a whole solve, a free pose's 13 values once per
-    # linearization, the value alone and its 12 FD variants in one stacked
-    # call. Box-semi builds the edge planes of all its rows in one call per
-    # evaluation.
+    # Both box models see a pose through the [R|t] of its value, computed in
+    # one stacked inverse per pose kind: the fixed poses once per solve, the
+    # free poses' values and their 12 FD variants each once per evaluation.
+    # Box-semi builds the edge planes of its factors on fixed poses once per
+    # solve, and those of the free poses' values in one call per evaluation.
     problem, boxes, kinds = mixed_box_problem()
     # Pose priors invert their observed pose; only the box factors see cameras.
     problem.factors = [f for f in problem.factors if f.kind != "pose-prior"]
     semi = [f for f in boxes if kinds[f.fid] == "box-semi"]
+    on_fixed = sum(f.targets[0] == "cam0" for f in semi)
+    assert 0 < on_fixed < len(semi)
     inverted, plane_calls, evaluations = [], [], []
-    inverse, edge_planes, blocks = Pose.inverse, costs.box_edge_planes, solver._blocks
+    inverse, edge_planes, evaluate = Pose.inverse, costs.box_edge_planes, solver._evaluate
 
     def counted_inverse(pose):
         inverted.append(pose)  # kept alive, so no two poses share an id
         return inverse(pose)
 
     def counted_planes(*args):
-        plane_calls.append(args)
+        plane_calls.append(len(args[2]))
         return edge_planes(*args)
 
-    def counted_blocks(*args):
+    def counted_evaluate(*args):
         evaluations.append(None)
-        return blocks(*args)
+        return evaluate(*args)
 
     monkeypatch.setattr(Pose, "inverse", counted_inverse)
     monkeypatch.setattr(costs, "box_edge_planes", counted_planes)
-    monkeypatch.setattr(solver, "_blocks", counted_blocks)
+    monkeypatch.setattr(solver, "_evaluate", counted_evaluate)
 
     def fresh_poses():
         return {vid: Pose(v.rotation, v.translation) if isinstance(v, Pose) else v
                 for vid, v in problem.variables.items()}
 
+    def rows(poses):
+        return [len(np.reshape(p.translation, (-1, 3))) for p in poses]
+
     assert not linearize(Problem(fresh_poses(), problem.factors, problem.fixed)).skipped
-    assert len(plane_calls) == 1
-    assert len(plane_calls[0][2]) == sum(19 + 12 * (f.targets[0] != "cam0") for f in semi)
-    assert sorted(len(np.reshape(p.translation, (-1, 3))) for p in inverted) == [1] * 4 + [12] * 3
+    # cam0 alone; then the 3 free poses' values and their 3 x 12 variants
+    assert rows(inverted) == [1, 3 + 36]
     assert len({id(p) for p in inverted}) == len(inverted)
+    assert plane_calls == [on_fixed, 13 * (len(semi) - on_fixed)]
 
     inverted.clear()
     plane_calls.clear()
@@ -864,9 +965,10 @@ def test_one_camera_per_pose_value_and_one_plane_call_per_evaluation(monkeypatch
     fixed = Problem(fresh_poses(), problem.factors, problem.fixed)
     report = solve(fixed, SolveOptions(max_iterations=3))
     assert report.iterations > 0
-    assert sum(p is fixed.variables["cam0"] for p in inverted) == 1
+    assert rows(inverted).count(1) == 1  # cam0, the only fixed pose
     assert len({id(p) for p in inverted}) == len(inverted)
-    assert len(plane_calls) == len(evaluations)
+    assert plane_calls.count(on_fixed) == 1
+    assert len(plane_calls) == len(evaluations) + 1
 
 
 def _stack_value(kind, seed, fd_step, edge):
@@ -910,17 +1012,18 @@ def _same(a, b) -> bool:
 @example("spd", 0, 1e-3, True)
 @example("spd", 0, 0.5, True)
 def test_fd_stack_rows_equal_scalar_retractions(kind, seed, fd_step, edge):
-    # Each row of a variable's batched FD stack has the bits of its own
-    # scalar retract (a batch of one) and of the one-value-at-a-time
-    # formulas, value first, then the plus and the minus steps. Steps of
-    # 1e-9 and 1e-7 rad fall below the small-angle thresholds; a stack
-    # with an underivable row raises that row's error, as the scalar does.
-    # A batched retract over random steps of mixed sizes, rotation and
-    # translation together, matches the formulas too.
+    # Each row of a kind's batched FD stack has the bits of its own scalar
+    # retract (a batch of one) and of the one-value-at-a-time formulas: the
+    # values first, then each variable's plus and minus steps. Steps of
+    # 1e-9 and 1e-7 rad fall below the small-angle thresholds. The stack
+    # holds several values with steps of mixed sizes, the edge value among
+    # them; a variable with an underivable row gets that row's error, as
+    # the scalar raises it, and the others keep their rows. A batched
+    # retract over random steps of mixed sizes, rotation and translation
+    # together, matches the formulas too.
     value = _stack_value(kind, seed, fd_step, edge)
     with mock.patch.object(solver, "FD_STEP", fd_step):
         variants = _OracleVariants(value)
-    stack = solver._Stack(value, fd_step)
     steps = np.diag(variants.h)
     mixed = np.random.default_rng(seed).normal(size=(6, value.tangent_dim))
     steps = np.concatenate([steps, -steps, mixed * np.array([0, 1e-9, 1e-7, 1e-5, 1e-2, 1])[:, None]])
@@ -929,24 +1032,51 @@ def test_fd_stack_rows_equal_scalar_retractions(kind, seed, fd_step, edge):
         oracle = np.stack([scalar_pose_retract(value.rotation, value.translation, s) for s in steps])
         assert np.array_equal(batch.rotation, oracle[:, :, :3])
         assert np.array_equal(batch.translation, oracle[:, :, 3])
-        rt = np.stack([np.column_stack([v.rotation, v.translation]) for v in variants.values])
-        assert np.array_equal(rt[1:], oracle[:len(rt) - 1])
-        assert np.array_equal(stack.rotations, rt[:, :, :3])
-        assert np.array_equal(stack.translations, rt[:, :, 3])
-        cameras = np.stack([scalar_inverse_rt(m[:, :3], m[:, 3]) for m in rt])
-        assert np.array_equal(stack.cameras, cameras)
-        assert np.array_equal(np.stack([v.inverse_rt for v in variants.values]), cameras)
-        return
-    oracle = [scalar_landmark_retract(value, s) for s in steps]
-    for name in batch.__dataclass_fields__:
-        assert np.array_equal(getattr(batch, name), np.stack([getattr(o, name) for o in oracle]))
-    oracle = oracle[:len(variants.values) - 1]
-    got = _outcome(lambda: stack.duals)
-    expected = _outcome(lambda: variants.duals)
-    assert _same(got, expected)
-    assert _same(expected, _outcome(lambda: np.stack([scalar_dual(v) for v in [value] + oracle])))
+    else:
+        oracle = [scalar_landmark_retract(value, s) for s in steps]
+        for name in batch.__dataclass_fields__:
+            assert np.array_equal(getattr(batch, name), np.stack([getattr(o, name) for o in oracle]))
+
+    values = [_stack_value(kind, seed + 1, fd_step, False), value, _stack_value(kind, seed + 2, 0.0, False)]
+    hs = np.stack([step * v.fd_scales() for step, v in zip((1e-7, fd_step, 0.5), values)])
+    stack, ids = _kind_stack(values, hs)
+    k, d = hs.shape
+    for i, (v, h, vid) in enumerate(zip(values, hs, ids)):
+        rows = np.r_[i, k + 2 * d * i : k + 2 * d * (i + 1)]
+        steps = np.diag(h)
+        if kind == "pose":
+            rt = np.stack([np.column_stack([v.rotation, v.translation])]
+                          + [scalar_pose_retract(v.rotation, v.translation, s) for s in (*steps, *-steps)])
+            assert np.array_equal(stack.field("rotation")[rows], rt[:, :, :3])
+            assert np.array_equal(stack.field("translation")[rows], rt[:, :, 3])
+            cameras = np.stack([scalar_inverse_rt(m[:, :3], m[:, 3]) for m in rt])
+            assert np.array_equal(stack.field("inverse_rt")[rows], cameras)
+            if v is value:
+                assert np.array_equal(np.stack([u.inverse_rt for u in variants.values]), cameras)
+            continue
+        duals = stack.field("dual")[rows]
+        got = repr(stack.errors[vid]) if vid in stack.errors else duals
+        expected = _outcome(lambda: np.stack([scalar_dual(u) for u in [v] + [
+            scalar_landmark_retract(v, s) for s in (*steps, *-steps)]]))
+        assert _same(got, expected)
+        if v is value:
+            assert _same(expected, _outcome(lambda: variants.duals))
     if kind == "rts" and edge:
-        assert got == repr(DegenerateLandmarkError("semi-axis length is (near) zero"))
+        assert repr(stack.errors.pop("v1")) == repr(DegenerateLandmarkError("semi-axis length is (near) zero"))
+        assert not stack.errors
+
+
+def _kind_stack(values, hs):
+    """The stack of one kind's free values, ids v0, v1, ..., with FD steps
+    ``hs`` (k, dim), and their ids."""
+    ids = [f"v{i}" for i in range(len(values))]
+    pose = isinstance(values[0], Pose)
+    payload = {"observed": values[0]} if pose else {"plane": np.array([0.0, 0.0, 1.0, 0.0])}
+    factors = [Factor(i, "pose-prior" if pose else "support", (vid,), payload)
+               for i, vid in enumerate(ids)]
+    variables = dict(zip(ids, values))
+    plan = solver._Plan(factors, variables, ids)
+    return solver._Stack(plan, "pose" if pose else "landmark", plan.stack(variables), [hs], None), ids
 
 
 def _free_pose_problem():
@@ -958,9 +1088,9 @@ def _free_pose_problem():
 
 
 def test_linearize_makes_no_scalar_retractions(monkeypatch):
-    # The FD variants come from one batched retract per variable; only the
-    # LM candidate step retracts through retract_value, once per free
-    # variable per attempt.
+    # The FD variants come from one batched retract per variable kind; only
+    # the LM candidate step retracts through retract_value, once per kind of
+    # free variable per attempt.
     calls = []
     retract = solver.retract_value
 
@@ -974,7 +1104,9 @@ def test_linearize_makes_no_scalar_retractions(monkeypatch):
         assert calls == []
         report = solve(problem, SolveOptions(max_iterations=3))
         assert report.attempts > 0
-        assert len(calls) == report.attempts * len(problem.free_ids())
+        kinds = {type(problem.variables[vid]) for vid in problem.free_ids()}
+        assert len(kinds) == 2
+        assert len(calls) == report.attempts * len(kinds)
         calls.clear()
 
 
