@@ -267,9 +267,20 @@ def validate_graph(graph: dict) -> None:
     _read_graph(graph)
 
 
+def _load_json(path, what: str):
+    """The JSON document in ``path``; GraphError naming the byte where a corrupt ``what`` file breaks."""
+    with open(path, "rb") as fh:
+        try:
+            return json.loads(fh.read().decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise GraphError(f"corrupt {what} file at byte {exc.start}: {exc.reason}") from exc
+        except json.JSONDecodeError as exc:  # its pos counts characters
+            at = len(exc.doc[:exc.pos].encode("utf-8"))
+            raise GraphError(f"corrupt {what} file at byte {at}: {exc.msg}") from exc
+
+
 def load_graph(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        graph = json.load(fh)
+    graph = _load_json(path, "graph")
     validate_graph(graph)
     return graph
 
@@ -401,11 +412,7 @@ def load_result(path) -> dict:
     """A result file's document. GraphError unless it is an object of this
     version whose records carry exactly the record fields, each of its
     annotated type, and whose summaries are a list."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GraphError(f"corrupt result file at byte {exc.pos}: {exc.msg}") from exc
+    doc = _load_json(path, "result")
     _check(isinstance(doc, dict), "result file must be an object")
     _check(doc.get("version") == RESULT_VERSION, f"unsupported result version {doc.get('version')!r}")
     for key in ("records", "summaries"):

@@ -13,14 +13,15 @@ Conventions used throughout the package:
   the Frobenius norm of the matrix.
 * Matrix exponentials/logarithms of symmetric matrices are computed by
   eigendecomposition, which is exact for symmetric input.
-* The retractions and the maps they are made of (``so3_exp``, the SO(3)
-  Jacobians, ``so3_log``, ``se3_exp``, ``se3_log``, ``pose_retract``,
-  ``vec6_to_sym``, ``spd_retract_normalized``, and a :class:`Pose`'s
-  ``compose``, ``inverse`` and ``inverse_rt``) take one argument or a
-  stack of them along leading axes, and give each row the bits its single
-  call gives: the single call is the stack of one. Small angles take
-  their series per row, through a mask, and matrix-vector products are
-  ``@`` with a trailing axis (:func:`_apply`).
+* The retractions, fixups and maps they are made of (``so3_exp``, the
+  SO(3) Jacobians, ``so3_log``, ``se3_exp``, ``se3_log``, ``pose_retract``,
+  ``vec6_to_sym``, ``spd_retract_normalized``, ``orthonormalize``,
+  ``settle_rotation``, and a :class:`Pose`'s ``compose``, ``inverse``,
+  ``inverse_rt`` and ``settled``) take one argument or a stack of them
+  along leading axes, and give each row the bits its single call gives:
+  the single call is the stack of one. Small angles take their series per
+  row, through a mask, and matrix-vector products are ``@`` with a
+  trailing axis (:func:`_apply`).
 """
 
 from __future__ import annotations
@@ -268,12 +269,10 @@ def _so3_left_jacobian_inv(omega: np.ndarray) -> np.ndarray:
 
 
 def orthonormalize(r: np.ndarray) -> np.ndarray:
-    """Project a near-rotation back onto SO(3) via SVD."""
+    """Project a near-rotation, or each of a stack, back onto SO(3) via SVD."""
     u, _, vt = np.linalg.svd(r)
     out = u @ vt
-    if np.linalg.det(out) < 0.0:
-        out = u @ np.diag([1.0, 1.0, -1.0]) @ vt
-    return out
+    return np.where((np.linalg.det(out) < 0.0)[..., None, None], u @ np.diag([1.0, 1.0, -1.0]) @ vt, out)
 
 
 # Largest entry of |R R^T - I| a stepped rotation may reach before it is
@@ -282,12 +281,15 @@ ROT_DRIFT_TOL = 1e-8
 
 
 def settle_rotation(state):
-    """``state`` (a Pose or RtsState), or a copy of it with its rotation
-    re-orthonormalized once that has drifted beyond ``ROT_DRIFT_TOL``."""
+    """``state`` (a Pose or RtsState, or a stack), or a copy of it with each
+    rotation drifted beyond ``ROT_DRIFT_TOL`` re-orthonormalized."""
     r = state.rotation
-    if not np.max(np.abs(r @ r.T - np.eye(3))) > ROT_DRIFT_TOL:
+    drifted = np.abs(r @ _mt(r) - _EYE3).max(axis=(-2, -1)) > ROT_DRIFT_TOL
+    if not drifted.any():
         return state
-    return replace(state, rotation=orthonormalize(r))
+    rotation = r.copy()
+    rotation[drifted] = orthonormalize(r[drifted])
+    return replace(state, rotation=rotation)
 
 
 def quat_to_rot(q: np.ndarray) -> np.ndarray:
@@ -337,8 +339,8 @@ class Pose:
 
     A Pose may also hold a stack of n poses, rotations (n, 3, 3) and
     translations (n, 3): ``retract`` with steps (n, 6) gives one, from one
-    pose or from a stack of n, and ``fd_scales``, ``compose``, ``inverse``,
-    ``inverse_rt`` and ``matrix`` work row by row on it.
+    pose or from a stack of n, and ``fd_scales``, ``settled``, ``compose``,
+    ``inverse``, ``inverse_rt`` and ``matrix`` work row by row on it.
     """
 
     rotation: np.ndarray

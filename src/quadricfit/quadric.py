@@ -25,12 +25,13 @@ Landmark states add ``dual``, the quadric every landmark factor is
 evaluated on. ``retract`` is batched: steps (n, tangent_dim), from one
 state or from a state holding n values along a leading axis of each field,
 give a state holding n values, whose ``dual`` is the stack (n, 4, 4) and
-whose ``fd_scales`` are (n, tangent_dim), each row with the bits of its
-own single call, which is the batch of one. So the solver steps all the
-landmarks of a parameterization, and makes all their finite-difference
-variants, in one numpy pass each. :data:`PARAMETERIZATIONS` holds the
-classes' tags, which :func:`as_parameterization` and
-:func:`parameterization_tag` map to states.
+whose ``fd_scales`` are (n, tangent_dim); ``settled`` settles each value
+of such a state, ``full`` through the row-wise :func:`regularize_full` and
+:func:`sym4_to_coeffs`. Each row has the bits of its own single call, which
+is the batch of one, so the solver steps, varies and settles all the
+landmarks of a parameterization in one numpy pass each.
+:data:`PARAMETERIZATIONS` holds the classes' tags, which
+:func:`as_parameterization` and :func:`parameterization_tag` map to states.
 """
 
 from __future__ import annotations
@@ -62,15 +63,19 @@ class DegenerateLandmarkError(ValueError):
     """The quadric does not describe a nondegenerate ellipsoid."""
 
 
+def _corner_clear(q: np.ndarray) -> np.ndarray:
+    """Whether a symmetric dual's homogeneous corner, or each of a stack's, is clear of zero."""
+    return ~(np.abs(q[..., 3, 3]) < 1e-12 * np.fmax(1.0, np.abs(q).max(axis=(-2, -1))))
+
+
 def normalize_dual(q: np.ndarray) -> np.ndarray:
     """Rescale a dual quadric to the canonical ``q[3, 3] = -1`` representative,
     or each of a stack (n, 4, 4); raises if any has a vanishing corner."""
     q = np.asarray(q, dtype=float)
     q = 0.5 * (q + np.swapaxes(q, -1, -2))
-    corner = q[..., 3, 3]
-    if np.any(np.abs(corner) < 1e-12 * np.fmax(1.0, np.max(np.abs(q), axis=(-2, -1)))):
+    if not _corner_clear(q).all():
         raise DegenerateLandmarkError("dual quadric has vanishing homogeneous corner")
-    return q / -corner[..., None, None]
+    return q / -q[..., 3, 3, None, None]
 
 
 def dual_center(q: np.ndarray) -> np.ndarray:
@@ -258,7 +263,7 @@ class FullState:
         return 1.0 + np.abs(np.asarray(self.v, dtype=float))
 
     def settled(self) -> "FullState":
-        """:func:`regularize_full` of itself, or itself when degenerate."""
+        """:func:`regularize_full` of itself, or itself when no row can be regularized."""
         try:
             return regularize_full(self)
         except DegenerateLandmarkError:
@@ -272,8 +277,9 @@ class FullState:
 LandmarkState = RtsState | SpdState | FullState
 
 
-# Coefficient index of each entry of the symmetric 4x4 matrix.
+# Coefficient index of each 4x4 entry, and (rows, columns) of each coefficient's upper entry.
 _SYM4_LAYOUT = np.array([[0, 3, 5, 6], [3, 1, 4, 7], [5, 4, 2, 8], [6, 7, 8, 9]])
+_SYM4_UPPER = (np.array([0, 1, 2, 0, 1, 0, 0, 1, 2, 3]), np.array([0, 1, 2, 1, 2, 2, 3, 3, 3, 3]))
 
 
 def coeffs_to_sym4(v: np.ndarray) -> np.ndarray:
@@ -286,15 +292,8 @@ def coeffs_to_sym4(v: np.ndarray) -> np.ndarray:
 
 
 def sym4_to_coeffs(m: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`coeffs_to_sym4`."""
-    return np.array(
-        [
-            m[0, 0], m[1, 1], m[2, 2],
-            m[0, 1], m[1, 2], m[0, 2],
-            m[0, 3], m[1, 3], m[2, 3],
-            m[3, 3],
-        ]
-    )
+    """Inverse of :func:`coeffs_to_sym4`, (..., 4, 4) to (..., 10)."""
+    return np.asarray(m)[(..., *_SYM4_UPPER)]
 
 
 def full_from_dual(q: np.ndarray) -> FullState:
@@ -320,22 +319,31 @@ def as_parameterization(state: LandmarkState, tag: str) -> LandmarkState:
 
 
 def regularize_full(state: FullState) -> FullState:
-    """Project a raw coefficient vector back onto valid ellipsoids.
+    """Project a raw coefficient vector, or each of a stack (n, 10), back
+    onto valid ellipsoids.
 
     Normalizes the projective scale, clamps the shape-block eigenvalues to
     at least ``SHAPE_EIG_FLOOR`` and re-serializes.  Idempotent on already
-    valid ellipsoids.
-    """
+    valid ellipsoids. A vector whose homogeneous corner vanishes, before or
+    after, keeps its value; DegenerateLandmarkError if every one does."""
     v = np.asarray(state.v, dtype=float)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InvalidInputError("coefficients contain non-finite entries")
-    if np.all(v == 0.0):
-        raise DegenerateLandmarkError("all-zero quadric coefficients")
-    q = normalize_dual(coeffs_to_sym4(v))
-    c = dual_center(q)
+    rows = v.reshape(-1, 10).copy()
+    # coeffs_to_sym4 and dual_from_spd give symmetric duals, the latter with
+    # corner -1, so normalize_dual would only test and rescale them.
+    q = coeffs_to_sym4(rows)
+    ok = _corner_clear(q)
+    q = q[ok] / -q[ok, 3, 3, None, None]
     w, u = np.linalg.eigh(dual_shape(q))
-    p = (u * np.maximum(w, SHAPE_EIG_FLOOR)) @ u.T
-    return full_from_dual(dual_from_spd(SpdState(0.5 * (p + p.T), c)))
+    p = (u * np.maximum(w, SHAPE_EIG_FLOOR)[:, None, :]) @ np.swapaxes(u, -1, -2)
+    q = dual_from_spd(SpdState(0.5 * (p + np.swapaxes(p, -1, -2)), dual_center(q)))
+    kept = _corner_clear(q)
+    ok[ok] = kept
+    if not ok.any():
+        raise DegenerateLandmarkError("dual quadric has vanishing homogeneous corner")
+    rows[ok] = sym4_to_coeffs(q[kept])
+    return FullState(rows.reshape(v.shape))
 
 
 def rts_perturb(state: RtsState, xi: np.ndarray, ds: np.ndarray) -> RtsState:

@@ -5,14 +5,15 @@ and the three landmark states (:mod:`quadricfit.quadric`) share one
 protocol, ``tangent_dim`` / ``retract`` / ``fd_scales`` / ``settled``, and
 the solver asks nothing else of them. It takes Jacobians by central finite
 differences through the retraction, solves damped dense normal equations
-and replaces each free variable by its ``settled()`` fixup after every
+and replaces the free variables by their ``settled()`` fixup after every
 accepted step. Identical solver settings therefore compare
 parameterizations fairly; only the retraction and its fixup differ.
 
 Evaluations are array passes, one per variable kind and one per factor
 kind. The free variables are held as one stacked value per kind (their
-class: poses, and each parameterization's landmarks), so the LM candidate
-step is one ``retract`` per kind, as are a linearization's FD variants. A
+class: poses, and each parameterization's landmarks) from the plan to the
+report, so the LM candidate step is one ``retract`` per kind, as are a
+linearization's FD variants and an accepted step's ``settled()``. A
 per-solve :class:`_Plan` holds what only the fixed variables and the
 payloads decide, and the index arrays by which :func:`_evaluate` gathers
 each factor kind's inputs from a :class:`_Stack` per role and scatters
@@ -94,12 +95,14 @@ class Problem:
                     raise ProblemError(f"factor {f.fid} references unknown variable {t!r}")
 
     def free_ids(self) -> list:
-        return [v for v in sorted(self.variables, key=str) if v not in self.fixed]
+        """The variables a solve steps: those not fixed that some factor reads."""
+        read = {t for f in self.factors for t in f.targets}
+        return [v for v in sorted(self.variables, key=str) if v not in self.fixed and v in read]
 
     def unconstrained(self) -> list:
-        """Free variables that appear in no factor."""
-        touched = {t for f in self.factors for t in f.targets}
-        return [v for v in self.free_ids() if v not in touched]
+        """Variables neither fixed nor read by any factor; a solve holds them fixed."""
+        read = {t for f in self.factors for t in f.targets}
+        return [v for v in sorted(self.variables, key=str) if v not in self.fixed and v not in read]
 
 
 @dataclass
@@ -380,13 +383,10 @@ def _evaluate(plan: _Plan, values: list, fd_step: float | None):
     return residual, jacobian, errors
 
 
-def _cost_of(values, factors: list, plan: _Plan | None = None):
+def _cost_of(plan: _Plan, values: list):
     """(total Mahalanobis cost, skipped-factor count, per-factor costs) at
-    ``values``: each free kind's stacked value under ``plan``, else every
-    variable's value by id, all held fixed. A factor's cost has the bits of
-    ``np.dot``; the total sums them in factor-id order."""
-    if plan is None:
-        plan, values = _Plan(factors, values), []
+    ``values``, each free kind's stacked value under ``plan``. A factor's
+    cost has the bits of ``np.dot``; the total sums them in factor-id order."""
     residual, _, errors = _evaluate(plan, values, None)
     cost, scaled = np.empty(len(plan.factors)), residual / plan.variance
     for g in plan.layout(False)[0].values():
@@ -400,13 +400,13 @@ def _cost_of(values, factors: list, plan: _Plan | None = None):
 
 def total_cost(problem: Problem) -> float:
     """Sum of ``r^T Sigma^{-1} r`` over evaluable factors (skips contribute 0)."""
-    return _cost_of(problem.variables, problem.factors)[0]
+    return _cost_of(_Plan(problem.factors, problem.variables), [])[0]
 
 
 def cost_breakdown(problem: Problem) -> dict:
     """Total cost per factor kind at the current variables."""
     out = {}
-    _, _, per_factor = _cost_of(problem.variables, problem.factors)
+    _, _, per_factor = _cost_of(_Plan(problem.factors, problem.variables), [])
     by_fid = {f.fid: f for f in problem.factors}
     for fid, c in per_factor.items():
         out[by_fid[fid].kind] = out.get(by_fid[fid].kind, 0.0) + c
@@ -426,12 +426,9 @@ class Linearization:
     skipped: list  # factor ids dropped this linearization
 
 
-def _linearize(values, factors: list, free: list, plan: _Plan | None = None) -> Linearization:
-    """The linearization in the ``free`` variables at ``values``, as for
-    :func:`_cost_of`."""
-    if plan is None:
-        plan = _Plan(factors, values, free)
-        values = plan.stack(values)
+def _linearize(plan: _Plan, values: list) -> Linearization:
+    """The linearization in ``plan``'s free variables at ``values``, each
+    free kind's stacked value."""
     residual, jacobian, errors = _evaluate(plan, values, FD_STEP)
     for i in sorted(errors):
         logger.debug("factor %s (%s) dropped: %s", plan.factors[i].fid, plan.factors[i].kind, errors[i])
@@ -449,9 +446,8 @@ def _linearize(values, factors: list, free: list, plan: _Plan | None = None) -> 
 
 def linearize(problem: Problem) -> Linearization:
     """Public linearization of a problem at its current variables."""
-    unconstrained = set(problem.unconstrained())
-    free = [v for v in problem.free_ids() if v not in unconstrained]
-    return _linearize(problem.variables, problem.factors, free)
+    plan = _Plan(problem.factors, problem.variables, problem.free_ids())
+    return _linearize(plan, plan.stack(problem.variables))
 
 
 # ---------------------------------------------------------------------------
@@ -478,14 +474,6 @@ MAX_STEP = 2.0
 SUCCESS_FACTOR = 1.5
 
 
-def _settle(values: dict, free: list) -> bool:
-    """Replace each free variable by its ``settled()`` fixup; True if any changed."""
-    settled = {vid: values[vid].settled() for vid in free}
-    changed = any(settled[vid] is not values[vid] for vid in free)
-    values.update(settled)
-    return changed
-
-
 def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
     """Damped normal equations with manifold retraction updates.
 
@@ -498,16 +486,11 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
     unconstrained = problem.unconstrained()
     if unconstrained:
         warnings.warn(f"unconstrained variables held fixed: {unconstrained}")
-    held = set(unconstrained)
-    free = [v for v in problem.free_ids() if v not in held]
-    if not free:
+    plan = _Plan(problem.factors, problem.variables, problem.free_ids())
+    if not plan.kinds:
         raise ProblemError("problem has no free variables")
-
-    values = dict(problem.variables)
-    factors = list(problem.factors)
-    plan = _Plan(factors, values, free)
-    stacked = plan.stack(values)
-    cost, nskip, _ = _cost_of(stacked, factors, plan)
+    stacked = plan.stack(problem.variables)
+    cost, nskip, _ = _cost_of(plan, stacked)
     trace = [cost]
     iter_times: list = []
     attempts = 0
@@ -518,7 +501,7 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
     for _ in range(options.max_iterations):
         t0 = time.perf_counter()
         try:
-            lin = _linearize(stacked, factors, free, plan)
+            lin = _linearize(plan, stacked)
         except LinearizeError:
             termination = "diverged"
             break
@@ -551,7 +534,7 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
                 try:
                     candidate = [retract_value(value, delta[columns].reshape(-1, value.tangent_dim))
                                  for value, columns in zip(stacked, plan.kind_columns)]
-                    ccost, cnskip, _ = _cost_of(candidate, factors, plan)
+                    ccost, cnskip, _ = _cost_of(plan, candidate)
                 except _EVAL_ERRORS:
                     ccost, cnskip = np.inf, nskip + 1
                 accepted = bool(np.isfinite(ccost) and cnskip <= nskip and ccost < cost)
@@ -565,26 +548,24 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
         if not accepted:
             termination = "diverged" if solve_failed else "stalled"
             break
-        stacked = candidate
-        values.update(plan.split(stacked))
         prev = cost
         cost, nskip = ccost, cnskip
         trace.append(cost)
-        if _settle(values, free):
+        stacked = [value.settled() for value in candidate]
+        if any(settled is not value for settled, value in zip(stacked, candidate)):
             # The settled state is the next linearization point, but the
             # acceptance bar stays at the accepted cost so the recorded
             # trace is monotone even when a fixup undoes progress.
-            stacked = plan.stack(values)
-            _, nskip, _ = _cost_of(stacked, factors, plan)
+            _, nskip, _ = _cost_of(plan, stacked)
         lam = max(lam * LAMBDA_DOWN, 1e-15)
         if prev - cost <= REL_COST_TOL * max(prev, 1e-300):
             termination = "cost_converged"
             break
 
-    return SolveReport(cost_trace=trace, variables=values, iterations=len(trace) - 1,
-                       attempts=attempts, termination=termination, iter_times=iter_times,
-                       lambda_final=lam, skipped_final=nskip, skip_events=skip_events,
-                       unconstrained=unconstrained)
+    return SolveReport(cost_trace=trace, variables={**problem.variables, **plan.split(stacked)},
+                       iterations=len(trace) - 1, attempts=attempts, termination=termination,
+                       iter_times=iter_times, lambda_final=lam, skipped_final=nskip,
+                       skip_events=skip_events, unconstrained=unconstrained)
 
 
 def iterations_to_success(report: SolveReport, noise_floor_cost: float) -> int | None:

@@ -59,6 +59,20 @@ def test_validate_malformed_detection_exits_1(tmp_path, graph_path, capsys, fiel
     assert "invalid graph: detection 0: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b'{"version": "1", ', "corrupt graph file at byte 17: Expecting property name"),
+    (b'{"version": "\xff"}', "corrupt graph file at byte 13: invalid start byte"),
+    (b'{"name": "caf\xc3\xa9\xc3\xa9\xc3\xa9",\r\n', "corrupt graph file at byte 23: Expecting"),
+], ids=["truncated", "not-utf8", "multibyte"])
+def test_corrupt_graph_file_exits_1(tmp_path, capsys, content, message):
+    bad = tmp_path / "corrupt.json"
+    bad.write_bytes(content)
+    assert main(["validate", "--graph", str(bad)]) == 1
+    assert f"invalid graph: {message}" in capsys.readouterr().err
+    assert main(["solve", "--graph", str(bad), "--param", "rts", "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_solve_writes_outputs(tmp_path, graph_path, capsys):
     out = tmp_path / "out"
     code = main(["solve", "--graph", str(graph_path), "--param", "spd",

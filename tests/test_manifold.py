@@ -254,3 +254,14 @@ def test_pose_settled_reorthonormalizes_drifted_rotation(rng):
     assert np.linalg.det(out.rotation) > 0.0
     np.testing.assert_allclose(out.rotation, pose.rotation, atol=2e-6)
     np.testing.assert_array_equal(out.translation, pose.translation)
+    # A stack settles each row as its single call does, a drifted
+    # reflection's row included; a stack with no drifted row is itself.
+    rows = [pose, drifted, Pose(-drifted.rotation, pose.translation),
+            Pose(so3_exp(rng.normal(size=3)), rng.normal(size=3))]
+    stack = Pose(np.stack([p.rotation for p in rows]), np.stack([p.translation for p in rows]))
+    out = stack.settled()
+    for i, p in enumerate(rows):
+        assert np.array_equal(out.rotation[i], p.settled().rotation)
+        assert np.array_equal(out.translation[i], p.translation)
+    steady = Pose(stack.rotation[[0, 3]], stack.translation[[0, 3]])
+    assert steady.settled() is steady

@@ -194,6 +194,19 @@ def test_rts_settled_reorthonormalizes_drifted_rotation(rng):
     np.testing.assert_allclose(out.rotation, state.rotation, atol=2e-6)
     np.testing.assert_array_equal(out.translation, state.translation)
     np.testing.assert_array_equal(out.scale, state.scale)
+    # A stack settles each row as its single call does, a drifted
+    # reflection's row included; a stack with no drifted row is itself.
+    rows = [state, drifted, RtsState(-drifted.rotation, state.translation, state.scale),
+            random_rts(rng)]
+    stack = RtsState(*(np.stack([getattr(r, name) for r in rows])
+                       for name in ("rotation", "translation", "scale")))
+    out = stack.settled()
+    for i, r in enumerate(rows):
+        assert np.array_equal(out.rotation[i], r.settled().rotation)
+        assert np.array_equal(out.translation[i], r.translation)
+        assert np.array_equal(out.scale[i], r.scale)
+    steady = RtsState(stack.rotation[[0, 3]], stack.translation[[0, 3]], stack.scale[[0, 3]])
+    assert steady.settled() is steady
 
 
 def test_spd_settled_is_itself(rng):
@@ -207,9 +220,23 @@ def test_full_settled_is_regularized_unless_degenerate(rng):
     q_bad[0, 0] -= 10.0  # a hyperboloid: one negative shape eigenvalue
     for v in (full_from_dual(state.dual).v, sym4_to_coeffs(q_bad)):
         np.testing.assert_array_equal(FullState(v).settled().v, regularize_full(FullState(v)).v)
-    for v in (np.zeros(10), np.array([1.0, 1, 1, 0, 0, 0, 0, 0, 0, 0])):
+    zero, no_corner = np.zeros(10), np.array([1.0, 1, 1, 0, 0, 0, 0, 0, 0, 0])
+    # A corner just clear of zero, whose projection grows an entry past 1e12
+    # and so loses it.
+    lost = np.array([1.0, -1.0, 1.0, 1.0, 0, 0, 0, 0, 0, -1.0000001e-12])
+    for v in (zero, no_corner, lost):
         degenerate = FullState(v)
         assert degenerate.settled() is degenerate
+    # A stack regularizes each row as its single call does: the degenerate
+    # rows among regular ones keep their value, and a stack of degenerate
+    # rows alone is itself.
+    rows = [zero, full_from_dual(state.dual).v, no_corner, sym4_to_coeffs(q_bad), lost,
+            full_from_dual(random_rts(rng).dual).v]
+    out = FullState(np.stack(rows)).settled()
+    for i, v in enumerate(rows):
+        assert np.array_equal(out.v[i], FullState(v).settled().v)
+    degenerate = FullState(np.stack([no_corner, lost, zero]))
+    assert degenerate.settled() is degenerate
 
 
 def test_full_retract_is_plain_addition(rng):

@@ -1,3 +1,5 @@
+from collections import Counter
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -19,6 +21,7 @@ from quadricfit.costs import (
 from quadricfit.manifold import InvalidInputError, Pose, se3_exp, so3_exp
 from quadricfit.quadric import (
     DegenerateLandmarkError,
+    FullState,
     RtsState,
     SpdState,
     as_parameterization,
@@ -277,7 +280,8 @@ def test_skipped_final_is_the_skip_count_at_the_final_variables(param):
     report = solve(problem)
     assert report.iterations > 0
     assert report.skipped_final == 1
-    assert report.skipped_final == solver._cost_of(report.variables, problem.factors)[1]
+    plan = solver._Plan(problem.factors, report.variables)
+    assert report.skipped_final == solver._cost_of(plan, [])[1]
 
 
 def test_declare_success_rules():
@@ -361,9 +365,9 @@ def test_solve_stalls_after_max_inner_retries_rejected_candidates(monkeypatch):
     true_cost_of = solver._cost_of
     calls = []
 
-    def rejecting_cost_of(values, factors, plan=None):
+    def rejecting_cost_of(plan, values):
         # The initial cost is the true one; every later one is twice that.
-        total, skipped, per_factor = true_cost_of(values, factors, plan)
+        total, skipped, per_factor = true_cost_of(plan, values)
         calls.append(total)
         return (total if len(calls) == 1 else 2.0 * calls[0]), skipped, per_factor
 
@@ -505,8 +509,7 @@ def _oracle_block(f, values, variants, columns, n):
 
 
 def _oracle_linearize(problem):
-    unconstrained = set(problem.unconstrained())
-    free = [v for v in problem.free_ids() if v not in unconstrained]
+    free = problem.free_ids()
     variants = {vid: _OracleVariants(problem.variables[vid]) for vid in free}
     columns, offset = {}, 0
     for vid in free:
@@ -620,7 +623,7 @@ def _assert_linearize_matches_oracle(problem):
 
 
 def _assert_cost_matches_oracle(problem):
-    got = solver._cost_of(problem.variables, problem.factors)
+    got = solver._cost_of(solver._Plan(problem.factors, problem.variables), [])
     assert got == _oracle_cost(problem.variables, problem.factors)
     return got
 
@@ -659,7 +662,7 @@ def test_linearization_residual_is_the_costed_residual(case):
     seed, param, landmarks, poses, near_plane = case
     problem = random_graph_problem(seed, param, landmarks, poses, near_plane)
     lin = linearize(problem)
-    _, _, per_factor = solver._cost_of(problem.variables, problem.factors)
+    _, _, per_factor = solver._cost_of(solver._Plan(problem.factors, problem.variables), [])
     offset = 0
     for f in sorted(problem.factors, key=lambda f: f.fid):
         if f.fid in lin.skipped:
@@ -680,11 +683,10 @@ def _scalar_retract(value, delta):
 
 def _reference_solve(problem, max_iterations):
     """solve()'s LM loop on the oracles: a scalar retract per variable,
-    _oracle_linearize and _oracle_cost, with the solver's constants and
-    _settle. (cost trace, attempts, termination, skip events, skips at
-    the final variables, final variables)."""
-    unconstrained = set(problem.unconstrained())
-    free = [v for v in problem.free_ids() if v not in unconstrained]
+    _oracle_linearize and _oracle_cost, with the solver's constants and a
+    ``settled()`` per variable. (cost trace, attempts, termination, skip
+    events, skips at the final variables, final variables)."""
+    free = problem.free_ids()
     values = dict(problem.variables)
     cost, nskip, _ = _oracle_cost(values, problem.factors)
     trace, attempts, skip_events, lam = [cost], 0, 0, solver.INIT_LAMBDA
@@ -732,7 +734,10 @@ def _reference_solve(problem, max_iterations):
             break
         values, prev, cost, nskip = candidate, cost, ccost, cnskip
         trace.append(cost)
-        if solver._settle(values, free):
+        settled = {vid: values[vid].settled() for vid in free}
+        changed = any(settled[vid] is not values[vid] for vid in free)
+        values.update(settled)
+        if changed:
             _, nskip, _ = _oracle_cost(values, problem.factors)
         lam = max(lam * solver.LAMBDA_DOWN, 1e-15)
         if prev - cost <= solver.REL_COST_TOL * max(prev, 1e-300):
@@ -871,7 +876,7 @@ def test_priors_share_one_decomposition_per_landmark_stack(monkeypatch):
     ]
     variables = {lm: as_parameterization(state, "spd") for lm in ("a", "b", "c")}
     problem = Problem(variables, factors, set())
-    solver._cost_of(problem.variables, problem.factors)
+    solver._cost_of(solver._Plan(problem.factors, problem.variables), [])
     assert calls == [2]  # the values of "a" and "c"
     calls.clear()
     linearize(problem)
@@ -905,7 +910,7 @@ def test_one_kernel_call_per_box_model_and_evaluation(monkeypatch):
         monkeypatch.setattr(_kernels, name, counted)
     groups = {name: [f for f in boxes if kinds[f.fid] == kind]
               for kind, name in (("box-inverse", "boxes_from_duals"), ("box-semi", "tangency_values"))}
-    assert solver._cost_of(problem.variables, problem.factors)[1] == 0
+    assert solver._cost_of(solver._Plan(problem.factors, problem.variables), [])[1] == 0
     assert calls == {name: [len(group)] for name, group in groups.items()}
     for rows in calls.values():
         rows.clear()
@@ -1108,6 +1113,31 @@ def test_linearize_makes_no_scalar_retractions(monkeypatch):
         assert len(kinds) == 2
         assert len(calls) == report.attempts * len(kinds)
         calls.clear()
+
+
+def test_solve_settles_each_free_kind_once_per_step_and_splits_once(monkeypatch):
+    # The free variables stay stacked from the plan to the report: each
+    # accepted step settles every free kind in one call on its stack, and
+    # only the report splits the stacks into per-variable values.
+    settles, splits = [], []
+    for cls in (Pose, RtsState, SpdState, FullState):
+        def counted(value, settled=cls.settled):
+            settles.append((type(value), len(getattr(value, fields(value)[0].name))))
+            return settled(value)
+
+        monkeypatch.setattr(cls, "settled", counted)
+    split = solver._Plan.split
+    monkeypatch.setattr(solver._Plan, "split",
+                        lambda plan, stacked: splits.append(1) or split(plan, stacked))
+    for problem in (mixed_box_problem()[0], _free_pose_problem(), random_graph_problem(3, "full", 3, 4)):
+        report = solve(problem, SolveOptions(max_iterations=3))
+        assert report.iterations > 0
+        kinds = Counter(type(problem.variables[vid]) for vid in problem.free_ids())  # kind: its rows
+        assert len(kinds) == 2
+        assert settles == list(kinds.items()) * report.iterations
+        assert splits == [1]
+        settles.clear()
+        splits.clear()
 
 
 def test_problem_rejects_non_finite_values():
