@@ -130,10 +130,6 @@ def cmd_solve(args) -> int:
     graph = graphio.load_graph(args.graph)
     size_form = {"sqrt": "sqrt", "paper": "det"}[args.size_form]
     problem = graphio.problem_from_graph(graph, args.param, args.model, size_form)
-    unconstrained = problem.unconstrained()
-    for vid in unconstrained:
-        problem.fixed.add(vid)
-        print(f"warning: variable {vid!r} is unconstrained; holding fixed", file=sys.stderr)
     report = solve(problem)
 
     out = _out_dir(args.out)

@@ -4,10 +4,11 @@ The solver is generic in its variables: poses (:class:`quadricfit.manifold.Pose`
 and the three landmark states (:mod:`quadricfit.quadric`) share one
 protocol, ``tangent_dim`` / ``retract`` / ``fd_scales`` / ``settled``, and
 the solver asks nothing else of them. It takes Jacobians by central finite
-differences through the retraction, solves damped dense normal equations
-and replaces the free variables by their ``settled()`` fixup after every
-accepted step. Identical solver settings therefore compare
-parameterizations fairly; only the retraction and its fixup differ.
+differences through the retraction, assembles the normal equations from
+per-factor Jacobian blocks, solves them damped and dense, and replaces
+the free variables by their ``settled()`` fixup after every accepted step.
+Identical solver settings therefore compare parameterizations fairly; only
+the retraction and its fixup differ.
 
 Evaluations are array passes, one per variable kind and one per factor
 kind. The free variables are held as one stacked value per kind (their
@@ -22,6 +23,14 @@ through :data:`quadricfit.costs.FACTOR_KINDS`, so the solver has no
 per-kind code. The cost sums, in factor-id order, exactly the residual
 rows the Jacobian linearizes, and each row has the bits of the batch of
 one that :func:`factor_residual` evaluates, so batching changes no result.
+
+No linearization builds the (m, n) Jacobian. A factor reads at most one
+pose and one landmark, so each free variable keeps only the rows of the
+factors that read it (:class:`Linearization`). JᵀWJ is a batched product
+per variable kind on the diagonal and one over the box factors that join
+a free pose to a free landmark, each pair's block summed in factor-id
+order. A problem with one free variable that every factor reads
+gets the bits of the dense product.
 
 Factors that cannot be evaluated at the current state (landmark behind the
 camera, degenerate projection) are dropped for that evaluation with a skip
@@ -208,6 +217,68 @@ class _Plan:
         return {vid: _take(value, i) for vids, value in zip(self.kinds, stacked)
                 for i, vid in enumerate(vids)}
 
+    @cached_property
+    def table(self) -> SimpleNamespace:
+        """Where a linearization keeps its Jacobian: a flat table of ``size``
+        floats holding, per free kind, a (k, R, d) block of its variables'
+        rows, each variable's those of the factors reading it in factor-id
+        order, then zero rows up to the kind's longest. ``kinds`` gives each
+        kind's table offset ``at``, the residual row of each block row,
+        ``rows`` (k, R), ``m`` on zero rows, and its ``columns`` (k, d);
+        ``first`` maps (factor position, variable) to the table position
+        of the factor's block against the variable. ``cross`` holds per
+        (pose kind, landmark kind) the box factors on a free pose and a
+        free landmark, in factor-id order: the table positions of their
+        pose and landmark blocks, their residual rows, ``at``, where each
+        factor's product falls among its (pose, landmark) pairs' blocks,
+        and the pairs' pose and landmark columns."""
+        starts, count, first, both = self.starts.tolist(), dict.fromkeys(self.columns, 0), {}, []
+        for i, f in enumerate(self.factors):
+            free = [t for t in f.targets if t in count]
+            for t in free:
+                first[i, t], count[t] = count[t], count[t] + starts[i + 1] - starts[i]
+            if len(free) == 2:
+                both.append(i)
+        where, kinds, size, nrows = {}, [], 0, 0  # per free variable: (kind, table at, d, row at)
+        for a, (vids, columns) in enumerate(zip(self.kinds, self.kind_columns)):
+            k, r = len(vids), max(count[vid] for vid in vids)
+            d = columns.size // k
+            kinds.append(SimpleNamespace(at=size, row_at=nrows, shape=(k, r),
+                                         columns=columns.reshape(k, d)))
+            where.update((vid, (a, size + s * r * d, d, nrows + s * r)) for s, vid in enumerate(vids))
+            size, nrows = size + k * r * d, nrows + k * r
+        to, src, dims = [], [], []
+        for (i, t), row in first.items():
+            _, at, d, row_at = where[t]
+            to.append(row_at + row)
+            src.append(starts[i])
+            dims.append(starts[i + 1] - starts[i])
+            first[i, t] = at + row * d
+        step = np.arange(sum(dims)) - np.repeat(np.cumsum([0] + dims[:-1]), dims)
+        rows = np.full(nrows, self.m)
+        rows[np.repeat(to, dims) + step] = np.repeat(src, dims) + step
+        for kind in kinds:
+            kind.rows = rows[kind.row_at:kind.row_at + np.prod(kind.shape)].reshape(kind.shape)
+        cross = {}
+        for i in both:  # the camera kinds share one residual dimension
+            pose, landmark = targets = self.factors[i].targets
+            c = cross.setdefault((where[pose][0], where[landmark][0]), SimpleNamespace(
+                pose=[], landmark=[], rows=[], at=[], pairs={}, dim=starts[i + 1] - starts[i],
+                dp=where[pose][2], dl=where[landmark][2]))
+            c.at.append(c.pairs.setdefault(targets, len(c.pairs)))
+            c.pose.append(first[i, pose])
+            c.landmark.append(first[i, landmark])
+            c.rows.append(starts[i])
+        for c in cross.values():
+            c.pose = np.array(c.pose)[:, None, None] + np.arange(c.dim * c.dp).reshape(c.dim, c.dp)
+            c.landmark = np.array(c.landmark)[:, None, None] + np.arange(c.dim * c.dl).reshape(c.dim, c.dl)
+            c.rows = np.array(c.rows)[:, None] + np.arange(c.dim)
+            c.at = np.array(c.at)[:, None] * (c.dp * c.dl) + np.arange(c.dp * c.dl)
+            c.pose_columns, c.landmark_columns = (
+                np.array([self.columns[pair[j]].start for pair in c.pairs])[:, None] + np.arange(d)
+                for j, d in ((0, c.dp), (1, c.dl)))
+        return SimpleNamespace(size=size, kinds=kinds, first=first, cross=list(cross.values()))
+
     def layout(self, fd: bool):
         """(groups, decomposed rows) of an evaluation, with FD variants if ``fd``.
 
@@ -218,10 +289,12 @@ class _Plan:
         and a factor each, then the free poses' ``cameras``). ``payload`` is
         packed per single row or free pair; ``res`` places the value rows in
         the residual; a Jacobian entry is its ``plus`` minus its ``minus``
-        row over twice the step of column ``jcols``, at residual rows ``jrows``.
+        row over twice the step of column ``jcols``, at the positions
+        ``blocks`` of :attr:`table`.
         """
         if fd in self._layouts:
             return self._layouts[fd]
+        block_at = self.table.first if fd else {}
         rows, size = {}, dict.fromkeys(_READS, 0)
         widths = [(vids, 0) for vids, _ in self.fixed]
         for vids, width in widths + [(vids, len(c)) for vids, c in zip(self.kinds, self.kind_columns)]:
@@ -235,7 +308,7 @@ class _Plan:
         for name, members in self.groups.items():
             kind = FACTOR_KINDS[name]
             g = SimpleNamespace(targets=[], starts=[], pairs=[], fixed=[], cameras=[], owner=[],
-                                plus=[], minus=[], jrows=[], jcols=[])
+                                plus=[], minus=[], jcols=[], blocks=[], stride=[])
             on_fixed = sum(self.factors[i].targets[0] not in self.columns for i in members)
             for j, i in enumerate(members):
                 targets = self.factors[i].targets
@@ -258,12 +331,15 @@ class _Plan:
                     d = (len(rows[t]) - 1) // 2
                     g.plus += range(at, at + d)
                     g.minus += range(at + d, at + 2 * d)
-                    g.jcols += range(self.columns[t].start, self.columns[t].start + d) if d else ()
-                    g.jrows += [self.starts[i]] * d
+                    if d:
+                        g.jcols += range(self.columns[t].start, self.columns[t].start + d)
+                        g.blocks += range(block_at[i, t], block_at[i, t] + d)
+                        g.stride += [d] * d
                     at += 2 * d
             vars(g).update({key: np.array(v, dtype=int) for key, v in vars(g).items()})
             g.factors, g.payload = np.array(members), tuple(a[g.owner] for a in self.packed[name])
-            g.jrows, g.jcols = g.jrows[:, None] + np.arange(kind.dim), g.jcols[:, None]
+            g.blocks = g.blocks[:, None] + g.stride[:, None] * np.arange(kind.dim)
+            g.jcols = g.jcols[:, None]
             g.res = self.starts[members][:, None] + np.arange(kind.dim)
             groups[name] = g
         decomposed = {name for name in groups if FACTOR_KINDS[name].decomposed}
@@ -345,15 +421,16 @@ class _Stack:
 def _evaluate(plan: _Plan, values: list, fd_step: float | None):
     """Residual rows of every factor, and their Jacobian for an ``fd_step``,
     at ``values``, each free kind's stacked value: (residual (m,) in
-    factor-id order, Jacobian (m, n) or None, {factor position: evaluation
-    error} of the factors to skip, whose rows mean nothing).
+    factor-id order, the Jacobian's blocks as ``plan``'s :attr:`_Plan.table`
+    or None, {factor position: evaluation error} of the factors to skip,
+    whose rows mean nothing).
     """
     fd = fd_step is not None
     groups, dec_rows = plan.layout(fd)
     hs = [fd_step * value.fd_scales() if fd else None for value in values]
     stacks = {role: _Stack(plan, role, values, hs, dec_rows) for role in _READS}
     residual, h = np.empty(plan.m), np.empty(plan.n)
-    jacobian = np.zeros((plan.m, plan.n)) if fd else None
+    blocks = np.zeros(plan.table.size) if fd else None
     for columns, steps in zip(plan.kind_columns, hs if fd else ()):
         h[columns] = steps.ravel()
     worst = {}
@@ -375,12 +452,12 @@ def _evaluate(plan: _Plan, values: list, fd_step: float | None):
         worst.update((int(g.factors[k]), int(bad[k])) for k in np.flatnonzero(bad))
         residual[g.res] = table[g.starts]
         if len(g.plus):
-            jacobian[g.jrows, g.jcols] = (table[g.plus] - table[g.minus]) / (2.0 * h[g.jcols])
+            blocks[g.blocks] = (table[g.plus] - table[g.minus]) / (2.0 * h[g.jcols])
     failed = {**stacks["pose"].errors, **stacks["landmark"].errors}
     errors = {i: failed[t] for i, f in enumerate(plan.factors if failed else ())  # a box: its landmark's
               for t in f.targets if t in failed}
     errors.update((i, evaluation_error(status)) for i, status in worst.items() if i not in errors)
-    return residual, jacobian, errors
+    return residual, blocks, errors
 
 
 def _cost_of(plan: _Plan, values: list):
@@ -419,29 +496,97 @@ def cost_breakdown(problem: Problem) -> dict:
 
 @dataclass
 class Linearization:
-    jacobian: np.ndarray  # (m, n), unweighted
+    """The Jacobian as per-factor blocks; no (m, n) array is built.
+
+    ``blocks`` holds per free kind (``columns`` (k, d), ``rows`` (k, R),
+    ``jacobian`` (k, R, d)): each of its k variables' rows of ``residual``,
+    those of the kept factors reading it in factor-id order, then
+    ``len(residual)`` as padding, and its Jacobian there against its own d
+    columns, zero on padding. ``cross`` holds per (pose kind, landmark
+    kind) the kept box factors on a free pose and a free landmark, in
+    factor-id order: (pose blocks (F, r, dp), their rows' weights (F, r),
+    landmark blocks (F, r, dl), ``at`` (F, dp * dl), pose columns (Q, dp),
+    landmark columns (Q, dl)), ``at`` placing each factor's product among
+    the blocks of the Q (pose, landmark) pairs.
+    """
+
+    blocks: list
+    cross: list
     residual: np.ndarray  # (m,)
     weights: np.ndarray  # (m,) inverse variances
     columns: dict  # variable id -> slice into the tangent coordinates
     skipped: list  # factor ids dropped this linearization
 
+    def normal_equations(self) -> tuple:
+        """(H, g) = (JᵀWJ, JᵀWr), summed in a fixed order from the blocks.
+
+        A variable's diagonal block and gradient are ``C.T @ (w C)`` and
+        ``C.T @ (w r)`` over its rows C, one batched matmul per kind, so a
+        problem with one free variable gets the bits of the dense product.
+        A pose-landmark block sums its box factors' ``P.T @ (w L)``, one
+        batched matmul per kind pair, in factor-id order; entries between
+        variables that share no factor are 0.
+        """
+        n = sum(columns.size for columns, _, _ in self.blocks)
+        hess, grad = np.zeros((n, n)), np.empty(n)
+        weights, weighted = np.append(self.weights, 0.0), np.append(self.weights * self.residual, 0.0)
+        for columns, rows, jacobian in self.blocks:
+            transposed = jacobian.transpose(0, 2, 1)
+            grad[columns] = np.matmul(transposed, weighted[rows][..., None])[..., 0]
+            hess[columns[:, :, None], columns[:, None, :]] = np.matmul(
+                transposed, weights[rows][..., None] * jacobian)
+        for pose, w, landmark, at, pose_columns, landmark_columns in self.cross:
+            q, dp, dl = len(pose_columns), pose.shape[2], landmark.shape[2]
+            products = np.matmul(pose.transpose(0, 2, 1), w[..., None] * landmark)
+            block = np.bincount(at.ravel(), products.ravel(), q * dp * dl).reshape(q, dp, dl)
+            hess[pose_columns[:, :, None], landmark_columns[:, None, :]] = block
+            hess[landmark_columns[:, :, None], pose_columns[:, None, :]] = block.transpose(0, 2, 1)
+        return hess, grad
+
 
 def _linearize(plan: _Plan, values: list) -> Linearization:
     """The linearization in ``plan``'s free variables at ``values``, each
-    free kind's stacked value."""
-    residual, jacobian, errors = _evaluate(plan, values, FD_STEP)
+    free kind's stacked value. A skipped factor's rows leave the residual
+    and every block; the later rows close ranks."""
+    residual, table, errors = _evaluate(plan, values, FD_STEP)
     for i in sorted(errors):
         logger.debug("factor %s (%s) dropped: %s", plan.factors[i].fid, plan.factors[i].kind, errors[i])
-    weights, owner = 1.0 / plan.variance, plan.owner
-    if errors:
-        kept = ~np.isin(owner, list(errors))
-        jacobian, residual, weights, owner = jacobian[kept], residual[kept], weights[kept], owner[kept]
-    finite = np.isfinite(jacobian).all(axis=1) & np.isfinite(residual)
-    if not finite.all():
-        bad = plan.factors[owner[np.argmin(finite)]]
+    weights, layout = 1.0 / plan.variance, plan.table
+    kept = ~np.isin(plan.owner, list(errors)) if errors else np.ones(plan.m, dtype=bool)
+    finite, ok = np.isfinite(residual), np.isfinite(table)
+    blocks = []
+    for kind in layout.kinds:
+        k, r, d = *kind.rows.shape, kind.columns.shape[1]
+        span = slice(kind.at, kind.at + k * r * d)
+        finite[kind.rows[~ok[span].reshape(k, r, d).all(axis=2)]] = False
+        blocks.append((kind.columns, kind.rows, table[span].reshape(k, r, d)))
+    if not finite[kept].all():
+        bad = plan.factors[plan.owner[np.argmax(kept & ~finite)]]
         raise LinearizeError(f"non-finite residual or Jacobian in factor {bad.fid}")
-    return Linearization(jacobian, residual, weights, plan.columns,
+    cross = []
+    for c in layout.cross:
+        on = kept[c.rows[:, 0]]
+        cross.append((table[c.pose[on]], weights[c.rows[on]], table[c.landmark[on]], c.at[on],
+                      c.pose_columns, c.landmark_columns))
+    if errors:
+        index = np.append(np.cumsum(kept) - 1, kept.sum())  # residual row -> kept row; padding
+        blocks = [_compact(columns, index[rows], jacobian, np.append(kept, False)[rows], index[-1])
+                  for columns, rows, jacobian in blocks]
+        residual, weights = residual[kept], weights[kept]
+    return Linearization(blocks, cross, residual, weights, plan.columns,
                          [plan.factors[i].fid for i in sorted(errors)])
+
+
+def _compact(columns: np.ndarray, rows: np.ndarray, jacobian: np.ndarray, keep: np.ndarray,
+             pad: int):
+    """A kind's block with only the ``keep`` rows (k, R), in their order,
+    padded with row ``pad`` to the longest variable's."""
+    slot, row = np.nonzero(keep)
+    to = np.cumsum(keep, axis=1)[slot, row] - 1
+    out = np.zeros((len(keep), int(keep.sum(axis=1).max()), jacobian.shape[2]))
+    index = np.full(out.shape[:2], pad)
+    out[slot, to], index[slot, to] = jacobian[slot, row], rows[slot, row]
+    return columns, index, out
 
 
 def linearize(problem: Problem) -> Linearization:
@@ -509,12 +654,11 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
         if lin.residual.size == 0:
             termination = "diverged"
             break
-        grad = lin.jacobian.T @ (lin.weights * lin.residual)
+        hess, grad = lin.normal_equations()
         if np.max(np.abs(grad)) < GRAD_TOL:
             termination = "gradient"
             iter_times.append(time.perf_counter() - t0)
             break
-        hess = lin.jacobian.T @ (lin.weights[:, None] * lin.jacobian)
         n = hess.shape[0]
 
         accepted = False

@@ -261,3 +261,13 @@ def scalar_dual(state) -> np.ndarray:
     if abs(corner) < 1e-12 * max(1.0, float(np.max(np.abs(q)))):
         raise DegenerateLandmarkError("dual quadric has vanishing homogeneous corner")
     return q / -corner
+
+
+def dense_jacobian(lin) -> np.ndarray:
+    """The (m, n) Jacobian a linearization's blocks stand for; rows that
+    pad a block (index m) fall on a row that is dropped."""
+    n = sum(columns.size for columns, _, _ in lin.blocks)
+    out = np.zeros((lin.residual.size + 1, n))
+    for columns, rows, jacobian in lin.blocks:
+        out[rows[:, :, None], columns[:, None, :]] = jacobian
+    return out[:-1]

@@ -1,8 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quadricfit
 from quadricfit import graphio
 from quadricfit.cli import _build_campaign_spec, main, make_parser
 from quadricfit.sim import CampaignSpec, synthetic_graph
@@ -85,6 +90,29 @@ def test_solve_writes_outputs(tmp_path, graph_path, capsys):
     assert kinds == {"box-semi", "orientation", "shape", "size", "support"}
     assert "against_truth" in report
     assert report["against_truth"]["obj"]["iou"] > 0.5
+
+
+def test_solve_holds_unconstrained_landmark_and_warns_once(tmp_path, graph_path):
+    # A landmark that no factor reads is left to solve(), which holds it at
+    # its initial value and warns once; run as a program, so the warning
+    # reaches stderr as Python's warnings module prints it.
+    graph = json.loads(graph_path.read_text())
+    graph["initial"].append(dict(graph["initial"][0], landmark="extra"))
+    path, out = tmp_path / "extra.json", tmp_path / "out"
+    path.write_text(json.dumps(graph))
+    src = str(Path(quadricfit.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "quadricfit.cli", "solve", "--graph", str(path),
+                          "--param", "rts", "--out", str(out)],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    warned = [line for line in run.stderr.splitlines() if "Warning" in line]
+    assert len(warned) == 1
+    assert "UserWarning: unconstrained variables held fixed: ['extra']" in warned[0]
+    initial = graphio.problem_from_graph(graph, "rts", "inverse").variables["extra"]
+    estimates = {e["landmark"]: e for e in json.loads((out / "solved.json").read_text())["estimates"]}
+    assert estimates["extra"] == json.loads(json.dumps(graphio.estimate_entry("extra", initial)))
 
 
 def test_solve_size_form_flag(tmp_path, graph_path):

@@ -30,7 +30,7 @@ from quadricfit.quadric import (
     rts_from_duals,
 )
 from conftest import random_rts
-from oracles import permuted_rts, residual, scalar_se3_log
+from oracles import dense_jacobian, permuted_rts, residual, scalar_se3_log
 
 INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
 
@@ -412,9 +412,10 @@ def test_richardson_fd_consistency_all_residuals(rng, monkeypatch):
         half = linearize(problem)
         if full.skipped or half.skipped:
             continue  # unprojectable perturbation; not a valid FD comparison
-        scale = np.maximum(np.abs(full.jacobian), np.abs(half.jacobian))
+        full, half = dense_jacobian(full), dense_jacobian(half)
+        scale = np.maximum(np.abs(full), np.abs(half))
         # mixed criterion: entries far below the block scale are FD noise
-        rel = np.abs(full.jacobian - half.jacobian) / (scale + 1e-5 * max(scale.max(), 1.0))
+        rel = np.abs(full - half) / (scale + 1e-5 * max(scale.max(), 1.0))
         assert rel.max() < 1e-4
 
 

@@ -1,5 +1,5 @@
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadricfit import _kernels, costs, solver
+from quadricfit import _kernels, costs, graphio, solver
 from quadricfit.costs import (
     BehindCameraError,
     BoundingBox,
@@ -34,6 +34,7 @@ from quadricfit.sim import (
     NoiseSpec,
     make_trial,
     run_trial,
+    synthetic_graph,
     trial_problem,
 )
 from quadricfit.solver import (
@@ -48,6 +49,7 @@ from quadricfit.solver import (
     total_cost,
 )
 from oracles import (
+    dense_jacobian,
     frame_edge_planes,
     scalar_dual,
     scalar_inverse_rt,
@@ -104,7 +106,7 @@ def test_linearize_fixed_variables_no_columns():
     problem = trial_problem(trial, "spd", "inverse")
     lin = linearize(problem)
     assert list(lin.columns) == ["obj"]
-    assert lin.jacobian.shape == (40, 9)
+    assert dense_jacobian(lin).shape == (40, 9)
 
 
 def test_linearize_pose_prior_identity_jacobian(rng):
@@ -112,7 +114,7 @@ def test_linearize_pose_prior_identity_jacobian(rng):
     factor = Factor(0, "pose-prior", ("x",), {"observed": obs})
     problem = Problem({"x": obs}, [factor], set())
     lin = linearize(problem)
-    np.testing.assert_allclose(lin.jacobian, np.eye(6), atol=1e-5)
+    np.testing.assert_allclose(dense_jacobian(lin), np.eye(6), atol=1e-5)
 
 
 def test_linearize_richardson_consistency(monkeypatch):
@@ -134,12 +136,12 @@ def test_linearize_richardson_consistency(monkeypatch):
         Factor(6, "pose-prior", ("cam",), {"observed": frame.pose}),
     ]
     problem = Problem({"cam": frame.pose, "obj": state}, factors, set())
-    full = linearize(problem)
+    full = dense_jacobian(linearize(problem))
     monkeypatch.setattr(solver, "FD_STEP", 0.5 * solver.FD_STEP)
-    half = linearize(problem)
-    scale = np.maximum(np.abs(full.jacobian), np.abs(half.jacobian))
+    half = dense_jacobian(linearize(problem))
+    scale = np.maximum(np.abs(full), np.abs(half))
     # mixed criterion: entries far below the block scale are FD noise
-    rel = np.abs(full.jacobian - half.jacobian) / (scale + 1e-5 * max(scale.max(), 1.0))
+    rel = np.abs(full - half) / (scale + 1e-5 * max(scale.max(), 1.0))
     assert rel.max() < 1e-4
 
 
@@ -357,6 +359,32 @@ def test_solve_diverges_when_normal_equations_give_no_step(monkeypatch, normal_s
     assert report.termination == "diverged"
     assert report.iterations == 0 and report.attempts == 0
     assert report.lambda_final == solver._LAMBDA_MAX
+
+
+def test_non_finite_jacobian_row_raises_and_solve_diverges(monkeypatch):
+    # A finite value row whose last FD variant row is NaN: the cost is
+    # finite, the linearization names the factor, and the solve diverges
+    # before its first step.
+    trial = seeded_trial("M", idx=2)
+    problem = trial_problem(trial, "rts", "inverse")
+    problem.factors.append(Factor(57, "size", ("obj",), {"prior": (0.5, 0.4, 0.3)}))
+    kind = costs.FACTOR_KINDS["size"]
+
+    def nan_rows(*args):
+        table, status = kind.rows(*args)
+        if len(table) > 1:  # FD variants: value row then 2 x 9 variant rows
+            table = table.copy()
+            table[-1] = np.nan
+        return table, status
+
+    monkeypatch.setitem(costs.FACTOR_KINDS, "size", replace(kind, rows=nan_rows))
+    initial = total_cost(problem)
+    assert np.isfinite(initial)
+    with pytest.raises(solver.LinearizeError, match="in factor 57$"):
+        linearize(problem)
+    report = solve(problem)
+    assert report.termination == "diverged"
+    assert report.cost_trace == [initial]
 
 
 def test_solve_stalls_after_max_inner_retries_rejected_candidates(monkeypatch):
@@ -616,7 +644,7 @@ def _assert_linearize_matches_oracle(problem):
     jac, res, weights, columns, skipped = _oracle_linearize(problem)
     assert lin.columns == columns
     assert lin.skipped == skipped
-    assert np.array_equal(lin.jacobian, jac)
+    assert np.array_equal(dense_jacobian(lin), jac)
     assert np.array_equal(lin.residual, res)
     assert np.array_equal(lin.weights, weights)
     return lin
@@ -673,12 +701,76 @@ def test_linearization_residual_is_the_costed_residual(case):
     assert offset == lin.residual.size
 
 
+@settings(max_examples=40, deadline=None)
+@given(graph_cases)
+def test_block_normal_equations_match_dense_products(case):
+    # H and g assembled from the blocks are JᵀWJ and JᵀWr of the oracle's
+    # dense Jacobian to relative 1e-12 of the sums of the terms' magnitudes
+    # (a sum that cancels has no relative accuracy of its own), and H is
+    # exactly 0 between variables that share no kept factor.
+    problem = random_graph_problem(*case)
+    hess, grad = linearize(problem).normal_equations()
+    jac, res, weights, columns, skipped = _oracle_linearize(problem)
+    size = np.abs(jac)
+    assert np.all(np.abs(hess - jac.T @ (weights[:, None] * jac))
+                  <= 1e-12 * (size.T @ (weights[:, None] * size)))
+    assert np.all(np.abs(grad - jac.T @ (weights * res)) <= 1e-12 * (size.T @ (weights * np.abs(res))))
+    share = {(a, b) for f in problem.factors if f.fid not in skipped
+             for a in f.targets for b in f.targets}
+    for a in columns:
+        for b in columns:
+            if (a, b) not in share:
+                assert not hess[columns[a], columns[b]].any()
+
+
+@pytest.mark.parametrize("param", ["rts", "spd", "full"])
+@pytest.mark.parametrize("source", ["trial", "synthetic_graph"])
+def test_block_normal_equations_of_one_free_variable_are_the_dense_products(param, source):
+    # With one free variable, read by every factor, its block is the whole
+    # Jacobian, so H and g have the bits of the dense products.
+    if source == "trial":
+        problem = trial_problem(seeded_trial("M", idx=5), param, "semi")
+    else:
+        problem = graphio.problem_from_graph(synthetic_graph(1), param, "inverse")
+    assert len(problem.free_ids()) == 1
+    hess, grad = linearize(problem).normal_equations()
+    jac, res, weights, _, _ = _oracle_linearize(problem)
+    assert np.array_equal(hess, jac.T @ (weights[:, None] * jac))
+    assert np.array_equal(grad, jac.T @ (weights * res))
+
+
 def _scalar_retract(value, delta):
     """One variable moved by the one-value-at-a-time formulas."""
     if isinstance(value, Pose):
         rt = scalar_pose_retract(value.rotation, value.translation, delta)
         return Pose(rt[:, :3], rt[:, 3])
     return scalar_landmark_retract(value, delta)
+
+
+def _reference_normal_equations(factors, free, jac, weights, res, columns, skipped):
+    """JᵀWJ and JᵀWr of the oracle's dense Jacobian, summed by the rule the
+    solver assembles its blocks by: a free variable's diagonal block and
+    gradient over the rows of the kept factors that read it, in factor-id
+    order, and a pose-landmark block as its box factors' products added in
+    factor-id order."""
+    kept = [f for f in sorted(factors, key=lambda f: f.fid) if f.fid not in skipped]
+    starts = np.cumsum([0] + [f.dim for f in kept])
+    rows = {f.fid: np.arange(start, start + f.dim) for f, start in zip(kept, starts)}
+    hess, grad = np.zeros((jac.shape[1],) * 2), np.zeros(jac.shape[1])
+    for vid in free:
+        at = np.concatenate([rows[f.fid] for f in kept if vid in f.targets] or [np.zeros(0, int)])
+        block = np.ascontiguousarray(jac[at][:, columns[vid]])
+        hess[columns[vid], columns[vid]] = block.T @ (weights[at][:, None] * block)
+        grad[columns[vid]] = block.T @ (weights * res)[at]
+    for f in kept:
+        if len(f.targets) == 2 and all(t in free for t in f.targets):
+            pose, landmark = (columns[t] for t in f.targets)
+            block = jac[rows[f.fid]]
+            product = np.ascontiguousarray(block[:, pose]).T @ (
+                weights[rows[f.fid]][:, None] * block[:, landmark])
+            hess[pose, landmark] += product
+            hess[landmark, pose] += product.T
+    return hess, grad
 
 
 def _reference_solve(problem, max_iterations):
@@ -701,11 +793,11 @@ def _reference_solve(problem, max_iterations):
         if res.size == 0:
             termination = "diverged"
             break
-        grad = jac.T @ (weights * res)
+        hess, grad = _reference_normal_equations(problem.factors, free, jac, weights, res, columns,
+                                                 skipped)
         if np.max(np.abs(grad)) < solver.GRAD_TOL:
             termination = "gradient"
             break
-        hess = jac.T @ (weights[:, None] * jac)
         accepted, evals = False, 0
         while True:
             try:
