@@ -65,13 +65,17 @@ def _entries(d: dict, key: str) -> list:
 
 
 def _numbers(d: dict, key: str, what: str, shape: tuple, name: str | None = None) -> np.ndarray:
-    """Field ``key`` of ``d`` as a finite float array of ``shape``."""
+    """Field ``key`` of ``d`` as a finite float array of ``shape``: numbers,
+    not strings or bools."""
     name = name or key
     value = _field(d, key, what)
     try:
-        a = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise GraphError(f"{what}: {name} must be numeric") from None
+        a = np.asarray(value)
+    except ValueError:  # ragged nesting
+        a = np.asarray(None)
+    if a.dtype.kind not in "iuf":
+        raise GraphError(f"{what}: {name} must be numeric")
+    a = a.astype(float)
     if a.shape != shape:
         size = " x ".join(map(str, shape))
         raise GraphError(f"{what}: {name} must be " + (f"{size} numbers" if shape else "a number"))

@@ -25,12 +25,16 @@ rows the Jacobian linearizes, and each row has the bits of the batch of
 one that :func:`factor_residual` evaluates, so batching changes no result.
 
 No linearization builds the (m, n) Jacobian. A factor reads at most one
-pose and one landmark, so each free variable keeps only the rows of the
-factors that read it (:class:`Linearization`). JᵀWJ is a batched product
-per variable kind on the diagonal and one over the box factors that join
-a free pose to a free landmark, each pair's block summed in factor-id
-order. A problem with one free variable that every factor reads
-gets the bits of the dense product.
+pose and one landmark, so each free variable kind's Jacobian is one
+(m + 1, d) row array: row i against the variable of that kind that
+residual row i's factor reads. Each free variable keeps only the rows of
+the factors that read it (:class:`Linearization`), gathered by row lists
+that a solve builds once and a linearization that skips a factor builds
+again from the kept rows. JᵀWJ is a batched product per variable kind on
+the diagonal and one over the box factors that join a free pose to a
+free landmark, each pair's block summed in factor-id order. A problem
+with one free variable that every factor reads gets the bits of the
+dense product.
 
 Factors that cannot be evaluated at the current state (landmark behind the
 camera, degenerate projection) are dropped for that evaluation with a skip
@@ -53,7 +57,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .costs import FACTOR_KINDS, BehindCameraError, DegenerateProjectionError, Factor, evaluation_error
-from .manifold import require_integer
+from .manifold import Pose, require_integer
 from .quadric import DegenerateLandmarkError, rts_from_duals
 
 _EVAL_ERRORS = (BehindCameraError, DegenerateProjectionError, DegenerateLandmarkError,
@@ -86,7 +90,9 @@ class Problem:
     """Variables (id -> Pose or landmark state), factors, fixed-id set.
 
     Every variable value must be finite: a NaN state would reach the solver
-    as NaN residuals, whose cost no step can decrease.
+    as NaN residuals, whose cost no step can decrease. A factor's "pose"
+    targets (its kind's roles) must be poses and its "landmark" targets
+    not, so a factor reads at most one variable of each kind.
     """
 
     variables: dict
@@ -99,9 +105,11 @@ class Problem:
             if not all(np.isfinite(getattr(value, f.name)).all() for f in fields(value)):
                 raise ProblemError(f"variable {vid!r} has non-finite values")
         for f in self.factors:
-            for t in f.targets:
+            for t, role in zip(f.targets, FACTOR_KINDS[f.kind].roles):
                 if t not in self.variables:
                     raise ProblemError(f"factor {f.fid} references unknown variable {t!r}")
+                if isinstance(self.variables[t], Pose) != (role == "pose"):
+                    raise ProblemError(f"factor {f.fid} ({f.kind}) needs a {role} for {t!r}")
 
     def free_ids(self) -> list:
         """The variables a solve steps: those not fixed that some factor reads."""
@@ -220,64 +228,46 @@ class _Plan:
     @cached_property
     def table(self) -> SimpleNamespace:
         """Where a linearization keeps its Jacobian: a flat table of ``size``
-        floats holding, per free kind, a (k, R, d) block of its variables'
-        rows, each variable's those of the factors reading it in factor-id
-        order, then zero rows up to the kind's longest. ``kinds`` gives each
-        kind's table offset ``at``, the residual row of each block row,
-        ``rows`` (k, R), ``m`` on zero rows, and its ``columns`` (k, d);
-        ``first`` maps (factor position, variable) to the table position
-        of the factor's block against the variable. ``cross`` holds per
-        (pose kind, landmark kind) the box factors on a free pose and a
-        free landmark, in factor-id order: the table positions of their
-        pose and landmark blocks, their residual rows, ``at``, where each
-        factor's product falls among its (pose, landmark) pairs' blocks,
-        and the pairs' pose and landmark columns."""
-        starts, count, first, both = self.starts.tolist(), dict.fromkeys(self.columns, 0), {}, []
+        floats holding, per free kind from its offset ``at``, one (m + 1, d)
+        row array. Its row i is residual row i's derivative against the
+        kind's variable that row i's factor reads, zero when it reads none,
+        and row m is zero. A kind gives also its ``columns`` (k, d), each
+        residual row's ``slot`` (m,), the position among the k of the
+        variable read there, or k, and ``rows`` (k, R), each variable's
+        residual rows in factor-id order padded with m (:func:`_row_lists`).
+        ``cross`` holds per (pose kind, landmark kind) the box factors on a
+        free pose and a free landmark, in factor-id order: the kinds'
+        positions ``pose`` and ``landmark``, the factors' residual ``rows``,
+        ``at``, where each factor's product falls among its (pose, landmark)
+        pairs' blocks, and the pairs' pose and landmark columns."""
+        place = {vid: (a, s) for a, vids in enumerate(self.kinds) for s, vid in enumerate(vids)}
+        kinds, cross, size = [], {}, 0
+        for vids, columns in zip(self.kinds, self.kind_columns):
+            d = columns.size // len(vids)
+            kinds.append(SimpleNamespace(at=size, d=d, columns=columns.reshape(-1, d),
+                                         slot=np.full(self.m, len(vids))))
+            size += (self.m + 1) * d
         for i, f in enumerate(self.factors):
-            free = [t for t in f.targets if t in count]
-            for t in free:
-                first[i, t], count[t] = count[t], count[t] + starts[i + 1] - starts[i]
-            if len(free) == 2:
-                both.append(i)
-        where, kinds, size, nrows = {}, [], 0, 0  # per free variable: (kind, table at, d, row at)
-        for a, (vids, columns) in enumerate(zip(self.kinds, self.kind_columns)):
-            k, r = len(vids), max(count[vid] for vid in vids)
-            d = columns.size // k
-            kinds.append(SimpleNamespace(at=size, row_at=nrows, shape=(k, r),
-                                         columns=columns.reshape(k, d)))
-            where.update((vid, (a, size + s * r * d, d, nrows + s * r)) for s, vid in enumerate(vids))
-            size, nrows = size + k * r * d, nrows + k * r
-        to, src, dims = [], [], []
-        for (i, t), row in first.items():
-            _, at, d, row_at = where[t]
-            to.append(row_at + row)
-            src.append(starts[i])
-            dims.append(starts[i + 1] - starts[i])
-            first[i, t] = at + row * d
-        step = np.arange(sum(dims)) - np.repeat(np.cumsum([0] + dims[:-1]), dims)
-        rows = np.full(nrows, self.m)
-        rows[np.repeat(to, dims) + step] = np.repeat(src, dims) + step
+            rows = range(self.starts[i], self.starts[i + 1])
+            for t in f.targets:
+                if t in place:
+                    kinds[place[t][0]].slot[rows] = place[t][1]
+            if len(f.targets) == 2 and all(t in place for t in f.targets):
+                pose, landmark = (place[t][0] for t in f.targets)
+                c = cross.setdefault((pose, landmark), SimpleNamespace(
+                    pose=pose, landmark=landmark, rows=[], at=[], pairs={}))
+                c.at.append(c.pairs.setdefault(f.targets, len(c.pairs)))
+                c.rows.append(rows)
         for kind in kinds:
-            kind.rows = rows[kind.row_at:kind.row_at + np.prod(kind.shape)].reshape(kind.shape)
-        cross = {}
-        for i in both:  # the camera kinds share one residual dimension
-            pose, landmark = targets = self.factors[i].targets
-            c = cross.setdefault((where[pose][0], where[landmark][0]), SimpleNamespace(
-                pose=[], landmark=[], rows=[], at=[], pairs={}, dim=starts[i + 1] - starts[i],
-                dp=where[pose][2], dl=where[landmark][2]))
-            c.at.append(c.pairs.setdefault(targets, len(c.pairs)))
-            c.pose.append(first[i, pose])
-            c.landmark.append(first[i, landmark])
-            c.rows.append(starts[i])
+            kind.rows = _row_lists(kind, np.ones(self.m, dtype=bool))
         for c in cross.values():
-            c.pose = np.array(c.pose)[:, None, None] + np.arange(c.dim * c.dp).reshape(c.dim, c.dp)
-            c.landmark = np.array(c.landmark)[:, None, None] + np.arange(c.dim * c.dl).reshape(c.dim, c.dl)
-            c.rows = np.array(c.rows)[:, None] + np.arange(c.dim)
-            c.at = np.array(c.at)[:, None] * (c.dp * c.dl) + np.arange(c.dp * c.dl)
+            dp, dl = kinds[c.pose].d, kinds[c.landmark].d
+            c.rows = np.array(c.rows)  # the camera kinds share one residual dimension
+            c.at = np.array(c.at)[:, None] * (dp * dl) + np.arange(dp * dl)
             c.pose_columns, c.landmark_columns = (
                 np.array([self.columns[pair[j]].start for pair in c.pairs])[:, None] + np.arange(d)
-                for j, d in ((0, c.dp), (1, c.dl)))
-        return SimpleNamespace(size=size, kinds=kinds, first=first, cross=list(cross.values()))
+                for j, d in ((0, dp), (1, dl)))
+        return SimpleNamespace(size=size, kinds=kinds, cross=list(cross.values()))
 
     def layout(self, fd: bool):
         """(groups, decomposed rows) of an evaluation, with FD variants if ``fd``.
@@ -290,11 +280,12 @@ class _Plan:
         packed per single row or free pair; ``res`` places the value rows in
         the residual; a Jacobian entry is its ``plus`` minus its ``minus``
         row over twice the step of column ``jcols``, at the positions
-        ``blocks`` of :attr:`table`.
+        ``blocks`` of :attr:`table`: its row array's ``at + row * d + j``.
         """
         if fd in self._layouts:
             return self._layouts[fd]
-        block_at = self.table.first if fd else {}
+        kind_at = {vid: kind.at for kind, vids in zip(self.table.kinds if fd else (), self.kinds)
+                   for vid in vids}
         rows, size = {}, dict.fromkeys(_READS, 0)
         widths = [(vids, 0) for vids, _ in self.fixed]
         for vids, width in widths + [(vids, len(c)) for vids, c in zip(self.kinds, self.kind_columns)]:
@@ -308,7 +299,7 @@ class _Plan:
         for name, members in self.groups.items():
             kind = FACTOR_KINDS[name]
             g = SimpleNamespace(targets=[], starts=[], pairs=[], fixed=[], cameras=[], owner=[],
-                                plus=[], minus=[], jcols=[], blocks=[], stride=[])
+                                plus=[], minus=[], jcols=[], blocks=[])
             on_fixed = sum(self.factors[i].targets[0] not in self.columns for i in members)
             for j, i in enumerate(members):
                 targets = self.factors[i].targets
@@ -333,12 +324,11 @@ class _Plan:
                     g.minus += range(at + d, at + 2 * d)
                     if d:
                         g.jcols += range(self.columns[t].start, self.columns[t].start + d)
-                        g.blocks += range(block_at[i, t], block_at[i, t] + d)
-                        g.stride += [d] * d
+                        block = kind_at[t] + self.starts[i] * d  # the factor's first row
+                        g.blocks += [range(c, c + kind.dim * d, d) for c in range(block, block + d)]
                     at += 2 * d
             vars(g).update({key: np.array(v, dtype=int) for key, v in vars(g).items()})
             g.factors, g.payload = np.array(members), tuple(a[g.owner] for a in self.packed[name])
-            g.blocks = g.blocks[:, None] + g.stride[:, None] * np.arange(kind.dim)
             g.jcols = g.jcols[:, None]
             g.res = self.starts[members][:, None] + np.arange(kind.dim)
             groups[name] = g
@@ -502,12 +492,14 @@ class Linearization:
     ``jacobian`` (k, R, d)): each of its k variables' rows of ``residual``,
     those of the kept factors reading it in factor-id order, then
     ``len(residual)`` as padding, and its Jacobian there against its own d
-    columns, zero on padding. ``cross`` holds per (pose kind, landmark
-    kind) the kept box factors on a free pose and a free landmark, in
-    factor-id order: (pose blocks (F, r, dp), their rows' weights (F, r),
-    landmark blocks (F, r, dl), ``at`` (F, dp * dl), pose columns (Q, dp),
-    landmark columns (Q, dl)), ``at`` placing each factor's product among
-    the blocks of the Q (pose, landmark) pairs.
+    columns, zero on padding: one gather of the kind's (m + 1, d) row array
+    (:attr:`_Plan.table`), whose last row is zero. ``cross`` holds per
+    (pose kind, landmark kind) the kept box factors on a free pose and a
+    free landmark, in factor-id order: (pose blocks (F, r, dp), their rows'
+    weights (F, r), landmark blocks (F, r, dl), ``at`` (F, dp * dl), pose
+    columns (Q, dp), landmark columns (Q, dl)), ``at`` placing each
+    factor's product among the blocks of the Q (pose, landmark) pairs; the
+    blocks are the row arrays gathered by the factors' residual rows.
     """
 
     blocks: list
@@ -551,42 +543,44 @@ def _linearize(plan: _Plan, values: list) -> Linearization:
     residual, table, errors = _evaluate(plan, values, FD_STEP)
     for i in sorted(errors):
         logger.debug("factor %s (%s) dropped: %s", plan.factors[i].fid, plan.factors[i].kind, errors[i])
-    weights, layout = 1.0 / plan.variance, plan.table
-    kept = ~np.isin(plan.owner, list(errors)) if errors else np.ones(plan.m, dtype=bool)
-    finite, ok = np.isfinite(residual), np.isfinite(table)
-    blocks = []
-    for kind in layout.kinds:
-        k, r, d = *kind.rows.shape, kind.columns.shape[1]
-        span = slice(kind.at, kind.at + k * r * d)
-        finite[kind.rows[~ok[span].reshape(k, r, d).all(axis=2)]] = False
-        blocks.append((kind.columns, kind.rows, table[span].reshape(k, r, d)))
+    weights, layout, m = 1.0 / plan.variance, plan.table, plan.m
+    kept = ~np.isin(plan.owner, list(errors)) if errors else np.ones(m, dtype=bool)
+    arrays = [table[kind.at:kind.at + (m + 1) * kind.d].reshape(m + 1, kind.d) for kind in layout.kinds]
+    finite = np.isfinite(residual)
+    for array in arrays:
+        finite &= np.isfinite(array[:m]).all(axis=1)
     if not finite[kept].all():
         bad = plan.factors[plan.owner[np.argmax(kept & ~finite)]]
         raise LinearizeError(f"non-finite residual or Jacobian in factor {bad.fid}")
     cross = []
     for c in layout.cross:
         on = kept[c.rows[:, 0]]
-        cross.append((table[c.pose[on]], weights[c.rows[on]], table[c.landmark[on]], c.at[on],
+        rows = c.rows[on]
+        cross.append((arrays[c.pose][rows], weights[rows], arrays[c.landmark][rows], c.at[on],
                       c.pose_columns, c.landmark_columns))
+    blocks = []
+    for kind, array in zip(layout.kinds, arrays):
+        rows = _row_lists(kind, kept) if errors else kind.rows
+        blocks.append((kind.columns, rows, array[rows]))
     if errors:
         index = np.append(np.cumsum(kept) - 1, kept.sum())  # residual row -> kept row; padding
-        blocks = [_compact(columns, index[rows], jacobian, np.append(kept, False)[rows], index[-1])
-                  for columns, rows, jacobian in blocks]
+        blocks = [(columns, index[rows], jacobian) for columns, rows, jacobian in blocks]
         residual, weights = residual[kept], weights[kept]
     return Linearization(blocks, cross, residual, weights, plan.columns,
                          [plan.factors[i].fid for i in sorted(errors)])
 
 
-def _compact(columns: np.ndarray, rows: np.ndarray, jacobian: np.ndarray, keep: np.ndarray,
-             pad: int):
-    """A kind's block with only the ``keep`` rows (k, R), in their order,
-    padded with row ``pad`` to the longest variable's."""
-    slot, row = np.nonzero(keep)
-    to = np.cumsum(keep, axis=1)[slot, row] - 1
-    out = np.zeros((len(keep), int(keep.sum(axis=1).max()), jacobian.shape[2]))
-    index = np.full(out.shape[:2], pad)
-    out[slot, to], index[slot, to] = jacobian[slot, row], rows[slot, row]
-    return columns, index, out
+def _row_lists(kind: SimpleNamespace, keep: np.ndarray) -> np.ndarray:
+    """Each of a :attr:`_Plan.table` kind's k variables' residual rows among
+    ``keep``, those whose ``slot`` is its position, in order and padded with
+    m to the longest variable's: (k, R)."""
+    slot, k = kind.slot, len(kind.columns)
+    rows = np.flatnonzero(keep & (slot < k))
+    rows = rows[np.argsort(slot[rows], kind="stable")]
+    counts = np.bincount(slot[rows], minlength=k)
+    out = np.full((k, counts.max()), len(slot))
+    out[slot[rows], np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)] = rows
+    return out
 
 
 def linearize(problem: Problem) -> Linearization:

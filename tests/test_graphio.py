@@ -69,6 +69,12 @@ def _edit(path, value=None):
     (_edit(("intrinsics", "fx"), np.nan), "intrinsics: fx must be finite"),
     (_edit(("truth", 0, "scale", 2), np.nan), "truth for 'obj': scale must be finite"),
     (_edit(("detections", 0, "box", 1), "wide"), "detection 0: box must be numeric"),
+    (_edit(("detections", 0, "box", 1), "397.5"), "detection 0: box must be numeric"),
+    (_edit(("initial", 0, "scale"), ["0.5", "0.4", "0.3"]),
+     "initial estimate for 'obj': scale must be numeric"),
+    (_edit(("intrinsics", "fx"), "500"), "intrinsics: fx must be numeric"),
+    (_edit(("intrinsics", "cx"), True), "intrinsics: cx must be numeric"),
+    (_edit(("detections", 0, "sigma_px"), True), "detection 0: sigma_px must be numeric"),
     (_edit(("detections", 0, "box")), "detection 0: missing box"),
     (_edit(("frames", 0, "q_wxyz")), "frame 'cam00': missing q_wxyz"),
     (_edit(("detections",), {"0": {}}), "detections: expected a list"),
@@ -86,6 +92,7 @@ def _edit(path, value=None):
     (_edit(("truth", 0, "landmark"), "ghost"), "truth: unknown landmark 'ghost'"),
 ], ids=["box-inf", "frame-t-nan", "initial-t-inf", "support-nan", "sigma-negative",
         "sigma-inf", "sigma-zero", "intrinsics-nan", "truth-scale-nan", "box-string",
+        "box-numeric-string", "scale-strings", "fx-string", "cx-bool", "sigma-bool",
         "box-missing", "quaternion-missing", "detections-not-a-list", "spd-not-definite",
         "full-not-ellipsoid", "abc-unsorted", "landmark-id-of-a-frame", "id-not-a-string",
         "fixed-unknown", "truth-unknown"])

@@ -255,6 +255,20 @@ def test_problem_rejects_unknown_targets():
         Problem({}, [factor], set())
 
 
+@pytest.mark.parametrize("kind, targets, payload", [
+    ("box-inverse", ("obj", "cam"), {"intrinsics": INTR, "box": BoundingBox(280.0, 360.0, 200.0, 280.0)}),
+    ("pose-prior", ("obj",), {"observed": Pose.identity()}),
+    ("shape", ("cam",), {"prior": (0.4, 0.3, 0.2)}),
+], ids=["box-swapped", "pose-prior-on-landmark", "shape-on-pose"])
+def test_problem_rejects_targets_that_do_not_fit_their_roles(kind, targets, payload):
+    # A "pose" target must be a pose and a "landmark" target must not be,
+    # or the first evaluation would fail with an untyped error.
+    variables = {"cam": Pose.identity(),
+                 "obj": RtsState(np.eye(3), np.array([0.0, 0.0, 4.0]), np.array([0.4, 0.3, 0.2]))}
+    with pytest.raises(ProblemError, match="^factor 7 "):
+        Problem(variables, [Factor(7, kind, targets, payload)], set())
+
+
 def test_behind_camera_factors_skipped_not_fatal():
     trial = seeded_trial("M", idx=6)
     problem = trial_problem(trial, "rts", "inverse")
@@ -771,6 +785,23 @@ def _reference_normal_equations(factors, free, jac, weights, res, columns, skipp
             hess[pose, landmark] += product
             hess[landmark, pose] += product.T
     return hess, grad
+
+
+@pytest.mark.parametrize("case", [(6, "rts", 2, 3, True), (6, "spd", 2, 3, True),
+                                  (6, "full", 2, 3, True), (2, "spd", 3, 2, True)])
+def test_normal_equations_of_a_skipping_linearization_equal_the_reference(case):
+    # The near-plane examples of test_solve_equals_reference_lm skip factors
+    # at their first linearization, with 2-3 free variables: their blocks
+    # hold only the kept rows, and give the reference sums bit for bit.
+    problem = random_graph_problem(*case)
+    lin = linearize(problem)
+    assert lin.skipped
+    jac, res, weights, columns, skipped = _oracle_linearize(problem)
+    hess, grad = _reference_normal_equations(problem.factors, problem.free_ids(), jac, weights, res,
+                                             columns, skipped)
+    got = lin.normal_equations()
+    assert np.array_equal(got[0], hess)
+    assert np.array_equal(got[1], grad)
 
 
 def _reference_solve(problem, max_iterations):
