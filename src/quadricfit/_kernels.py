@@ -3,7 +3,9 @@
 The one camera-matrix builder (:func:`camera_matrices`), the one
 conic-box formula (:func:`boxes_from_duals`, built from
 :func:`project_duals` and :func:`conic_boxes`) and the one box-semi
-tangency formula (:func:`tangency_values`). Every input is per row: each
+tangency formula (:func:`tangency_values`), each beside its closed-form
+derivatives (:func:`box_slopes`, :func:`tangency_slopes`), from which the
+solver's box Jacobians come. Every input is per row: each
 row carries its own camera ([R|t] and intrinsics, or edge planes), so one
 call can cover every camera of a problem; rows never mix, and a row's
 result has the same bits in any stack. The box rows of
@@ -33,6 +35,11 @@ CUTS_PRINCIPAL_PLANE = 4
 _NO_REAL_BOX = np.array([NEGATIVE_DISCRIMINANT, BEHIND_CAMERA, UNNORMALIZABLE,
                          NEGATIVE_DISCRIMINANT, NEGATIVE_DISCRIMINANT])
 
+# The box edges [ul, ur, vu, vd]: each one's image axis, and half its sign.
+_EDGES = np.arange(4)
+_AXIS = np.array([0, 0, 1, 1])
+_HALF_SIGN = np.array([-0.5, 0.5, -0.5, 0.5])
+
 
 def backend() -> str:
     """Name of the kernel implementation, echoed in run records: 'python'."""
@@ -51,19 +58,21 @@ def project_duals(qs: np.ndarray, m: np.ndarray):
     row is [R|t]'s, the camera's z row ``pi``: it gives the center's depth,
     and the unnormalized g[2, 2] is ``pi^T q pi``. An ellipsoid wholly in
     front of the camera makes that negative, and when it is not below
-    ``-tol * scale`` the ellipsoid crosses the camera's plane z = 0 and its
-    conic is no ellipse.
+    ``-tol`` the ellipsoid crosses the camera's plane z = 0 and its conic is
+    no ellipse. g[2, 2] = r^T P r - z^2 for the shape block P and the
+    camera's axis r, so it is in m^2, and ``tol = 1e-12 * max(1, z^2)`` is a
+    tolerance in its units, whatever the pixel scale of the other entries.
     """
     z = np.vecdot(-qs[:, :3, 3], m[:, 2, :3]) + m[:, 2, 3]
     g = m @ qs @ np.swapaxes(m, 1, 2)
     corner = g[:, 2, 2]
-    # One call covers every row of a problem, so g is large: max |g| and the
-    # in-place normalization below make no (n, 3, 3) temporaries.
-    tol = _CORNER_TOL * np.fmax(1.0, np.fmax(g.max(axis=(1, 2)), -g.min(axis=(1, 2))))
+    tol = _CORNER_TOL * np.fmax(1.0, z * z)
     # Past the UNNORMALIZABLE test |g[2, 2]| >= tol, so "not below -tol" is "positive".
     status = np.where(z <= 0.0, BEHIND_CAMERA,
                       np.where(np.abs(corner) < tol, UNNORMALIZABLE,
                                np.where(corner > 0.0, CUTS_PRINCIPAL_PLANE, 0)))
+    # One call covers every row of a problem, so g is large: the in-place
+    # normalization makes no (n, 3, 3) temporaries.
     g /= np.where(status == 0, corner, 1.0)[:, None, None]
     g += np.swapaxes(g, 1, 2)
     g *= 0.5
@@ -84,12 +93,18 @@ def conic_boxes(conics: np.ndarray):
     return np.stack([g02 - ru, g02 + ru, g12 - rv, g12 + rv], axis=1), ok
 
 
+def intrinsic_matrices(fx, fy, cx, cy, n: int) -> np.ndarray:
+    """Intrinsic matrices K (n, 3, 3) of intrinsics that are scalars or (n,)
+    arrays."""
+    k = np.zeros((n, 3, 3))
+    k[:, 0, 0], k[:, 1, 1], k[:, 0, 2], k[:, 1, 2], k[:, 2, 2] = fx, fy, cx, cy, 1.0
+    return k
+
+
 def camera_matrices(fx, fy, cx, cy, rt: np.ndarray) -> np.ndarray:
     """Camera matrices M = K [R|t] (n, 3, 4) of each row's camera-from-world
     ``rt`` (n, 3, 4) and intrinsics, which are scalars or (n,) arrays."""
-    k = np.zeros((len(rt), 3, 3))
-    k[:, 0, 0], k[:, 1, 1], k[:, 0, 2], k[:, 1, 2], k[:, 2, 2] = fx, fy, cx, cy, 1.0
-    return k @ rt
+    return intrinsic_matrices(fx, fy, cx, cy, len(rt)) @ rt
 
 
 def boxes_from_duals(fx, fy, cx, cy, rt, duals):
@@ -106,6 +121,41 @@ def boxes_from_duals(fx, fy, cx, cy, rt, duals):
     return boxes, np.where(ok, status, _NO_REAL_BOX[status])
 
 
+def box_slopes(fx, fy, cx, cy, rt, duals):
+    """Closed-form derivatives of the box edges :func:`boxes_from_duals`
+    gives, per row and edge: (against the dual (n, 4, 4, 4), against the
+    camera's [R|t] (n, 4, 3, 4)), arguments as there.
+
+    With G = M Q M^T and M = K [R|t], the u edges are
+    ``G02/G22 -/+ sqrt(G02^2 - G00 G22)/|G22|`` and the v edges likewise
+    with G11 and G12. With W = d(edge)/dG, symmetric, the derivative
+    against Q is ``M^T W M``, against M ``2 W M Q``, and against [R|t]
+    ``K^T`` times that. Only rows that :func:`boxes_from_duals` finds
+    evaluable have a derivative; where a discriminant is zero (a box of
+    zero width) it is infinite.
+    """
+    n = len(duals)
+    k = intrinsic_matrices(fx, fy, cx, cy, n)
+    m = k @ rt
+    g = m @ duals @ np.swapaxes(m, 1, 2)
+    # Per row and edge (n, 4): G_ii and G_i2 of the edge's axis i, and G22.
+    a, b, c = g[:, _AXIS, _AXIS], g[:, _AXIS, 2], g[:, 2, 2, None]
+    m_i, m_z = m[:, _AXIS], m[:, None, 2]
+    wm = np.zeros((n, 4, 3, 4))  # W M: its rows i and z
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # An edge is (b - sign root) / c; here its derivatives against G_ii,
+        # G_i2 (halved: W holds it twice, at i2 and 2i) and G22.
+        root = np.sqrt(b * b - a * c)
+        da = _HALF_SIGN / root
+        hdb = (0.5 - da * b) / c
+        dc = (da * a - (b - 2.0 * _HALF_SIGN * root) / c) / c
+        wm[:, _EDGES, _AXIS] = da[..., None] * m_i + hdb[..., None] * m_z
+        wm[:, :, 2] = hdb[..., None] * m_i + dc[..., None] * m_z
+        d_dual = np.swapaxes(m, 1, 2)[:, None] @ wm
+        d_rt = np.swapaxes(k, 1, 2)[:, None] @ (2.0 * (wm @ duals[:, None]))
+    return d_dual, d_rt
+
+
 def tangency_values(planes, duals):
     """Tangency defects ``pi^T q pi`` of each row's planes and dual quadric.
 
@@ -113,6 +163,13 @@ def tangency_values(planes, duals):
     Always evaluable: returns the values (n, p).
     """
     return np.einsum("npi,nij,npj->np", planes, duals, planes)
+
+
+def tangency_slopes(planes, duals):
+    """Derivatives of :func:`tangency_values`' ``t = pi^T q pi`` per row
+    and plane: (against the dual, ``pi pi^T`` (n, p, 4, 4); against the
+    plane, ``2 q pi`` (n, p, 4))."""
+    return planes[..., :, None] * planes[..., None, :], 2.0 * (planes @ duals)
 
 
 def voxel_box_overlap(rot_a, cen_a, half_a, rot_b, cen_b, half_b, lo, hi, n):

@@ -36,6 +36,7 @@ from ._kernels import (
     UNNORMALIZABLE,
     camera_matrices,
     conic_boxes,
+    intrinsic_matrices,
     project_duals,
 )
 from .manifold import InvalidInputError, Pose, finite_numbers, se3_log
@@ -70,8 +71,8 @@ class CameraIntrinsics:
 
     @property
     def k(self) -> np.ndarray:
-        """K (3, 3), the first three columns of the camera matrix K [I|0]."""
-        return camera_matrices(self.fx, self.fy, self.cx, self.cy, np.eye(3, 4)[None])[0, :, :3]
+        """K (3, 3)."""
+        return intrinsic_matrices(self.fx, self.fy, self.cx, self.cy, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -188,10 +189,29 @@ def box_inverse_rows(duals, rt, intrinsics, observed):
     return boxes - observed, status
 
 
-def box_semi_rows(duals, planes):
+def box_inverse_slopes(duals, rt, intrinsics, observed):
+    """Derivatives of :func:`box_inverse_rows` (the observed box is a
+    constant): against the dual (n, 4, 4, 4) and against [R|t]
+    (n, 4, 3, 4), as :func:`~quadricfit._kernels.box_slopes` gives them."""
+    return _kernels.box_slopes(*intrinsics.T, rt, duals)
+
+
+def edge_lines(intrinsics, boxes) -> np.ndarray:
+    """``K^T l`` (n, 4, 3) of each row's box edge lines ``l``, [1, 0, -u]
+    for the u edges and [0, 1, -v] for the v edges, in edge order: the
+    edge plane through the camera is ``(K^T l)^T [R|t]``, so these are its
+    derivative against [R|t]. ``intrinsics`` (n, 4), ``boxes`` (n, 4)."""
+    lines = np.zeros((len(boxes), 4, 3))
+    lines[:, :2, 0], lines[:, 2:, 1] = intrinsics[:, :1], intrinsics[:, 1:2]
+    lines[:, :, 2] = intrinsics[:, [2, 2, 3, 3]] - boxes
+    return lines
+
+
+def box_semi_rows(duals, planes, lines):
     """Tangency defect of each observed edge plane (4 components), a row
     per camera: ``planes`` (n, 4, 4) holds each row's edge planes, as
-    :func:`box_edge_planes` builds them.
+    :func:`box_edge_planes` builds them; ``lines``, the planes' derivative
+    against the camera (:func:`edge_lines`), is not read here.
 
     With a unit-normal plane and the canonical quadric scale the defect is
     ``reach^2 - dist^2`` (m^2): the squared support reach of the ellipsoid
@@ -202,6 +222,19 @@ def box_semi_rows(duals, planes):
     minimizer is the same under isotropic covariance. Always evaluable.
     """
     return _evaluable(_kernels.tangency_values(planes, duals))
+
+
+def box_semi_slopes(duals, planes, lines):
+    """Derivatives of :func:`box_semi_rows`: against the dual, ``pi pi^T``
+    (n, 4, 4, 4), and against [R|t] (n, 4, 3, 4), through the unit plane
+    ``pi = p / |p[:3]|`` of the unnormalized ``p = (K^T l)^T [R|t]``,
+    whose normal has the norm of ``K^T l`` at any rigid [R|t]."""
+    d_dual, d_planes = _kernels.tangency_slopes(planes, duals)
+    normals = planes.copy()
+    normals[..., 3] = 0.0
+    d_p = ((d_planes - np.vecdot(d_planes, planes)[..., None] * normals)
+           / np.sqrt(np.vecdot(lines, lines))[..., None])
+    return d_dual, lines[..., :, None] * d_p[..., None, :]
 
 
 def unit_direction(m) -> np.ndarray:
@@ -316,6 +349,10 @@ class FactorKind:
     pair to the pair's camera data, and ``seen(duals, *view)`` gives the
     rows of duals seen through it. So the solver builds a fixed pose's
     camera data once per solve, and a free pose's once per value.
+    ``slopes(duals, *view)`` gives the rows' closed-form derivatives,
+    against the dual (n, dim, 4, 4) and against the pose's [R|t]
+    (n, dim, 3, 4), which the solver chains through each free variable's
+    differential.
     """
 
     dim: int
@@ -327,18 +364,19 @@ class FactorKind:
     decomposed: bool = False
     view: Callable | None = None
     seen: Callable | None = None
+    slopes: Callable | None = None
 
     @property
     def targets(self) -> int:
         return len(self.roles)
 
 
-def _camera_kind(view: Callable, seen: Callable) -> FactorKind:
+def _camera_kind(view: Callable, seen: Callable, slopes: Callable) -> FactorKind:
     """The camera-landmark kind whose rows are ``seen(duals, *view(rt,
-    intrinsics, observed))``."""
+    intrinsics, observed))`` and their derivatives ``slopes(duals, *view(...))``."""
     return FactorKind(4, 5.0**2, lambda rt, duals, intrinsics, observed: seen(
         duals, *view(rt, intrinsics, observed)), _check_box, _pack_box, ("pose", "landmark"),
-        view=view, seen=seen)
+        view=view, seen=seen, slopes=slopes)
 
 
 def _decomposed(stack) -> np.ndarray:
@@ -412,9 +450,10 @@ def _check_support(payload) -> None:
 # so a tracer or a test that replaces them by name sees every call.
 FACTOR_KINDS = {
     "box-inverse": _camera_kind(lambda rt, intrinsics, observed: (rt, intrinsics, observed),
-                                box_inverse_rows),
+                                box_inverse_rows, box_inverse_slopes),
     "box-semi": _camera_kind(lambda rt, intrinsics, observed: (
-        box_edge_planes(intrinsics, rt, observed),), box_semi_rows),
+        box_edge_planes(intrinsics, rt, observed), edge_lines(intrinsics, observed)),
+        box_semi_rows, box_semi_slopes),
     "orientation": FactorKind(9, 0.1**2, lambda s, m: (
         orientation_residuals(s.rts[0], m), _decomposed(s)),
         lambda p: unit_direction(finite_numbers("direction", _get(p, "direction"), (3,))),

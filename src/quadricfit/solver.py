@@ -3,12 +3,17 @@
 The solver is generic in its variables: poses (:class:`quadricfit.manifold.Pose`)
 and the three landmark states (:mod:`quadricfit.quadric`) share one
 protocol, ``tangent_dim`` / ``retract`` / ``fd_scales`` / ``settled``, and
-the solver asks nothing else of them. It takes Jacobians by central finite
-differences through the retraction, assembles the normal equations from
-per-factor Jacobian blocks, solves them damped and dense, and replaces
-the free variables by their ``settled()`` fixup after every accepted step.
-Identical solver settings therefore compare parameterizations fairly; only
-the retraction and its fixup differ.
+the solver asks nothing else of them. A box factor's Jacobian is the
+closed-form derivative of its rows against the dual quadric and the
+camera's [R|t] (:attr:`quadricfit.costs.FactorKind.slopes`), chained
+through each free variable's differential: the central difference of its
+dual or its [R|t] over a step of the retraction. A prior's Jacobian is
+central finite differences of its rows through the retraction. The solver
+assembles the normal equations from per-factor Jacobian blocks, solves
+them damped and dense, and replaces the free variables by their
+``settled()`` fixup after every accepted step. Identical solver settings
+therefore compare parameterizations fairly; only the retraction and its
+fixup differ.
 
 Evaluations are array passes, one per variable kind and one per factor
 kind. The free variables are held as one stacked value per kind (their
@@ -18,7 +23,8 @@ linearization's FD variants and an accepted step's ``settled()``. A
 per-solve :class:`_Plan` holds what only the fixed variables and the
 payloads decide, and the index arrays by which :func:`_evaluate` gathers
 each factor kind's inputs from a :class:`_Stack` per role and scatters
-its residual rows and central differences. A factor kind is one row call
+its residual rows and Jacobian. A box kind's kernels see only the value
+rows, one per factor. A factor kind is one row call
 through :data:`quadricfit.costs.FACTOR_KINDS`, so the solver has no
 per-kind code. The cost sums, in factor-id order, exactly the residual
 rows the Jacobian linearizes, and each row has the bits of the batch of
@@ -38,7 +44,10 @@ dense product.
 
 Factors that cannot be evaluated at the current state (landmark behind the
 camera, degenerate projection) are dropped for that evaluation with a skip
-count; a candidate step is only accepted when it does not increase the
+count. A linearization drops a box factor by its value row alone, as the
+cost does, and a prior also when an FD variant of its variable cannot be
+evaluated; a factor whose variable's variants cannot be formed at all has
+no differential and is dropped too. A candidate step is only accepted when it does not increase the
 skip count and strictly decreases the total cost, so the reported cost
 trace is monotone across accepted steps and "all factors dropped" is never
 an attractor. A rejected step (singular normal equations, a step beyond
@@ -160,6 +169,9 @@ class SolveReport:
 # The fields a single-target kind reads per role, and the shape of a row of each stack field.
 _READS = {"pose": ("rotation", "translation"), "landmark": ("dual",)}
 _SHAPES = {"dual": (4, 4), "rotation": (3, 3), "translation": (3,), "inverse_rt": (3, 4)}
+# The (role, stack field) of a box kind's slopes, in their order: a landmark's
+# dual, a pose's camera-from-world [R|t].
+_SLOPES = (("landmark", "dual"), ("pose", "inverse_rt"))
 
 
 def _stacked(values: list):
@@ -270,76 +282,103 @@ class _Plan:
         return SimpleNamespace(size=size, kinds=kinds, cross=list(cross.values()))
 
     def layout(self, fd: bool):
-        """(groups, decomposed rows) of an evaluation, with FD variants if ``fd``.
+        """(groups, decomposed rows, steps) of an evaluation, with FD
+        variants if ``fd``.
+
+        A role's :class:`_Stack` rows are every variable's value, then, with
+        ``fd``, the variants of each free kind's variables, whose rows
+        ``steps`` gives per kind (k, 2, d), plus then minus steps.
 
         A factor kind's group gives its factors' kernel rows, each factor's
-        contiguous from ``starts``: value, landmark variants, pose variants,
-        each by the :class:`_Stack` row it reads (``targets``) and, for a box
-        row, by its camera data (``pairs``: the ``fixed`` poses', a stack row
-        and a factor each, then the free poses' ``cameras``). ``payload`` is
-        packed per single row or free pair; ``res`` places the value rows in
-        the residual; a Jacobian entry is its ``plus`` minus its ``minus``
-        row over twice the step of column ``jcols``, at the positions
-        ``blocks`` of :attr:`table`: its row array's ``at + row * d + j``.
+        contiguous from ``starts``, by the stack row each reads
+        (``targets``); ``res`` places the value rows in the residual.
+        A prior reads its variable's value and, with ``fd``, its variants,
+        with its payload per row (``payload``); a Jacobian entry is its
+        ``plus`` minus its ``minus`` row over twice the step of column
+        ``jcols``, at the positions ``blocks`` of :attr:`table`: its row
+        array's ``at + row * d + j``.
+        A box factor reads one row, its landmark's value seen from its pose
+        value's camera (the pose stack's row ``cameras``). The camera data
+        of the factors on ``fixed`` poses come first, then those on ``free``
+        poses (whose payloads ``payload`` holds), and ``pairs`` puts them in
+        factor order. With ``fd``, ``chains`` gives per target role ``r``
+        (an index of :data:`_SLOPES`) and
+        free kind ``a`` the factors ``sel`` reading the kind's variables
+        ``slot``, and the positions ``index`` (F, dim, d) of their products
+        in :attr:`table`.
         """
         if fd in self._layouts:
             return self._layouts[fd]
-        kind_at = {vid: kind.at for kind, vids in zip(self.table.kinds if fd else (), self.kinds)
-                   for vid in vids}
-        rows, size = {}, dict.fromkeys(_READS, 0)
-        widths = [(vids, 0) for vids, _ in self.fixed]
-        for vids, width in widths + [(vids, len(c)) for vids, c in zip(self.kinds, self.kind_columns)]:
+        place = {vid: (a, s) for a, vids in enumerate(self.kinds) for s, vid in enumerate(vids)}
+        value, steps, size = {}, [], dict.fromkeys(_READS, 0)
+        for vids in [vids for vids, _ in self.fixed] + self.kinds:
             role, k = self.role[vids[0]], len(vids)
-            d = width // k if fd else 0
-            for i, vid in enumerate(vids):
-                start = size[role] + k + 2 * d * i
-                rows[vid] = [size[role] + i, *range(start, start + 2 * d)]
-            size[role] += k * (1 + 2 * d)
+            value.update(zip(vids, range(size[role], size[role] + k)))
+            size[role] += k
+            if vids[0] in place:  # a free kind: its variants follow its values
+                d = len(self.kind_columns[place[vids[0]][0]]) // k if fd else 0
+                steps.append(size[role] + np.arange(2 * k * d).reshape(k, 2, d))
+                size[role] += 2 * k * d
         groups = {}
         for name, members in self.groups.items():
-            kind = FACTOR_KINDS[name]
-            g = SimpleNamespace(targets=[], starts=[], pairs=[], fixed=[], cameras=[], owner=[],
-                                plus=[], minus=[], jcols=[], blocks=[])
-            on_fixed = sum(self.factors[i].targets[0] not in self.columns for i in members)
-            for j, i in enumerate(members):
-                targets = self.factors[i].targets
-                own, views = rows[targets[-1]], rows[targets[0]]
-                g.starts.append(len(g.targets))
-                g.targets += own
-                if kind.view is None:
-                    g.owner += [j] * len(own)
-                elif targets[0] in self.columns:
-                    first = on_fixed + len(g.cameras)
-                    g.targets += own[:1] * (len(views) - 1)
-                    g.pairs += [first] * len(own) + list(range(first + 1, first + len(views)))
-                    g.cameras += views
-                    g.owner += [j] * len(views)
-                else:
-                    g.pairs += [len(g.fixed)] * len(own)
-                    g.fixed.append((views[0], j))
-                at = g.starts[-1] + 1
-                for t in reversed(targets):
-                    d = (len(rows[t]) - 1) // 2
-                    g.plus += range(at, at + d)
-                    g.minus += range(at + d, at + 2 * d)
-                    if d:
-                        g.jcols += range(self.columns[t].start, self.columns[t].start + d)
-                        block = kind_at[t] + self.starts[i] * d  # the factor's first row
-                        g.blocks += [range(c, c + kind.dim * d, d) for c in range(block, block + d)]
-                    at += 2 * d
-            vars(g).update({key: np.array(v, dtype=int) for key, v in vars(g).items()})
-            g.factors, g.payload = np.array(members), tuple(a[g.owner] for a in self.packed[name])
-            g.jcols = g.jcols[:, None]
-            g.res = self.starts[members][:, None] + np.arange(kind.dim)
-            groups[name] = g
+            group = self._prior_group if FACTOR_KINDS[name].view is None else self._box_group
+            groups[name] = group(name, members, value, place, steps if fd else None)
+            groups[name].factors = np.array(members)
+            groups[name].res = self.starts[members][:, None] + np.arange(FACTOR_KINDS[name].dim)
         decomposed = {name for name in groups if FACTOR_KINDS[name].decomposed}
         read = np.zeros(size["landmark"], dtype=bool)  # np.unique would import numpy.ma
         read[np.concatenate([groups[name].targets for name in decomposed] or [np.zeros(0, int)])] = True
         dec_rows = np.flatnonzero(read)
         for name, g in groups.items():
             g.rts = np.searchsorted(dec_rows, g.targets) if name in decomposed else None
-        self._layouts[fd] = groups, dec_rows
+        self._layouts[fd] = groups, dec_rows, steps
         return self._layouts[fd]
+
+    def _prior_group(self, name: str, members: list, value: dict, place: dict, steps: list | None):
+        """A single-target kind's group of :meth:`layout`: each factor's
+        variable's value row and, given ``steps``, a free one's variants."""
+        g = SimpleNamespace(targets=[], starts=[], owner=[], plus=[], minus=[], jcols=[], blocks=[])
+        dim = FACTOR_KINDS[name].dim
+        for j, i in enumerate(members):
+            (t,) = self.factors[i].targets
+            g.starts.append(len(g.targets))
+            g.targets.append(value[t])
+            if steps is not None and t in place:
+                a, at = place[t][0], len(g.targets)
+                rows = steps[a][place[t][1]]
+                d = rows.shape[1]
+                g.targets += rows.ravel().tolist()
+                g.plus += range(at, at + d)
+                g.minus += range(at + d, at + 2 * d)
+                g.jcols += range(self.columns[t].start, self.columns[t].start + d)
+                block = self.table.kinds[a].at + self.starts[i] * d  # the factor's first row
+                g.blocks += [range(c, c + dim * d, d) for c in range(block, block + d)]
+            g.owner += [j] * (len(g.targets) - g.starts[-1])
+        vars(g).update({key: np.array(v, dtype=int) for key, v in vars(g).items()})
+        g.payload, g.jcols = tuple(a[g.owner] for a in self.packed[name]), g.jcols[:, None]
+        return g
+
+    def _box_group(self, name: str, members: list, value: dict, place: dict, steps: list | None):
+        """A camera kind's group of :meth:`layout`: one row a factor and,
+        given ``steps``, the chains of its free targets."""
+        poses, landmarks = zip(*(self.factors[i].targets for i in members))
+        free = np.array([t in place for t in poses])
+        g = SimpleNamespace(targets=np.array([value[t] for t in landmarks]),
+                            starts=np.arange(len(members)), cameras=np.array([value[t] for t in poses]),
+                            fixed=np.flatnonzero(~free), free=np.flatnonzero(free), chains=[])
+        g.pairs = np.argsort(np.concatenate([g.fixed, g.free]))
+        g.payload = tuple(a[g.free] for a in self.packed[name])
+        rows = self.starts[members][:, None] + np.arange(FACTOR_KINDS[name].dim)
+        for r, targets in enumerate((landmarks, poses) if steps is not None else ()):
+            read = {}  # free kind -> (factor, variable position) pairs
+            for j, t in enumerate(targets):
+                if t in place:
+                    read.setdefault(place[t][0], []).append((j, place[t][1]))
+            for a, pairs in read.items():
+                sel, slot = np.array(pairs).T
+                kind = self.table.kinds[a]
+                g.chains.append((r, a, sel, slot, kind.at + rows[sel][:, :, None] * kind.d + np.arange(kind.d)))
+        return g
 
 
 class _Stack:
@@ -414,40 +453,63 @@ def _evaluate(plan: _Plan, values: list, fd_step: float | None):
     factor-id order, the Jacobian's blocks as ``plan``'s :attr:`_Plan.table`
     or None, {factor position: evaluation error} of the factors to skip,
     whose rows mean nothing).
+
+    A prior's Jacobian is the central differences of its rows over its
+    variable's FD variants. A box factor's is its closed-form slopes
+    (:attr:`~quadricfit.costs.FactorKind.slopes`) against the dual and the
+    camera's [R|t], times the central differences of the dual or the [R|t]
+    over the same variants (:func:`_differential`), one batched matmul
+    per factor kind and free variable kind.
     """
     fd = fd_step is not None
-    groups, dec_rows = plan.layout(fd)
+    groups, dec_rows, steps = plan.layout(fd)
     hs = [fd_step * value.fd_scales() if fd else None for value in values]
     stacks = {role: _Stack(plan, role, values, hs, dec_rows) for role in _READS}
     residual, h = np.empty(plan.m), np.empty(plan.n)
     blocks = np.zeros(plan.table.size) if fd else None
-    for columns, steps in zip(plan.kind_columns, hs if fd else ()):
-        h[columns] = steps.ravel()
-    worst = {}
+    for columns, step in zip(plan.kind_columns, hs if fd else ()):
+        h[columns] = step.ravel()
+    differentials, worst = {}, {}
     for name, g in groups.items():
         kind = FACTOR_KINDS[name]
         if kind.view is None:
             table, status = kind.rows(stacks[kind.roles[0]].rows(g.targets, g.rts), *g.payload)
+            if len(g.plus):
+                blocks[g.blocks] = (table[g.plus] - table[g.minus]) / (2.0 * h[g.jcols])
         else:
             cameras = stacks["pose"].field("inverse_rt")
             if name not in plan.views and len(g.fixed):
-                plan.views[name] = kind.view(cameras[g.fixed[:, 0]],
-                                             *(a[g.fixed[:, 1]] for a in plan.packed[name]))
+                plan.views[name] = kind.view(cameras[g.cameras[g.fixed]],
+                                             *(a[g.fixed] for a in plan.packed[name]))
             views = [plan.views[name]] if len(g.fixed) else []
-            views += [kind.view(cameras[g.cameras], *g.payload)] if len(g.cameras) else []
-            view = views[0] if len(views) == 1 else tuple(map(np.concatenate, zip(*views)))
-            table, status = kind.seen(stacks["landmark"].field("dual")[g.targets],
-                                      *(a[g.pairs] for a in view))
+            views += [kind.view(cameras[g.cameras[g.free]], *g.payload)] if len(g.free) else []
+            view = views[0] if len(views) == 1 else tuple(np.concatenate(v)[g.pairs] for v in zip(*views))
+            duals = stacks["landmark"].field("dual")[g.targets]
+            table, status = kind.seen(duals, *view)
+            slopes = kind.slopes(duals, *view) if g.chains else ()
+            for r, a, sel, slot, index in g.chains:
+                if a not in differentials:
+                    role, against = _SLOPES[r]
+                    differentials[a] = _differential(stacks[role].field(against), steps[a], hs[a])
+                blocks[index] = np.matmul(slopes[r].reshape(len(duals), kind.dim, -1)[sel],
+                                          differentials[a][slot])
         bad = np.maximum.reduceat(status, g.starts)  # a factor's rows are all evaluable iff 0
         worst.update((int(g.factors[k]), int(bad[k])) for k in np.flatnonzero(bad))
         residual[g.res] = table[g.starts]
-        if len(g.plus):
-            blocks[g.blocks] = (table[g.plus] - table[g.minus]) / (2.0 * h[g.jcols])
     failed = {**stacks["pose"].errors, **stacks["landmark"].errors}
     errors = {i: failed[t] for i, f in enumerate(plan.factors if failed else ())  # a box: its landmark's
               for t in f.targets if t in failed}
     errors.update((i, evaluation_error(status)) for i, status in worst.items() if i not in errors)
     return residual, blocks, errors
+
+
+def _differential(field: np.ndarray, rows: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """A free kind's central differences (k, X, d) of ``field``, the stack
+    field a box kind reads (X entries a row), over its variables' FD
+    variant ``rows`` (k, 2, d), plus then minus, at steps ``h`` (k, d)."""
+    k, d = h.shape
+    delta = (field[rows[:, 0]] - field[rows[:, 1]]) / (2.0 * h[:, :, None, None])
+    return np.ascontiguousarray(delta.reshape(k, d, -1).transpose(0, 2, 1))
 
 
 def _cost_of(plan: _Plan, values: list):

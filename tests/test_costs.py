@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadricfit import _kernels
+from quadricfit import _kernels, costs
 from quadricfit._kernels import BEHIND_CAMERA, CUTS_PRINCIPAL_PLANE
 from quadricfit.costs import (
     BehindCameraError,
@@ -189,6 +189,31 @@ def test_residual_box_semi_zero_at_truth(rng):
     observed = conic_bbox(project_dual(state.dual, frame))
     np.testing.assert_allclose(residual("box-semi", state.dual, {"box": observed}, frame),
                                np.zeros(4), atol=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["box-inverse", "box-semi"])
+def test_box_slopes_equal_central_differences_in_dual_and_camera(rng, kind):
+    # A box kind's slopes are its rows' derivatives against the dual and
+    # against [R|t] as free 3 x 4 entries, not only along rigid motions:
+    # along random symmetric and random non-rigid directions they equal
+    # central differences (step 1e-6) to 1e-6 of the largest entry.
+    kind = costs.FACTOR_KINDS[kind]
+    for _ in range(5):
+        state, frame = random_visible_pair(rng)
+        observed = conic_bbox(project_dual(state.dual, frame)).as_array() + rng.normal(0.0, 3.0, 4)
+        intr = np.array([[INTR.fx, INTR.fy, INTR.cx, INTR.cy]])
+        dual, rt = state.dual[None], frame.projection_rt()[None]
+        d_dual, d_rt = kind.slopes(dual, *kind.view(rt, intr, observed[None]))
+        sym = rng.normal(size=(4, 4))
+        for slope, direction, rows in (
+                (d_dual, sym + sym.T, lambda x: kind.seen(dual + x, *kind.view(rt, intr, observed[None]))),
+                (d_rt, rng.normal(size=(3, 4)), lambda x: kind.seen(dual, *kind.view(rt + x, intr, observed[None])))):
+            h = 1e-6
+            (plus, ok_plus), (minus, ok_minus) = rows(h * direction), rows(-h * direction)
+            assert not ok_plus.any() and not ok_minus.any()
+            want = (plus[0] - minus[0]) / (2.0 * h)
+            got = np.tensordot(slope[0], direction, axes=2)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 * np.abs(want).max())
 
 
 def test_ellipsoid_cutting_principal_plane_raises():

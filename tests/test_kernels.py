@@ -76,6 +76,21 @@ def test_tangency_kernel_matches_reference(rng):
         np.testing.assert_allclose(vals[i], ref, rtol=1e-10, atol=1e-12)
 
 
+def test_near_plane_status_does_not_depend_on_the_image_position():
+    # g[2, 2] = r^T P r - z^2 is in m^2, and so is its tolerance
+    # 1e-12 max(1, z^2): a landmark whose nearest surface point is 5e-7 m
+    # ahead of the camera gets one status wherever it sits in the image
+    # (g[2, 2] is about -2e-7 m^2 at both centers).
+    axes = np.array([0.3, 0.25, 0.2])
+    rt = Pose.identity().inverse_rt[None]
+    statuses = []
+    for x, y in ((1.0, 0.3), (0.1, 0.05)):
+        dual = RtsState(np.eye(3), np.array([x, y, axes[2] + 5e-7]), axes).dual
+        statuses.append(int(_kernels.boxes_from_duals(INTR.fx, INTR.fy, INTR.cx, INTR.cy, rt,
+                                                      dual[None])[1][0]))
+    assert statuses == [0, 0]
+
+
 def landmark_for_status(rng, frame, status):
     """A landmark placed in ``frame``'s camera coordinates so that its row
     gets ``status``."""
@@ -99,7 +114,8 @@ def landmark_for_status(rng, frame, status):
 @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=2, max_value=4))
 def test_stacked_cameras_equal_per_camera_calls(seed, cameras):
     # One call with a camera per row gives every row the bits of a call per
-    # camera, in any row order and for every status.
+    # camera, in any row order and for every status, and so do the slopes
+    # (NaN where a row has no derivative).
     rng = np.random.default_rng(seed)
     frames, duals, boxes_in, planes = [], [], [], []
     for c in range(cameras):
@@ -110,14 +126,16 @@ def test_stacked_cameras_equal_per_camera_calls(seed, cameras):
         box = np.sort(rng.uniform(0.0, 640.0, size=(2, 2)), axis=1).ravel()
         boxes_in.append(box)
         planes.append(frame_edge_planes(frame, BoundingBox.from_array(box)))
-    boxes, status, vals = [], [], []
+    boxes, status, vals, box_slopes, tangency_slopes = [], [], [], [], []
     for frame, d, p in zip(frames, duals, planes):
         i = frame.intrinsics
         cams = np.stack([frame.projection_rt()] * len(d))
         b, s = _kernels.boxes_from_duals(i.fx, i.fy, i.cx, i.cy, cams, d)
         boxes.append(b)
         status.append(s)
+        box_slopes.append(_kernels.box_slopes(i.fx, i.fy, i.cx, i.cy, cams, d))
         vals.append(_kernels.tangency_values(np.stack([p] * len(d)), d))
+        tangency_slopes.append(_kernels.tangency_slopes(np.stack([p] * len(d)), d))
     counts = [len(d) for d in duals]
     order = rng.permutation(sum(counts))
     intr = np.repeat([[f.intrinsics.fx, f.intrinsics.fy, f.intrinsics.cx, f.intrinsics.cy]
@@ -132,6 +150,10 @@ def test_stacked_cameras_equal_per_camera_calls(seed, cameras):
     assert np.array_equal(got_planes, np.repeat(planes, counts, axis=0)[order])
     got_vals = _kernels.tangency_values(got_planes, stacked)
     assert np.array_equal(got_vals, np.concatenate(vals)[order])
+    for got, per_camera in ((_kernels.box_slopes(*intr.T, rts, stacked), box_slopes),
+                            (_kernels.tangency_slopes(got_planes, stacked), tangency_slopes)):
+        for g, want in zip(got, zip(*per_camera)):
+            assert np.array_equal(g, np.concatenate(want)[order], equal_nan=True)
 
 
 def brute_voxel(rot_a, cen_a, half_a, rot_b, cen_b, half_b, lo, hi, n):

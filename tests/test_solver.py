@@ -50,7 +50,6 @@ from quadricfit.solver import (
 )
 from oracles import (
     dense_jacobian,
-    frame_edge_planes,
     scalar_dual,
     scalar_inverse_rt,
     scalar_landmark_retract,
@@ -431,18 +430,6 @@ _EVAL_ERRORS = (BehindCameraError, DegenerateProjectionError, DegenerateLandmark
                 np.linalg.LinAlgError)
 
 
-def _oracle_box_table(factor, frame, duals):
-    intr = factor.payload["intrinsics"]
-    box = factor.payload["box"]
-    if factor.kind == "box-inverse":
-        boxes, status = _kernels.boxes_from_duals(
-            intr.fx, intr.fy, intr.cx, intr.cy, np.stack([frame.projection_rt()] * len(duals)), duals
-        )
-        return boxes - box.as_array(), status == 0
-    vals = _kernels.tangency_values(np.stack([frame_edge_planes(frame, box)] * len(duals)), duals)
-    return vals, np.ones(len(vals), dtype=bool)
-
-
 def _safe_dual(value):
     try:
         return value.dual
@@ -464,6 +451,10 @@ class _OracleVariants:
     def duals(self):
         return np.stack([v.dual for v in self.values])
 
+    @property
+    def cameras(self):
+        return np.stack([v.inverse_rt for v in self.values])
+
 
 def _stack_read(stack, name):
     """The variants' ``values`` or ``duals``, or None when they cannot be formed."""
@@ -481,51 +472,35 @@ def _oracle_try(f, values):
 
 
 def _oracle_block(f, values, variants, columns, n):
-    """One factor's (jacobian rows, residual), or None when skipped: one
-    kernel call per landmark stack and per pose variant, as before the
-    solver grouped factors by camera."""
+    """One factor's (jacobian rows, residual), or None when skipped. A box
+    factor is a chain, a batch of one: its value row, then its slopes
+    against the dual and the [R|t] times the central differences of its
+    free variables' duals or [R|t]s over their variants. A prior is central
+    differences of its residual over its variable's variants."""
     free_targets = [t for t in f.targets if t in variants]
     if f.kind in ("box-inverse", "box-semi"):
         pose_id, lm_id = f.targets
-        pose_free = pose_id in variants
-        lm_free = lm_id in variants
-        frame = CameraFrame(f.payload["intrinsics"], values[pose_id])
+        kind = costs.FACTOR_KINDS[f.kind]
+        intr = f.payload["intrinsics"]
+        fields = {t: _stack_read(variants[t], "duals" if t == lm_id else "cameras") for t in free_targets}
+        if any(rows is None for rows in fields.values()):
+            return None
+        q = _safe_dual(values[lm_id])
+        if q is None:
+            return None
+        view = kind.view(values[pose_id].inverse_rt[None], np.array([[intr.fx, intr.fy, intr.cx, intr.cy]]),
+                         f.payload["box"].as_array()[None])
+        table, status = kind.seen(q[None], *view)
+        if status[0]:
+            return None
         jac = np.zeros((f.dim, n))
-        if lm_free:
-            var = variants[lm_id]
-            duals = _stack_read(var, "duals")
-            if duals is None:
-                return None
-            table, ok = _oracle_box_table(f, frame, duals)
-            if not ok.all():
-                return None
-            res = table[0]
-            d = var.dim
-            jac[:, columns[lm_id]] = (table[1 : 1 + d] - table[1 + d :]).T / (2.0 * var.h)
-        else:
-            q = _safe_dual(values[lm_id])
-            if q is None:
-                return None
-            table, ok = _oracle_box_table(f, frame, q[None])
-            if not ok[0]:
-                return None
-            res = table[0]
-        if pose_free:
-            var = variants[pose_id]
-            cols = columns[pose_id]
-            qc = variants[lm_id].duals[0] if lm_free else _safe_dual(values[lm_id])
-            poses = _stack_read(var, "values")
-            if poses is None:
-                return None
-            for j in range(var.dim):
-                pair = []
-                for v in (poses[1 + j], poses[1 + var.dim + j]):
-                    t, ok = _oracle_box_table(f, CameraFrame(f.payload["intrinsics"], v), qc[None])
-                    if not ok[0]:
-                        return None
-                    pair.append(t[0])
-                jac[:, cols][:, j] = (pair[0] - pair[1]) / (2.0 * var.h[j])
-        return jac, res
+        for slope, t in zip(kind.slopes(q[None], *view), (lm_id, pose_id)):
+            if t in variants:
+                var, rows = variants[t], fields[t]
+                delta = (rows[1 : 1 + var.dim] - rows[1 + var.dim :]) / (2.0 * var.h[:, None, None])
+                differential = np.ascontiguousarray(delta.reshape(var.dim, -1).T)
+                jac[:, columns[t]] = np.matmul(slope.reshape(1, f.dim, -1), differential[None])[0]
+        return jac, table[0]
     res = _oracle_try(f, values)
     if res is None:
         return None
@@ -753,6 +728,60 @@ def test_block_normal_equations_of_one_free_variable_are_the_dense_products(para
     assert np.array_equal(grad, jac.T @ (weights * res))
 
 
+def _central_difference(f, values, t, j, step):
+    """Column j of factor f's central difference against variable t, at
+    ``step`` times its FD scale, or None when a step cannot be evaluated."""
+    value = values[t]
+    h = step * value.fd_scales()[j]
+    e = np.zeros(value.tangent_dim)
+    e[j] = h
+    try:
+        plus = factor_residual(f, {**values, t: value.retract(e)})
+        minus = factor_residual(f, {**values, t: value.retract(-e)})
+    except _EVAL_ERRORS:
+        return None
+    return (plus - minus) / (2.0 * h)
+
+
+@settings(max_examples=30, deadline=None)
+@given(graph_cases)
+@example((6, "rts", 2, 3, True))
+@example((6, "spd", 2, 3, True))
+@example((6, "full", 2, 3, True))
+@example((2, "spd", 3, 2, True))
+def test_box_blocks_equal_central_differences_of_the_rows(case):
+    # Each kept box factor's block against each free variable, its slopes
+    # times the variable's differential, equals the central difference of
+    # the factor's residual through the retraction to 1e-5 of the block's
+    # largest entry, column by column. A central difference errs by its
+    # truncation (h^2) plus rounding (eps / h); near the principal plane the
+    # derivatives grow like the box over the clearance (5e-7 m in the
+    # near-plane cases), so only a small step resolves them. Each column
+    # therefore takes the best of the steps 1e-5 to 1e-11 (times the FD
+    # scale) at which both variants can be evaluated.
+    problem = random_graph_problem(*case)
+    lin = linearize(problem)
+    jac, offset = dense_jacobian(lin), 0
+    for f in sorted(problem.factors, key=lambda f: f.fid):
+        if f.fid in lin.skipped:
+            continue
+        rows, offset = jac[offset:offset + f.dim], offset + f.dim
+        if f.kind not in ("box-inverse", "box-semi"):
+            continue
+        for t in (t for t in f.targets if t in lin.columns):
+            block = rows[:, lin.columns[t]]
+            tol = 1e-5 * np.abs(block).max()
+            for j in range(block.shape[1]):
+                errors = [np.inf]
+                for step in 10.0 ** -np.arange(5, 12):
+                    column = _central_difference(f, problem.variables, t, j, step)
+                    if column is not None:
+                        errors.append(np.abs(column - block[:, j]).max())
+                        if errors[-1] <= tol:
+                            break
+                assert min(errors) <= tol, (f.fid, t, j, min(errors), tol)
+
+
 def _scalar_retract(value, delta):
     """One variable moved by the one-value-at-a-time formulas."""
     if isinstance(value, Pose):
@@ -897,13 +926,13 @@ def test_solve_equals_reference_lm(case):
 @pytest.mark.parametrize("param", ["rts", "spd", "full"])
 @pytest.mark.parametrize("fixed", [{"side", "obj"}, {"cam", "side"}, {"side"}],
                          ids=["pose-variant", "landmark-variant", "both"])
-def test_linearize_skips_factor_whose_variant_falls_behind_camera(param, fixed):
+def test_linearize_keeps_box_factor_whose_variant_is_behind(param, fixed):
     # The landmark's nearest surface point is 5e-7 m in front of "cam":
     # evaluable there, but the FD steps of the camera's and the landmark's
     # translation (about 1e-6 m) each put it across the camera's principal
-    # plane. The landmark sits near the camera's axis: farther out, the
-    # projected conic's entries grow and g[2, 2] = -2e-7 m^2 would be too
-    # small to normalize by.
+    # plane. A linearization drops a box factor only where its value row is
+    # not evaluable, as the cost does, so factor 0 is kept, and its blocks,
+    # its slopes at the value times the variables' differentials, are finite.
     rotation, axes = so3_exp([0.3, 0.2, 0.1]), np.array([0.3, 0.25, 0.2])
     reach = np.sqrt(rotation[2] ** 2 @ axes ** 2)  # support reach along the camera's axis
     state = RtsState(rotation, np.array([0.1, 0.05, reach + 5e-7]), axes)
@@ -919,8 +948,41 @@ def test_linearize_skips_factor_whose_variant_falls_behind_camera(param, fixed):
     ]
     problem = Problem(variables, factors, fixed)
     factor_residual(factors[0], variables)  # the center itself is evaluable
+    behind = 0
+    for t in set(factors[0].targets) - fixed:
+        for v in _OracleVariants(variables[t]).values[1:]:
+            try:
+                factor_residual(factors[0], {**variables, t: v})
+            except BehindCameraError:
+                behind += 1
+    assert behind > 0
     lin = _assert_linearize_matches_oracle(problem)
-    assert lin.skipped == [0]
+    assert lin.skipped == []
+    assert np.isfinite(dense_jacobian(lin)).all()
+    assert solver._cost_of(solver._Plan(factors, variables), [])[1] == 0
+
+
+def test_zero_width_box_raises_linearize_error_and_solve_diverges():
+    # A flat landmark, with no extent along x, in the plane x = 0 through
+    # the camera's center: with cx = 0 its box has zero width, and its u
+    # discriminant is exactly 0, where the edges' derivative is infinite.
+    # The cost keeps the factor; the linearization names it, and the solve
+    # ends diverged at its first linearization without taking a step.
+    intrinsics = CameraIntrinsics(fx=500.0, fy=500.0, cx=0.0, cy=240.0)
+    # center (0, 0, 4), semi-axes (0, 0.5, 0.25): coefficients A..J of the dual
+    flat = FullState(np.array([0.0, 0.25, 0.0625 - 16.0, 0.0, 0.0, 0.0, 0.0, 0.0, -4.0, -1.0]))
+    box = BoundingBox(0.0, 0.0, 200.0, 280.0)
+    factor = Factor(0, "box-inverse", ("cam", "obj"), {"intrinsics": intrinsics, "box": box})
+    problem = Problem({"cam": Pose.identity(), "obj": flat}, [factor], {"cam"})
+    residual = factor_residual(factor, problem.variables)
+    assert residual[0] == residual[1] == 0.0  # a box of zero width at u = cx
+    initial = total_cost(problem)
+    assert np.isfinite(initial)
+    with pytest.raises(solver.LinearizeError, match="in factor 0$"):
+        linearize(problem)
+    report = solve(problem)
+    assert report.termination == "diverged"
+    assert report.cost_trace == [initial] and report.attempts == 0
 
 
 def test_cost_counts_behind_camera_and_degenerate_projection_skips():
@@ -1019,8 +1081,9 @@ def mixed_box_problem():
 
 
 def test_one_kernel_call_per_box_model_and_evaluation(monkeypatch):
-    # Every camera's rows, landmark variants and pose variants share one
-    # call per box model, in the cost and in the linearization alike.
+    # Every camera's rows share one call per box model, one row per factor,
+    # in the cost and in the linearization alike: a linearization sends no
+    # FD variant row to a box kernel.
     problem, boxes, kinds = mixed_box_problem()
     calls = {"boxes_from_duals": [], "tangency_values": []}
     for name, rows in calls.items():
@@ -1038,17 +1101,41 @@ def test_one_kernel_call_per_box_model_and_evaluation(monkeypatch):
     for rows in calls.values():
         rows.clear()
     assert not linearize(problem).skipped
-    # each factor: its landmark's 19 variant rows, and 12 pose-variant rows unless on cam0
-    assert calls == {name: [sum(19 + 12 * (f.targets[0] != "cam0") for f in group)]
-                     for name, group in groups.items()}
+    assert calls == {name: [len(group)] for name, group in groups.items()}
+
+
+def test_no_fd_variant_row_reaches_a_box_kernel(monkeypatch):
+    # A linearization's box kernels see the landmark values alone, each
+    # through a pose value's [R|t]; the FD variants reach the box factors
+    # only as the variables' differentials.
+    problem = mixed_box_problem()[0]
+    seen = {"boxes_from_duals": [], "tangency_values": []}
+    for name, rows in seen.items():
+        kernel = getattr(_kernels, name)
+
+        def recorded(*args, kernel=kernel, rows=rows):
+            rows.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, name, recorded)
+    assert not linearize(problem).skipped
+    values = problem.variables.values()
+    duals = [v.dual for v in values if not isinstance(v, Pose)]
+    cameras = [v.inverse_rt for v in values if isinstance(v, Pose)]
+    (inverse,), (semi,) = seen["boxes_from_duals"], seen["tangency_values"]
+    for dual in np.concatenate([inverse[-1], semi[-1]]):
+        assert any(np.array_equal(dual, q) for q in duals)
+    for rt in inverse[4]:
+        assert any(np.array_equal(rt, c) for c in cameras)
 
 
 def test_one_camera_per_pose_value_and_one_plane_call_per_evaluation(monkeypatch):
     # Both box models see a pose through the [R|t] of its value, computed in
     # one stacked inverse per pose kind: the fixed poses once per solve, the
-    # free poses' values and their 12 FD variants each once per evaluation.
-    # Box-semi builds the edge planes of its factors on fixed poses once per
-    # solve, and those of the free poses' values in one call per evaluation.
+    # free poses' values and their 12 FD variants (whose [R|t]s give the
+    # poses' differentials) each once per evaluation. Box-semi builds the
+    # edge planes of its factors on fixed poses once per solve, and those of
+    # the free poses' values in one call per evaluation, one row a factor.
     problem, boxes, kinds = mixed_box_problem()
     # Pose priors invert their observed pose; only the box factors see cameras.
     problem.factors = [f for f in problem.factors if f.kind != "pose-prior"]
@@ -1085,7 +1172,7 @@ def test_one_camera_per_pose_value_and_one_plane_call_per_evaluation(monkeypatch
     # cam0 alone; then the 3 free poses' values and their 3 x 12 variants
     assert rows(inverted) == [1, 3 + 36]
     assert len({id(p) for p in inverted}) == len(inverted)
-    assert plane_calls == [on_fixed, 13 * (len(semi) - on_fixed)]
+    assert plane_calls == [on_fixed, len(semi) - on_fixed]
 
     inverted.clear()
     plane_calls.clear()
