@@ -9,8 +9,9 @@ camera's [R|t] (:attr:`quadricfit.costs.FactorKind.slopes`), chained
 through each free variable's differential: the central difference of its
 dual or its [R|t] over a step of the retraction. A prior's Jacobian is
 central finite differences of its rows through the retraction. The solver
-assembles the normal equations from per-factor Jacobian blocks, solves
-them damped and dense, and replaces the free variables by their
+assembles the normal equations from per-factor Jacobian blocks, damps
+them, eliminates the landmark blocks and solves the reduced pose system
+(:class:`_ReducedSystem`), and replaces the free variables by their
 ``settled()`` fixup after every accepted step. Identical solver settings
 therefore compare parameterizations fairly; only the retraction and its
 fixup differ.
@@ -38,20 +39,22 @@ the factors that read it (:class:`Linearization`), gathered by row lists
 that a solve builds once and a linearization that skips a factor builds
 again from the kept rows. JᵀWJ is a batched product per variable kind on
 the diagonal and one over the box factors that join a free pose to a
-free landmark, each pair's block summed in factor-id order. A problem
-with one free variable that every factor reads gets the bits of the
-dense product.
+free landmark, each pair's block summed in factor-id order; no dense
+(n, n) H is built. A problem with one free variable that every factor
+reads gets the bits of the dense product, and its step the bits of the
+dense solve.
 
 Factors that cannot be evaluated at the current state (landmark behind the
 camera, degenerate projection) are dropped for that evaluation with a skip
 count. A linearization drops a box factor by its value row alone, as the
 cost does, and a prior also when an FD variant of its variable cannot be
 evaluated; a factor whose variable's variants cannot be formed at all has
-no differential and is dropped too. A candidate step is only accepted when it does not increase the
-skip count and strictly decreases the total cost, so the reported cost
-trace is monotone across accepted steps and "all factors dropped" is never
-an attractor. A rejected step (singular normal equations, a step beyond
-the trust bound, or a candidate that fails that test) raises the damping.
+no differential and is dropped too. A candidate step is only accepted
+when it does not increase the skip count and strictly decreases the
+total cost, so the reported cost trace is monotone across accepted steps
+and "all factors dropped" is never an attractor. A rejected step
+(singular normal equations, a step beyond the trust bound, or a
+candidate that fails that test) raises the damping.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ import time
 import warnings
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import accumulate
 from types import SimpleNamespace
 
 import numpy as np
@@ -202,8 +206,9 @@ class _Plan:
     """What the evaluations of one solve share, laid out once: the factors
     by id and by kind, with each kind's payloads packed; each variable's
     role, pose or landmark; the variables by kind (class), the fixed kinds
-    stacked here and the free kinds in column order; the camera data of the
-    box factors on fixed poses (``views``); and :meth:`layout`."""
+    stacked here and the free kinds in column order, with which of those
+    are poses (``poses``); the camera data of the box factors on fixed
+    poses (``views``); and :meth:`layout`."""
 
     def __init__(self, factors: list, values: dict, free=()):
         self.factors = sorted(factors, key=lambda f: f.fid)
@@ -216,6 +221,7 @@ class _Plan:
         for vid in (vid for vid in self.role if vid not in self.columns):
             fixed.setdefault(type(values[vid]), []).append(vid)
         self.n, self.kinds = offset, list(kinds.values())
+        self.poses = [self.role[vids[0]] == "pose" for vids in self.kinds]
         self.kind_columns = [np.r_[tuple(self.columns[vid] for vid in vids)] for vids in self.kinds]
         self.fixed = [(vids, _stacked([values[vid] for vid in vids])) for vids in fixed.values()]
         self.groups, self.views, self._layouts = {}, {}, {}
@@ -251,7 +257,8 @@ class _Plan:
         free pose and a free landmark, in factor-id order: the kinds'
         positions ``pose`` and ``landmark``, the factors' residual ``rows``,
         ``at``, where each factor's product falls among its (pose, landmark)
-        pairs' blocks, and the pairs' pose and landmark columns."""
+        pairs' blocks, and the pairs' positions among their kinds' variables,
+        ``pose_slots`` and ``landmark_slots``."""
         place = {vid: (a, s) for a, vids in enumerate(self.kinds) for s, vid in enumerate(vids)}
         kinds, cross, size = [], {}, 0
         for vids, columns in zip(self.kinds, self.kind_columns):
@@ -276,9 +283,8 @@ class _Plan:
             dp, dl = kinds[c.pose].d, kinds[c.landmark].d
             c.rows = np.array(c.rows)  # the camera kinds share one residual dimension
             c.at = np.array(c.at)[:, None] * (dp * dl) + np.arange(dp * dl)
-            c.pose_columns, c.landmark_columns = (
-                np.array([self.columns[pair[j]].start for pair in c.pairs])[:, None] + np.arange(d)
-                for j, d in ((0, dp), (1, dl)))
+            c.pose_slots, c.landmark_slots = (np.array([place[pair[j]][1] for pair in c.pairs])
+                                              for j in (0, 1))
         return SimpleNamespace(size=size, kinds=kinds, cross=list(cross.values()))
 
     def layout(self, fd: bool):
@@ -557,11 +563,12 @@ class Linearization:
     columns, zero on padding: one gather of the kind's (m + 1, d) row array
     (:attr:`_Plan.table`), whose last row is zero. ``cross`` holds per
     (pose kind, landmark kind) the kept box factors on a free pose and a
-    free landmark, in factor-id order: (pose blocks (F, r, dp), their rows'
-    weights (F, r), landmark blocks (F, r, dl), ``at`` (F, dp * dl), pose
-    columns (Q, dp), landmark columns (Q, dl)), ``at`` placing each
-    factor's product among the blocks of the Q (pose, landmark) pairs; the
-    blocks are the row arrays gathered by the factors' residual rows.
+    free landmark, in factor-id order: (the kinds' positions, pose slots
+    (Q,), landmark slots (Q,), pose blocks (F, r, dp), their rows' weights
+    (F, r), landmark blocks (F, r, dl), ``at`` (F, dp * dl)), ``at``
+    placing each factor's product among the blocks of the Q (pose,
+    landmark) pairs, whose variables are the slots' among their kinds';
+    the blocks are the row arrays gathered by the factors' residual rows.
     """
 
     blocks: list
@@ -572,30 +579,31 @@ class Linearization:
     skipped: list  # factor ids dropped this linearization
 
     def normal_equations(self) -> tuple:
-        """(H, g) = (JᵀWJ, JᵀWr), summed in a fixed order from the blocks.
+        """The blocks of (H, g) = (JᵀWJ, JᵀWr), summed in a fixed order:
+        (diagonal, gradient, pairs). No dense H is built.
 
-        A variable's diagonal block and gradient are ``C.T @ (w C)`` and
-        ``C.T @ (w r)`` over its rows C, one batched matmul per kind, so a
-        problem with one free variable gets the bits of the dense product.
-        A pose-landmark block sums its box factors' ``P.T @ (w L)``, one
-        batched matmul per kind pair, in factor-id order; entries between
-        variables that share no factor are 0.
+        Per free kind, ``diagonal`` (k, d, d) and ``gradient`` (k, d) hold
+        each variable's ``C.T @ (w C)`` and ``C.T @ (w r)`` over its rows C,
+        one batched matmul per kind, so a problem with one free variable
+        gets the bits of the dense products. ``pairs`` holds per (pose kind,
+        landmark kind) (pose kind, landmark kind, pose slots (Q,), landmark
+        slots (Q,), blocks (Q, dp, dl)): each pose-landmark block sums its
+        box factors' ``P.T @ (w L)``, one batched matmul per kind pair, in
+        factor-id order. H is 0 between variables that share no factor,
+        so it is block diagonal within the poses and within the landmarks.
         """
-        n = sum(columns.size for columns, _, _ in self.blocks)
-        hess, grad = np.zeros((n, n)), np.empty(n)
         weights, weighted = np.append(self.weights, 0.0), np.append(self.weights * self.residual, 0.0)
-        for columns, rows, jacobian in self.blocks:
+        diagonal, gradient, pairs = [], [], []
+        for _, rows, jacobian in self.blocks:
             transposed = jacobian.transpose(0, 2, 1)
-            grad[columns] = np.matmul(transposed, weighted[rows][..., None])[..., 0]
-            hess[columns[:, :, None], columns[:, None, :]] = np.matmul(
-                transposed, weights[rows][..., None] * jacobian)
-        for pose, w, landmark, at, pose_columns, landmark_columns in self.cross:
-            q, dp, dl = len(pose_columns), pose.shape[2], landmark.shape[2]
-            products = np.matmul(pose.transpose(0, 2, 1), w[..., None] * landmark)
-            block = np.bincount(at.ravel(), products.ravel(), q * dp * dl).reshape(q, dp, dl)
-            hess[pose_columns[:, :, None], landmark_columns[:, None, :]] = block
-            hess[landmark_columns[:, :, None], pose_columns[:, None, :]] = block.transpose(0, 2, 1)
-        return hess, grad
+            gradient.append(np.matmul(transposed, weighted[rows][..., None])[..., 0])
+            diagonal.append(np.matmul(transposed, weights[rows][..., None] * jacobian))
+        for pose, landmark, pose_slots, landmark_slots, blocks, w, landmark_blocks, at in self.cross:
+            q, dp, dl = len(pose_slots), blocks.shape[2], landmark_blocks.shape[2]
+            products = np.matmul(blocks.transpose(0, 2, 1), w[..., None] * landmark_blocks)
+            pairs.append((pose, landmark, pose_slots, landmark_slots,
+                          np.bincount(at.ravel(), products.ravel(), q * dp * dl).reshape(q, dp, dl)))
+        return diagonal, gradient, pairs
 
 
 def _linearize(plan: _Plan, values: list) -> Linearization:
@@ -618,8 +626,8 @@ def _linearize(plan: _Plan, values: list) -> Linearization:
     for c in layout.cross:
         on = kept[c.rows[:, 0]]
         rows = c.rows[on]
-        cross.append((arrays[c.pose][rows], weights[rows], arrays[c.landmark][rows], c.at[on],
-                      c.pose_columns, c.landmark_columns))
+        cross.append((c.pose, c.landmark, c.pose_slots, c.landmark_slots, arrays[c.pose][rows],
+                      weights[rows], arrays[c.landmark][rows], c.at[on]))
     blocks = []
     for kind, array in zip(layout.kinds, arrays):
         rows = _row_lists(kind, kept) if errors else kind.rows
@@ -675,6 +683,83 @@ MAX_STEP = 2.0
 SUCCESS_FACTOR = 1.5
 
 
+class _ReducedSystem:
+    """One linearization's damped normal equations (H + λI) δ = -g with the
+    landmark blocks eliminated (the Schur complement; Triggs et al.,
+    "Bundle Adjustment — A Modern Synthesis", 2000).
+
+    No factor reads two poses or two landmarks, so H is block diagonal
+    within each. With a landmark kind's blocks B (k, d, d), gradients g_l
+    (k, d) and couplings W (k, p, d) to the p coordinates of the free poses
+    (kind by kind, as their columns), a landmark's step is
+    δl = (B + λI)⁻¹ (-g_l - Wᵀ δp), and the poses' step δp solves
+
+        (H_pp + λI - Σ W (B + λI)⁻¹ Wᵀ) δp = -g_p - Σ W (B + λI)⁻¹ (-g_l),
+
+    summed over the landmarks, kind by kind. What does not depend on λ is
+    laid out here once. Per damping, :meth:`step` takes per landmark kind
+    one batched solve against -g_l and, with free poses, the batched
+    Cholesky factors L Lᵀ = B + λI and their inverses, so that
+    W (B + λI)⁻¹ Wᵀ = Vᵀ V with V = L⁻¹ Wᵀ; then one dense solve of the
+    p-dim reduced system. Without a free pose the step is the batched
+    solve alone, which gives one free landmark the bits of the dense
+    solve; without a free landmark it is the dense solve of the pose
+    system. (On ``graph_k16``, a batched solve against all p + 1 columns
+    of [Wᵀ | -g_l] takes about four times as long as L⁻¹, and is no more
+    accurate against the dense solve on random test graphs. An explicit
+    inverse of B + λI is as fast as L⁻¹, but its error scales with the
+    inverse's norm, 1 / λ along ``full``'s gauge direction: it moved
+    ``full`` steps by up to twice the size of the dense solve's step.)
+    """
+
+    def __init__(self, normal: tuple, poses: list):
+        diagonal, gradient, pairs = normal
+        self.shapes = [g.shape for g in gradient]
+        self.max_gradient = max(float(np.abs(g).max()) for g in gradient)
+        self.poses = [a for a, pose in enumerate(poses) if pose]
+        self.at = list(accumulate((gradient[a].size for a in self.poses), initial=0))
+        p = self.at[-1]
+        self.hessian, self.rhs = np.zeros((p, p)), np.empty(p)
+        for a, start in zip(self.poses, self.at):
+            index = start + np.arange(gradient[a].size).reshape(self.shapes[a])
+            self.hessian[index[:, :, None], index[:, None, :]] = diagonal[a]
+            self.rhs[index] = -gradient[a]
+        couplings = {a: np.zeros((k, p, d)) for a, (k, d) in enumerate(self.shapes) if not poses[a]}
+        for pose, landmark, pose_slots, landmark_slots, block in pairs:
+            d = self.shapes[pose][1]
+            rows = self.at[self.poses.index(pose)] + pose_slots[:, None] * d + np.arange(d)
+            couplings[landmark][landmark_slots[:, None], rows] = block
+        # Per landmark kind: B, -g_l, Wᵀ (k, d, p) and W as (p, k d).
+        self.landmarks = [(a, diagonal[a], -gradient[a][..., None],
+                           np.ascontiguousarray(w.transpose(0, 2, 1)),
+                           w.transpose(1, 0, 2).reshape(p, gradient[a].size))
+                          for a, w in couplings.items()]
+
+    def step(self, lam: float) -> list:
+        """Each free kind's step (k, d) at damping ``lam``. Raises
+        ``np.linalg.LinAlgError`` when a damped system is singular or, with
+        free poses, a damped landmark block is not positive definite."""
+        p, steps, factors = self.at[-1], [None] * len(self.shapes), []
+        for a, diagonal, gradient, transposed, coupling in self.landmarks:
+            damped = diagonal + lam * np.eye(diagonal.shape[-1])
+            steps[a] = np.linalg.solve(damped, gradient)[..., 0]
+            if p:
+                root = np.linalg.inv(np.linalg.cholesky(damped))  # L⁻¹, where L Lᵀ = B + λI
+                factors.append((a, root, root @ transposed, coupling))  # V = L⁻¹ Wᵀ (k, d, p)
+        if not p:
+            return steps
+        reduced, rhs = self.hessian + lam * np.eye(p), self.rhs
+        for a, _, v, coupling in factors:
+            flat = v.reshape(-1, p)
+            reduced, rhs = reduced - flat.T @ flat, rhs - coupling @ steps[a].ravel()
+        poses = np.linalg.solve(reduced, rhs)
+        for a, start, stop in zip(self.poses, self.at, self.at[1:]):
+            steps[a] = poses[start:stop].reshape(self.shapes[a])
+        for a, root, v, _ in factors:
+            steps[a] = steps[a] - np.matmul(root.transpose(0, 2, 1), (v @ poses)[..., None])[..., 0]
+        return steps
+
+
 def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
     """Damped normal equations with manifold retraction updates.
 
@@ -710,30 +795,28 @@ def solve(problem: Problem, options: SolveOptions | None = None) -> SolveReport:
         if lin.residual.size == 0:
             termination = "diverged"
             break
-        hess, grad = lin.normal_equations()
-        if np.max(np.abs(grad)) < GRAD_TOL:
+        system = _ReducedSystem(lin.normal_equations(), plan.poses)
+        if system.max_gradient < GRAD_TOL:
             termination = "gradient"
             iter_times.append(time.perf_counter() - t0)
             break
-        n = hess.shape[0]
 
         accepted = False
         evals = 0
         while True:
             try:
-                delta = np.linalg.solve(hess + lam * np.eye(n), -grad)
-                solve_failed = not np.all(np.isfinite(delta))
+                steps = system.step(lam)
+                solve_failed = not all(np.isfinite(step).all() for step in steps)
             except np.linalg.LinAlgError:
                 solve_failed = True
             # A singular system yields no step, and an over-long step is
             # outside the model's trust region: neither spends a cost
             # evaluation. Every rejection raises the damping below.
-            if not solve_failed and np.max(np.abs(delta)) <= MAX_STEP:
+            if not solve_failed and max(np.max(np.abs(step)) for step in steps) <= MAX_STEP:
                 attempts += 1
                 evals += 1
                 try:
-                    candidate = [retract_value(value, delta[columns].reshape(-1, value.tangent_dim))
-                                 for value, columns in zip(stacked, plan.kind_columns)]
+                    candidate = [retract_value(value, step) for value, step in zip(stacked, steps)]
                     ccost, cnskip, _ = _cost_of(plan, candidate)
                 except _EVAL_ERRORS:
                     ccost, cnskip = np.inf, nskip + 1

@@ -271,3 +271,21 @@ def dense_jacobian(lin) -> np.ndarray:
     for columns, rows, jacobian in lin.blocks:
         out[rows[:, :, None], columns[:, None, :]] = jacobian
     return out[:-1]
+
+
+def dense_normal_equations(lin) -> tuple:
+    """The dense (n, n) H and (n,) g that a linearization's normal-equation
+    blocks stand for, each block scattered at its variables' columns; 0
+    between variables that share no factor."""
+    diagonal, gradient, pairs = lin.normal_equations()
+    columns = [columns for columns, _, _ in lin.blocks]
+    n = sum(c.size for c in columns)
+    hess, grad = np.zeros((n, n)), np.empty(n)
+    for cols, block, g in zip(columns, diagonal, gradient):
+        hess[cols[:, :, None], cols[:, None, :]] = block
+        grad[cols] = g
+    for pose, landmark, pose_slots, landmark_slots, block in pairs:
+        rows, cols = columns[pose][pose_slots], columns[landmark][landmark_slots]
+        hess[rows[:, :, None], cols[:, None, :]] = block
+        hess[cols[:, :, None], rows[:, None, :]] = block.transpose(0, 2, 1)
+    return hess, grad

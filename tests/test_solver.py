@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadricfit import _kernels, costs, graphio, solver
@@ -50,6 +50,7 @@ from quadricfit.solver import (
 )
 from oracles import (
     dense_jacobian,
+    dense_normal_equations,
     scalar_dual,
     scalar_inverse_rt,
     scalar_landmark_retract,
@@ -358,20 +359,36 @@ def _singular(*args):
     raise np.linalg.LinAlgError("singular matrix")
 
 
-def _non_finite(a, b):
-    return np.full(len(b), np.nan)
+def _non_finite(a, b=None):
+    return np.full(np.shape(a if b is None else b), np.nan)
 
 
-@pytest.mark.parametrize("normal_solve", [_singular, _non_finite])
-def test_solve_diverges_when_normal_equations_give_no_step(monkeypatch, normal_solve):
+def _assert_diverges_without_a_step(monkeypatch, problem, failure, name="solve", ndim=None):
     # Every retry raises the damping to its cap without a cost evaluation.
-    trial = seeded_trial("M", idx=2)
-    problem = trial_problem(trial, "rts", "inverse")
-    monkeypatch.setattr(np.linalg, "solve", normal_solve)
+    factor = getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name,
+                        lambda a, *b: (failure if ndim in (None, np.ndim(a)) else factor)(a, *b))
     report = solve(problem)
     assert report.termination == "diverged"
     assert report.iterations == 0 and report.attempts == 0
     assert report.lambda_final == solver._LAMBDA_MAX
+
+
+@pytest.mark.parametrize("normal_solve", [_singular, _non_finite])
+def test_solve_diverges_when_normal_equations_give_no_step(monkeypatch, normal_solve):
+    # A trial's step is its landmark's solve alone.
+    trial = seeded_trial("M", idx=2)
+    _assert_diverges_without_a_step(monkeypatch, trial_problem(trial, "rts", "inverse"), normal_solve)
+
+
+@pytest.mark.parametrize("failure", [_singular, _non_finite])
+@pytest.mark.parametrize("name, ndim", [("solve", 3), ("cholesky", 3), ("solve", 2)],
+                         ids=["landmark-solve", "landmark-cholesky", "pose-solve"])
+def test_free_pose_solve_diverges_when_a_step_factorization_fails(monkeypatch, failure, name, ndim):
+    # With free poses the step also fails when the landmarks' batched solve
+    # or Cholesky factors (a stack of matrices, ndim 3) or the reduced pose
+    # system's solve (ndim 2) gives no step.
+    _assert_diverges_without_a_step(monkeypatch, _free_pose_problem(), failure, name, ndim)
 
 
 def test_non_finite_jacobian_row_raises_and_solve_diverges(monkeypatch):
@@ -698,7 +715,7 @@ def test_block_normal_equations_match_dense_products(case):
     # (a sum that cancels has no relative accuracy of its own), and H is
     # exactly 0 between variables that share no kept factor.
     problem = random_graph_problem(*case)
-    hess, grad = linearize(problem).normal_equations()
+    hess, grad = dense_normal_equations(linearize(problem))
     jac, res, weights, columns, skipped = _oracle_linearize(problem)
     size = np.abs(jac)
     assert np.all(np.abs(hess - jac.T @ (weights[:, None] * jac))
@@ -722,7 +739,7 @@ def test_block_normal_equations_of_one_free_variable_are_the_dense_products(para
     else:
         problem = graphio.problem_from_graph(synthetic_graph(1), param, "inverse")
     assert len(problem.free_ids()) == 1
-    hess, grad = linearize(problem).normal_equations()
+    hess, grad = dense_normal_equations(linearize(problem))
     jac, res, weights, _, _ = _oracle_linearize(problem)
     assert np.array_equal(hess, jac.T @ (weights[:, None] * jac))
     assert np.array_equal(grad, jac.T @ (weights * res))
@@ -828,17 +845,126 @@ def test_normal_equations_of_a_skipping_linearization_equal_the_reference(case):
     jac, res, weights, columns, skipped = _oracle_linearize(problem)
     hess, grad = _reference_normal_equations(problem.factors, problem.free_ids(), jac, weights, res,
                                              columns, skipped)
-    got = lin.normal_equations()
+    got = dense_normal_equations(lin)
     assert np.array_equal(got[0], hess)
     assert np.array_equal(got[1], grad)
 
 
+def _eliminated_step(hess, grad, kinds, columns, lam):
+    """The damped step -(H + λI)⁻¹ g of a dense H and g, taken as the solver
+    takes it: each landmark kind's damped diagonal blocks, sliced from H,
+    solved in one batch against -g and, with free poses, the inverses of
+    their Cholesky factors applied to their rows of H at the pose columns;
+    then the reduced pose system solved dense and the landmark steps
+    back-substituted. ``kinds`` maps each free kind (class) to its
+    variables' ids, in the solver's order."""
+    index = [np.array([np.arange(columns[vid].start, columns[vid].stop) for vid in vids])
+             for vids in kinds.values()]
+    poses = [issubclass(cls, Pose) for cls in kinds]
+    pose = np.concatenate([i.ravel() for i, is_pose in zip(index, poses) if is_pose] or [np.zeros(0, int)])
+    p = len(pose)
+    reduced, rhs = hess[np.ix_(pose, pose)] + lam * np.eye(p), -grad[pose]
+    delta, solved = np.empty(len(grad)), []
+    for cols in (i for i, is_pose in zip(index, poses) if not is_pose):
+        damped = hess[cols[:, :, None], cols[:, None, :]] + lam * np.eye(cols.shape[1])
+        delta[cols] = np.linalg.solve(damped, -grad[cols][..., None])[..., 0]
+        if p:
+            root = np.linalg.inv(np.linalg.cholesky(damped))
+            v = root @ hess[cols[:, :, None], pose]
+            flat = v.reshape(-1, p)
+            reduced = reduced - flat.T @ flat
+            rhs = rhs - hess[pose[:, None], cols.ravel()] @ delta[cols].ravel()
+            solved.append((cols, root, v))
+    if p:
+        delta[pose] = np.linalg.solve(reduced, rhs)
+    for cols, root, v in solved:
+        delta[cols] = delta[cols] - np.matmul(root.transpose(0, 2, 1), (v @ delta[pose])[..., None])[..., 0]
+    return delta
+
+
+def _reduced_system(problem):
+    """The solver's reduced system at the problem's variables, the dense H
+    and g its blocks stand for, and each free kind's columns."""
+    plan = solver._Plan(problem.factors, problem.variables, problem.free_ids())
+    lin = solver._linearize(plan, plan.stack(problem.variables))
+    return (solver._ReducedSystem(lin.normal_equations(), plan.poses), *dense_normal_equations(lin),
+            plan.kind_columns)
+
+
+def _flat_step(system, lam, kind_columns):
+    """:meth:`_ReducedSystem.step` at ``lam`` as one vector in column order."""
+    delta = np.empty(sum(len(columns) for columns in kind_columns))
+    for columns, step in zip(kind_columns, system.step(lam)):
+        delta[columns] = step.ravel()
+    return delta
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_cases, st.sampled_from([1e-4, 1.0, 1e4]))
+@example((0, "rts", 2, 2, True), 1e-4)  # free poses and landmarks, a factor skipped
+@example((0, "spd", 2, 2, True), 1.0)
+@example((0, "full", 2, 2, True), 1e-4)
+@example((0, "full", 2, 2, False), 1e4)
+@example((97, "rts", 3, 3, True), 1e-4)  # landmarks alone, a factor skipped
+@example((63, "spd", 3, 2, True), 1.0)  # poses alone, a factor skipped
+def test_reduced_step_solves_the_dense_damped_system(case, lam):
+    # The step with the landmark blocks eliminated solves the damped system
+    # that np.linalg.solve solves on the oracle's dense H + λI. With ε the
+    # double epsilon and κ the 2-norm condition number of H + λI:
+    # - rts and spd: ‖δ - δ_dense‖∞ ≤ 1e3 ε κ ‖δ_dense‖∞, the forward error
+    #   bound of a backward-stable solve, with a margin.
+    # - full: its landmark blocks are singular up to the damping (the
+    #   dual's scale is a null direction, ROADMAP item 9), so κ is about
+    #   ‖H‖ / λ and a forward bound says nothing at small λ. Its step must
+    #   solve the dense system to the backward error
+    #   ‖(H + λI) δ + g‖∞ ≤ 1e3 ε √κ (‖H + λI‖∞ ‖δ‖∞ + ‖g‖∞), the bound of
+    #   block LU on a symmetric positive definite matrix (Demmel, Higham and
+    #   Schreiber, "Stability of block LU factorization", 1995).
+    # Where H + λI is not numerically positive definite (near the principal
+    # plane a derivative can reach 1e15, and H entries 1e30), neither solve
+    # has any accuracy and the solver's rejection paths decide the step.
+    problem = random_graph_problem(*case)
+    system, hess, grad, kind_columns = _reduced_system(problem)
+    damped = hess + lam * np.eye(len(hess))
+    eigenvalues = np.linalg.eigvalsh(damped)
+    assume(eigenvalues[0] > 0.0)
+    delta, dense = _flat_step(system, lam, kind_columns), np.linalg.solve(damped, -grad)
+    kappa, eps = eigenvalues[-1] / eigenvalues[0], np.finfo(float).eps
+    if case[1] == "full":
+        norm = np.abs(damped).sum(axis=1).max()
+        bound = 1e3 * eps * np.sqrt(kappa) * (norm * np.abs(delta).max() + np.abs(grad).max())
+        assert np.abs(damped @ delta + grad).max() <= bound
+    else:
+        assert np.abs(delta - dense).max() <= 1e3 * eps * kappa * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1.0, 1e4])
+@pytest.mark.parametrize("param", ["rts", "spd", "full"])
+@pytest.mark.parametrize("source", ["trial-inverse", "trial-semi", "synthetic_graph"])
+def test_reduced_step_of_one_free_variable_is_the_dense_solve(source, param, lam):
+    # With one free landmark the step is its batched solve alone, with the
+    # bits of np.linalg.solve on the dense damped system.
+    if source == "synthetic_graph":
+        problem = graphio.problem_from_graph(synthetic_graph(1), param, "inverse")
+    else:
+        problem = trial_problem(seeded_trial("M", idx=5), param, source.split("-")[1])
+    assert len(problem.free_ids()) == 1
+    system, hess, grad, kind_columns = _reduced_system(problem)
+    dense = np.linalg.solve(hess + lam * np.eye(len(hess)), -grad)
+    assert np.array_equal(_flat_step(system, lam, kind_columns), dense)
+
+
 def _reference_solve(problem, max_iterations):
     """solve()'s LM loop on the oracles: a scalar retract per variable,
-    _oracle_linearize and _oracle_cost, with the solver's constants and a
-    ``settled()`` per variable. (cost trace, attempts, termination, skip
-    events, skips at the final variables, final variables)."""
+    _oracle_linearize and _oracle_cost, the solver's constants, its
+    elimination of the landmark blocks from the dense H
+    (:func:`_eliminated_step`) and a ``settled()`` per variable. (cost
+    trace, attempts, termination, skip events, skips at the final
+    variables, final variables)."""
     free = problem.free_ids()
+    kinds = {}
+    for vid in free:
+        kinds.setdefault(type(problem.variables[vid]), []).append(vid)
     values = dict(problem.variables)
     cost, nskip, _ = _oracle_cost(values, problem.factors)
     trace, attempts, skip_events, lam = [cost], 0, 0, solver.INIT_LAMBDA
@@ -861,7 +987,7 @@ def _reference_solve(problem, max_iterations):
         accepted, evals = False, 0
         while True:
             try:
-                delta = np.linalg.solve(hess + lam * np.eye(len(hess)), -grad)
+                delta = _eliminated_step(hess, grad, kinds, columns, lam)
                 solve_failed = not np.all(np.isfinite(delta))
             except np.linalg.LinAlgError:
                 solve_failed = True
@@ -908,7 +1034,10 @@ def _reference_solve(problem, max_iterations):
 def test_solve_equals_reference_lm(case):
     # The batched solver (one retract per variable kind, plan-gathered
     # blocks) takes bit for bit the steps of the LM loop over the
-    # per-factor oracles, skips and fixups included.
+    # per-factor oracles, skips and fixups included. Both eliminate the
+    # landmark blocks by the same arithmetic, the reference from the dense
+    # H; test_reduced_step_solves_the_dense_damped_system checks that
+    # elimination against the dense solve.
     problem = random_graph_problem(*case)
     report = solve(problem, SolveOptions(max_iterations=5))
     trace, attempts, termination, skip_events, skipped_final, variables = _reference_solve(problem, 5)
@@ -1300,6 +1429,55 @@ def _free_pose_problem():
     problem.fixed = set()
     assert {f.targets[0] for f in problem.factors if f.kind == "pose-prior"} == {"cam0", "cam1", "cam2"}
     return problem
+
+
+class _RecordingNumpy:
+    """numpy as a module sees it through this stand-in: every array that
+    one of its functions (not its ufuncs) returns has its shape recorded."""
+
+    def __init__(self, shapes: list):
+        self._shapes = shapes
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr) or isinstance(attr, (type, np.ufunc)):
+            return attr
+
+        def recorded(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            self._shapes.append(getattr(out, "shape", ()))
+            return out
+
+        return recorded
+
+
+def test_solve_factors_only_landmark_blocks_and_the_pose_system(monkeypatch):
+    # A count, not a timing: on a graph with free poses and free landmarks,
+    # each damped step factors one batch of landmark blocks and one reduced
+    # pose system, no matrix larger than 6 x the free poses, and no numpy
+    # function in the solver module returns an array with two axes as long
+    # as the n tangent coordinates: no dense H is built.
+    problem = random_graph_problem(0, "rts", 6, 2)
+    problem.fixed = set()
+    n = sum(problem.variables[vid].tangent_dim for vid in problem.free_ids())
+    p = 6 * sum(isinstance(problem.variables[vid], Pose) for vid in problem.free_ids())
+    assert n == 9 * 6 + p and p == 12
+    shapes, factored = [], []
+    for name in ("solve", "cholesky", "inv"):
+        def recorded(a, *args, factor=getattr(np.linalg, name)):
+            factored.append(a.shape)
+            return factor(a, *args)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    monkeypatch.setattr(solver, "np", _RecordingNumpy(shapes))
+    report = solve(problem, SolveOptions(max_iterations=3))
+    assert report.iterations == 3
+    # Per step: the landmark blocks' solve, Cholesky factors and the
+    # factors' inverses, then the reduced system's solve.
+    steps = len(factored) // 4
+    assert factored == [(6, 9, 9), (6, 9, 9), (6, 9, 9), (p, p)] * steps
+    assert steps >= report.attempts
+    assert shapes and not [shape for shape in shapes if sum(size >= n for size in shape) >= 2]
 
 
 def test_linearize_makes_no_scalar_retractions(monkeypatch):
